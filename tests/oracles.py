@@ -8,9 +8,11 @@ tautology.
 """
 from __future__ import annotations
 
+import itertools
 import random
+from dataclasses import dataclass
 
-from ontologik.logform import Atom, Form, Not, Implies, Quant, QuantKind, conj
+from ontologik.logform import And, Atom, Form, Not, Implies, Quant, QuantKind, conj
 
 # ----------------------------------------------------------------------
 # subsumption oracles over a bare parent map {node: parent-or-None}
@@ -108,6 +110,147 @@ def random_form(rng: random.Random, max_depth: int = 6) -> Form:
     var = fresh()
     kind = rng.choice(list(QuantKind))
     return Quant(kind, var, rng.choice(_TYPES), build(rng.randint(0, max_depth - 1), [var]))
+
+
+_TYPE_NAMES = _TYPES[1:]
+
+
+def random_liftable_form(rng: random.Random, max_depth: int = 2) -> Form:
+    """Forms that reach membership lifting, which ``random_form`` never does.
+
+    Type names stand as conjuncts under quantifier prefixes of mixed kinds,
+    restricted or not, and as antecedents of implications under a universal.
+    Contrapositives and double negations wrap some of them. Now and then a
+    binder reuses the name of one in scope, the shadowing that only forms
+    built through the API can have.
+    """
+    serial = iter(range(1_000_000))
+
+    def membership(var: str) -> Form:
+        return Atom(rng.choice(_TYPE_NAMES), (var,))
+
+    def plain(bound: list[str]) -> Form:
+        roll = rng.random()
+        if roll < 0.2:
+            return Atom(rng.choice(_BINARY + ("EATING",)), (rng.choice(bound), rng.choice(bound)))
+        if roll < 0.9:
+            return Atom(rng.choice(_UNARY), (rng.choice(bound),))
+        return Atom(rng.choice(_UNARY), ("Julie",))
+
+    def literal(depth: int, bound: list[str]) -> Form:
+        roll = rng.random()
+        if roll < 0.35:
+            return membership(rng.choice(bound))
+        if depth > 0 and roll < 0.55:
+            return prefixed(depth - 1, bound)
+        if roll < 0.65:
+            return Not(Not(literal(depth, bound)))
+        atom = plain(bound)
+        return Not(atom) if rng.random() < 0.2 else atom
+
+    def prefixed(depth: int, bound: list[str]) -> Form:
+        prefix = []
+        for _ in range(rng.randint(1, 3)):
+            if bound and rng.random() < 0.1:
+                var = rng.choice(bound)
+            else:
+                var = f"v{next(serial)}"
+            vtype = rng.choice(_TYPE_NAMES) if rng.random() < 0.3 else None
+            prefix.append((rng.choice(list(QuantKind)), var, vtype))
+            bound = bound + [var]
+        if rng.random() < 0.35:
+            # (A x)(T(x) -> ...), or its contrapositive (A x)((! ...) -> (! T(x)))
+            kind, var, vtype = prefix[-1]
+            if rng.random() < 0.7:
+                prefix[-1] = (QuantKind.FORALL, var, None)
+            antecedent = membership(var)
+            consequent = conj([literal(depth, bound) for _ in range(rng.randint(1, 2))])
+            if rng.random() < 0.3:
+                matrix: Form = Implies(Not(consequent), Not(antecedent))
+            else:
+                matrix = Implies(antecedent, consequent)
+        else:
+            matrix = conj([literal(depth, bound) for _ in range(rng.randint(1, 4))])
+        if rng.random() < 0.1:
+            matrix = Not(Not(matrix))
+        for kind, var, vtype in reversed(prefix):
+            matrix = Quant(kind, var, vtype, matrix)
+        return matrix
+
+    return prefixed(rng.randint(0, max_depth), [])
+
+
+# ----------------------------------------------------------------------
+# finite-model oracle: brute-force truth of a form
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Model:
+    """A finite interpretation. Elements are ``0 .. size-1``; each has one
+    type and belongs to every type above it. A type with no element below it
+    is empty. ``extension`` holds the argument tuples each predicate is true
+    of; type names never appear in it."""
+
+    size: int
+    members: dict[str, frozenset[int]]
+    extension: dict[str, frozenset[tuple[int, ...]]]
+    constants: dict[str, int]
+
+
+def random_model(
+    rng: random.Random,
+    parent: dict[str, str | None],
+    arities: dict[str, int],
+    constants: tuple[str, ...] = ("Julie",),
+) -> Model:
+    size = rng.randint(1, 4)
+    own = [rng.choice(list(parent)) for _ in range(size)]
+    members: dict[str, set[int]] = {t: set() for t in parent}
+    for element, t in enumerate(own):
+        for up in ancestor_chain(parent, t):
+            members[up].add(element)
+    extension = {
+        pred: frozenset(
+            args
+            for args in itertools.product(range(size), repeat=arity)
+            if rng.random() < 0.5
+        )
+        for pred, arity in arities.items()
+    }
+    return Model(
+        size,
+        {t: frozenset(m) for t, m in members.items()},
+        extension,
+        {c: rng.randrange(size) for c in constants},
+    )
+
+
+def holds(form: Form, model: Model, env: dict[str, int] | None = None) -> bool:
+    """Whether ``form`` is true in ``model`` under the variable assignment
+    ``env``. A type name in predicate position is read as membership."""
+    env = env or {}
+    match form:
+        case Atom(pred, args):
+            elements = tuple(env[a] if a in env else model.constants[a] for a in args)
+            if pred in model.members:
+                return len(elements) == 1 and elements[0] in model.members[pred]
+            return elements in model.extension[pred]
+        case Not(item):
+            return not holds(item, model, env)
+        case And(items):
+            return all(holds(i, model, env) for i in items)
+        case Implies(a, c):
+            return not holds(a, model, env) or holds(c, model, env)
+        case Quant(kind, var, vtype, body):
+            scope = range(model.size) if vtype is None else sorted(model.members[vtype])
+            hits = sum(holds(body, model, {**env, var: d}) for d in scope)
+            if kind is QuantKind.EXISTS:
+                return hits >= 1
+            if kind is QuantKind.EXISTS_UNIQUE:
+                return hits == 1
+            return hits == len(scope)
+    raise TypeError(f"not a form: {form!r}")
 
 
 # ----------------------------------------------------------------------
