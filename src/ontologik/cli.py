@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import fixtures
@@ -62,13 +61,6 @@ _PARSE_ERRORS = (
 LF_PREFIX = "@lf:"
 
 
-@dataclass
-class SessionConfig:
-    ontology_path: Path
-    lexicon_path: Path
-    output_format: str  # "human" | "structured"
-
-
 class Reporter:
     """Writes either prose or line-delimited JSON records."""
 
@@ -90,7 +82,7 @@ class Reporter:
                                 "detail": s.detail,
                                 "outcome": s.outcome,
                             }
-                            for s in (trace or [])
+                            for s in (trace.steps if trace is not None else [])
                         ],
                         "glosses": list(glosses or []),
                         "detail": detail or {},
@@ -114,17 +106,11 @@ class Reporter:
 # ----------------------------------------------------------------------
 
 
-def _config(args: argparse.Namespace) -> SessionConfig:
-    return SessionConfig(
-        ontology_path=Path(getattr(args, "ontology", None) or fixtures.ontology_path()),
-        lexicon_path=Path(getattr(args, "lexicon", None) or fixtures.lexicon_path()),
-        output_format=getattr(args, "format", None) or "human",
-    )
-
-
-def _load_session(config: SessionConfig) -> tuple[Ontology, Lexicon]:
-    ont = load_ontology(config.ontology_path.read_text())
-    lex = load_lexicon(config.lexicon_path.read_text(), ont)
+def _load_session(args: argparse.Namespace) -> tuple[Ontology, Lexicon]:
+    ontology_path = Path(getattr(args, "ontology", None) or fixtures.ontology_path())
+    lexicon_path = Path(getattr(args, "lexicon", None) or fixtures.lexicon_path())
+    ont = load_ontology(ontology_path.read_text())
+    lex = load_lexicon(lexicon_path.read_text(), ont)
     return ont, lex
 
 
@@ -149,7 +135,8 @@ def cmd_analyze(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
     except _PARSE_ERRORS as err:
         rep.error("analyze", "parse_error", str(err))
         return EXIT_PARSE
-    rep.say(f"typed form: {pretty(result.form)}")
+    typed = pretty(result.form)
+    rep.say(f"typed form: {typed}")
     rep.say("derivation:")
     for line in result.trace.format_lines():
         rep.say(f"  {line}")
@@ -159,7 +146,7 @@ def cmd_analyze(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
     rep.record(
         "analyze",
         "ok",
-        canonical=pretty(result.form),
+        canonical=typed,
         trace=result.trace,
         glosses=result.missing_text,
     )
@@ -172,8 +159,9 @@ def cmd_parse(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
     except _PARSE_ERRORS as err:
         rep.error("parse", "parse_error", str(err))
         return EXIT_PARSE
-    rep.say(pretty(form))
-    rep.record("parse", "ok", canonical=pretty(form))
+    printed = pretty(form)
+    rep.say(printed)
+    rep.record("parse", "ok", canonical=printed)
     return EXIT_OK
 
 
@@ -377,10 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config(args)
-    rep = Reporter(config.output_format)
+    rep = Reporter(getattr(args, "format", None) or "human")
     try:
-        ont, lex = _load_session(config)
+        ont, lex = _load_session(args)
     except _PARSE_ERRORS as err:
         rep.error(args.command, "load_error", str(err))
         return EXIT_PARSE

@@ -15,9 +15,10 @@ lowercase argument with no binder in scope is rejected.
 Canonicalization rewrites a form to a normal shape so that logically
 equivalent statements compare equal: double negations are erased,
 contrapositives are turned around, type-membership atoms are lifted into
-quantifier restrictions, and conjunctions are flattened and sorted. The
-process runs to a fixpoint; any type name still sitting in predicate
-position afterwards is an error, never silently kept.
+quantifier restrictions, and conjunctions are flattened and sorted. One
+bottom-up walk does all of it, rebuilding each node from parts that are
+already canonical; any type name still sitting in predicate position
+afterwards is an error, never silently kept.
 """
 from __future__ import annotations
 
@@ -69,8 +70,8 @@ class Quant:
 
 Form = Union[Atom, And, Not, Implies, Quant]
 
-# A canonical form is an ordinary Form that the rewrites below have fixed;
-# the alias only marks intent in signatures.
+# A canonical form is an ordinary Form as canonicalize builds it, which no
+# rewrite below changes; the alias only marks intent in signatures.
 CanonicalForm = Form
 
 
@@ -308,19 +309,17 @@ def binders(form: Form) -> list[tuple[str, TypeName | None]]:
 
 def atoms(form: Form) -> Iterator[Atom]:
     """All atoms, left to right."""
-    match form:
-        case Atom():
-            yield form
-        case And(items):
-            for i in items:
-                yield from atoms(i)
-        case Not(item):
-            yield from atoms(item)
-        case Implies(a, c):
-            yield from atoms(a)
-            yield from atoms(c)
-        case Quant(_, _, _, body):
-            yield from atoms(body)
+    stack = [form]
+    while stack:
+        match stack.pop():
+            case Atom() as atom:
+                yield atom
+            case And(items):
+                stack.extend(reversed(items))
+            case Not(item) | Quant(_, _, _, item):
+                stack.append(item)
+            case Implies(a, c):
+                stack += (c, a)
 
 
 def constants(form: Form) -> list[str]:
@@ -352,128 +351,21 @@ def constants(form: Form) -> list[str]:
 
 
 def canonicalize(form: Form, ont: Ontology, lex: Lexicon) -> CanonicalForm:
-    """Rewrite ``form`` to canonical shape.
+    """Rewrite ``form`` to canonical shape in one bottom-up walk.
 
-    Each pass applies, in order: double-negation elimination, contraposition
-    of negated implications, lifting of type-membership atoms into quantifier
-    restrictions, and conjunction flattening plus a lexicographic sort of
-    conjuncts by printed form. Passes repeat until nothing changes.
+    Each node is rebuilt from canonical parts so that it stays canonical: a
+    double negation cancels, ``(! a) -> (! c)`` turns around to ``c -> a``,
+    and a conjunction is flattened and sorted by printed form. Under each
+    quantifier prefix, every unrestricted ``E``/``E!`` binder, outermost
+    first, takes the first conjunct ``T(x)`` on its own variable as its
+    restriction, until one conjunct is left as the scope. Nothing is lifted
+    across a restricted ``A``: its restriction may be empty, which makes the
+    universal true whatever the atom says. A matrix that shrinks to a
+    quantifier joins its prefix, and the binders look again. Only then may
+    an innermost unrestricted ``A`` take a type antecedent as its restriction.
     """
-    cur = form
-    for _ in range(100):
-        nxt = _sort_pass(_lift_pass(_contra_pass(_negneg_pass(cur)), ont))
-        if nxt == cur:
-            break
-        cur = nxt
-    else:  # pragma: no cover - the rewrites strictly reduce
-        raise CanonicalizationError("rewriting did not reach a fixpoint")
-    _validate(cur, ont, lex)
-    return cur
-
-
-def _negneg_pass(f: Form) -> Form:
-    match f:
-        case Not(Not(inner)):
-            return _negneg_pass(inner)
-        case Not(item):
-            return Not(_negneg_pass(item))
-        case And(items):
-            return And(tuple(_negneg_pass(i) for i in items))
-        case Implies(a, c):
-            return Implies(_negneg_pass(a), _negneg_pass(c))
-        case Quant(kind, var, vtype, body):
-            return Quant(kind, var, vtype, _negneg_pass(body))
-    return f
-
-
-def _contra_pass(f: Form) -> Form:
-    match f:
-        case Implies(Not(a), Not(c)):
-            return Implies(_contra_pass(c), _contra_pass(a))
-        case Implies(a, c):
-            return Implies(_contra_pass(a), _contra_pass(c))
-        case Not(item):
-            return Not(_contra_pass(item))
-        case And(items):
-            return And(tuple(_contra_pass(i) for i in items))
-        case Quant(kind, var, vtype, body):
-            return Quant(kind, var, vtype, _contra_pass(body))
-    return f
-
-
-def _lift_pass(f: Form, ont: Ontology) -> Form:
-    match f:
-        # (A x)(T(x) -> body)  becomes  (A x :: T)(body)
-        case Quant(QuantKind.FORALL, var, None, Implies(Atom(pred, args), body)) if (
-            pred in ont and args == (var,)
-        ):
-            return Quant(QuantKind.FORALL, var, pred, _lift_pass(body, ont))
-        # (E x)(and (T(x)) rest...)  becomes  (E x :: T)(and rest...). The
-        # membership atom may sit below further existential binders, as in
-        # (E o)(E b)(and (omelet(o)) ...), so the search pierces the
-        # quantifier prefix down to the matrix.
-        case Quant(kind, var, None, body) if kind is not QuantKind.FORALL:
-            lifted = _extract_membership(body, var, ont)
-            if lifted is not None:
-                vtype, rest = lifted
-                return Quant(kind, var, vtype, _lift_pass(rest, ont))
-            return Quant(kind, var, None, _lift_pass(body, ont))
-        case Quant(kind, var, vtype, body):
-            return Quant(kind, var, vtype, _lift_pass(body, ont))
-        case And(items):
-            return And(tuple(_lift_pass(i, ont) for i in items))
-        case Not(item):
-            return Not(_lift_pass(item, ont))
-        case Implies(a, c):
-            return Implies(_lift_pass(a, ont), _lift_pass(c, ont))
-    return f
-
-
-def _extract_membership(
-    body: Form, var: str, ont: Ontology
-) -> tuple[TypeName, Form] | None:
-    """Pull one membership atom for ``var`` out of a conjunction reachable
-    through the quantifier prefix of ``body``. A lone membership atom stays
-    put: removing it would leave the binder without a scope."""
-    match body:
-        case And(items):
-            for idx, item in enumerate(items):
-                if isinstance(item, Atom) and item.pred in ont and item.args == (var,):
-                    rest = items[:idx] + items[idx + 1 :]
-                    return item.pred, conj(list(rest))
-            return None
-        case Quant(kind, inner_var, vtype, inner):
-            found = _extract_membership(inner, var, ont)
-            if found is None:
-                return None
-            vt, rest = found
-            return vt, Quant(kind, inner_var, vtype, rest)
-    return None
-
-
-def _sort_pass(f: Form) -> Form:
-    match f:
-        case And(items):
-            flat: list[Form] = []
-            for item in items:
-                sorted_item = _sort_pass(item)
-                if isinstance(sorted_item, And):
-                    flat.extend(sorted_item.items)
-                else:
-                    flat.append(sorted_item)
-            flat.sort(key=pretty)
-            return flat[0] if len(flat) == 1 else And(tuple(flat))
-        case Not(item):
-            return Not(_sort_pass(item))
-        case Implies(a, c):
-            return Implies(_sort_pass(a), _sort_pass(c))
-        case Quant(kind, var, vtype, body):
-            return Quant(kind, var, vtype, _sort_pass(body))
-    return f
-
-
-def _validate(f: Form, ont: Ontology, lex: Lexicon):
-    for atom in atoms(f):
+    cf = _canon(form, ont)
+    for atom in atoms(cf):
         if atom.pred in ont:
             raise CanonicalizationError(
                 f"type name '{atom.pred}' used as a predicate where no rewrite can lift it: "
@@ -481,6 +373,87 @@ def _validate(f: Form, ont: Ontology, lex: Lexicon):
             )
         if lex.atom_signature(atom.pred) is None:
             raise CanonicalizationError(f"unknown predicate '{atom.pred}'")
+    return cf
+
+
+def _canon(f: Form, ont: Ontology) -> Form:
+    match f:
+        case Not(item):
+            inner = _canon(item, ont)
+            return inner.item if isinstance(inner, Not) else Not(inner)
+        case Implies(a, c):
+            a, c = _canon(a, ont), _canon(c, ont)
+            if isinstance(a, Not) and isinstance(c, Not):
+                return Implies(c.item, a.item)
+            return Implies(a, c)
+        case And(items):
+            return sorted_conj([_canon(i, ont) for i in items])
+        case Quant():
+            prefix, matrix = read_prefix(f)
+            return _lift(prefix, _canon(matrix, ont), ont)
+    return f
+
+
+def sorted_conj(items: list[Form]) -> Form:
+    """Like :func:`conj`, but the conjuncts are sorted by printed form."""
+    flat: list[Form] = []
+    for item in items:
+        flat.extend(item.items if isinstance(item, And) else (item,))
+    flat.sort(key=pretty)
+    return flat[0] if len(flat) == 1 else And(tuple(flat))
+
+
+Binder = tuple[QuantKind, str, TypeName | None]
+
+
+def read_prefix(f: Form) -> tuple[list[Binder], Form]:
+    """The maximal quantifier prefix of ``f``, outermost first, and its matrix."""
+    prefix = []
+    while isinstance(f, Quant):
+        prefix.append((f.kind, f.var, f.vtype))
+        f = f.body
+    return prefix, f
+
+
+def with_prefix(prefix: list[Binder], matrix: Form) -> Form:
+    """The inverse of :func:`read_prefix`."""
+    for kind, var, vtype in reversed(prefix):
+        matrix = Quant(kind, var, vtype, matrix)
+    return matrix
+
+
+def _lift(prefix: list[Binder], matrix: Form, ont: Ontology) -> Form:
+    # Membership lifting under one prefix, by the rules canonicalize gives.
+    inner, matrix = read_prefix(matrix)
+    prefix += inner
+    while isinstance(matrix, And):
+        owner: dict[str, int | None] = {}  # variable -> its innermost binder, if that may lift
+        for i in reversed(range(len(prefix))):
+            kind, var, vtype = prefix[i]
+            if kind is QuantKind.FORALL and vtype is not None:
+                break
+            owner.setdefault(var, None if kind is QuantKind.FORALL or vtype else i)
+        found: dict[int, int] = {}  # binder -> its first membership conjunct
+        for j, item in enumerate(matrix.items):
+            if isinstance(item, Atom) and item.pred in ont and len(item.args) == 1:
+                if (i := owner.get(item.args[0])) is not None:
+                    found.setdefault(i, j)
+        taken = {found[i]: i for i in sorted(found)[: len(matrix.items) - 1]}
+        if not taken:
+            break
+        for j, i in taken.items():
+            kind, var, _ = prefix[i]
+            prefix[i] = (kind, var, matrix.items[j].pred)
+        rest = [item for j, item in enumerate(matrix.items) if j not in taken]
+        inner, matrix = read_prefix(rest[0] if len(rest) == 1 else And(tuple(rest)))
+        prefix += inner
+    match prefix[-1], matrix:
+        case (QuantKind.FORALL, var, None), Implies(Atom(pred, args), body) if (
+            pred in ont and args == (var,)
+        ):
+            prefix[-1] = (QuantKind.FORALL, var, pred)
+            matrix = body
+    return with_prefix(prefix, matrix)
 
 
 # ----------------------------------------------------------------------

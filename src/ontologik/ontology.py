@@ -11,7 +11,7 @@ holds when ``g`` lies on the parent chain of ``s`` (or equals it).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 
 from .errors import OntologyError, UnknownTypeError
@@ -37,12 +37,6 @@ class Ontology:
 
     root: TypeName
     parent: dict[TypeName, TypeName | None]
-    _depth: dict[TypeName, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._depth:
-            for name in self.parent:
-                self._depth[name] = len(self.ancestors(name)) - 1
 
     # ------------------------------------------------------------------
     # membership
@@ -67,10 +61,6 @@ class Ontology:
     # queries
     # ------------------------------------------------------------------
 
-    def parent_of(self, name: TypeName) -> TypeName | None:
-        self.require(name)
-        return self.parent[name]
-
     def ancestors(self, name: TypeName) -> list[TypeName]:
         """The chain from ``name`` up to the root, inclusive on both ends."""
         self.require(name)
@@ -80,8 +70,7 @@ class Ontology:
         return chain
 
     def depth(self, name: TypeName) -> int:
-        self.require(name)
-        return self._depth[name]
+        return len(self.ancestors(name)) - 1
 
     def subsumes(self, general: TypeName, specific: TypeName) -> bool:
         """True when ``general`` is ``specific`` or one of its ancestors."""
@@ -102,19 +91,6 @@ class Ontology:
         if self.subsumes(second, first):
             return SubsumptionVerdict.SECOND_SUBSUMES_FIRST
         return SubsumptionVerdict.INCOMPARABLE
-
-    def least_upper_bound(self, first: TypeName, second: TypeName) -> TypeName:
-        """Deepest common ancestor. Always defined: the tree has one root."""
-        a, b = self.require(first), self.require(second)
-        # Walk the deeper side up to equal depth, then walk both in lockstep.
-        while self._depth[a] > self._depth[b]:
-            a = self.parent[a]  # type: ignore[assignment]
-        while self._depth[b] > self._depth[a]:
-            b = self.parent[b]  # type: ignore[assignment]
-        while a != b:
-            a = self.parent[a]  # type: ignore[assignment]
-            b = self.parent[b]  # type: ignore[assignment]
-        return a
 
 
 # ----------------------------------------------------------------------

@@ -30,10 +30,11 @@ from .logform import (
     Not,
     Quant,
     QuantKind,
-    _sort_pass,
     canonicalize,
-    conj,
     pretty,
+    read_prefix,
+    sorted_conj,
+    with_prefix,
 )
 from .ontology import Ontology, SubsumptionVerdict, TypeName
 
@@ -96,12 +97,6 @@ class DerivationTrace:
             (f"[{s.subject}] " if s.subject else "") + f"{s.detail} -> {s.outcome}"
             for s in self.steps
         ]
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __len__(self):
-        return len(self.steps)
 
 
 @dataclass
@@ -209,14 +204,12 @@ def fold_expectations(
 
 @dataclass
 class _Binder:
-    ident: int
     var: str
     declared: TypeName
     expectations: list[TypeName] = field(default_factory=list)
     adjectives: list[str] = field(default_factory=list)
     final: TypeName = ""
     coercion: Coerced | None = None
-    fresh: str = ""
 
 
 def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
@@ -258,14 +251,8 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
         if not isinstance(outcome, Unified):
             raise TypeCheckError(const, declared, expectation)
 
-    # Allocate fresh relatum variables for the coerced binders.
     used = {b.var for b in binders.values()} | {c for c, _ in const_slots}
-    for b in binders.values():
-        if b.coercion is not None:
-            b.fresh = _fresh_name(b.var, used)
-            used.add(b.fresh)
-
-    typed = _sort_conjunctions(_rebuild(cf, binders))
+    typed = _rebuild(cf, binders, used)
     glosses = [
         _gloss(b) for b in binders.values() if b.coercion is not None
     ]
@@ -299,7 +286,7 @@ def _collect(
                 if declared is None:
                     declared = ont.root
                 ont.require(declared)
-                binders[ident] = _Binder(ident, var, declared)
+                binders[ident] = _Binder(var, declared)
                 walk(body, {**scope, var: ident})
             case Atom(pred, args):
                 sig = lex.atom_signature(pred)  # canonicalize has already vetted preds
@@ -335,25 +322,29 @@ def _collect(
 # -- reconstruction ----------------------------------------------------
 
 
-def _rebuild(cf: Form, binders: dict[int, _Binder]) -> Form:
+def _rebuild(cf: Form, binders: dict[int, _Binder], used: set[str]) -> Form:
+    # Each binder takes its final type. A coerced binder gets a relatum
+    # binder, with a name not in ``used``, right below it, and the bridging
+    # atom joins the matrix of the prefix, next to the predications it explains.
     counter = iter(range(1 << 30))
 
     def walk(f: Form) -> Form:
         match f:
-            case Quant(kind, var, _, body):
-                b = binders[next(counter)]
-                inner = walk(body)
-                if b.coercion is not None:
-                    bridge = Atom(b.coercion.relation.name, (var, b.fresh))
-                    inner = Quant(
-                        QuantKind.EXISTS,
-                        b.fresh,
-                        b.coercion.relatum_type,
-                        _conjoin_innermost(inner, bridge),
-                    )
-                return Quant(kind, var, b.final, inner)
+            case Quant():
+                prefix, matrix = read_prefix(f)
+                typed, bridges = [], []
+                for kind, var, _ in prefix:
+                    b = binders[next(counter)]
+                    typed.append((kind, var, b.final))
+                    if b.coercion is not None:
+                        fresh = _fresh_name(var, used)
+                        used.add(fresh)
+                        typed.append((QuantKind.EXISTS, fresh, b.coercion.relatum_type))
+                        bridges.append(Atom(b.coercion.relation.name, (var, fresh)))
+                items = matrix.items if isinstance(matrix, And) else (matrix,)
+                return with_prefix(typed, sorted_conj([walk(i) for i in items] + bridges))
             case And(items):
-                return And(tuple(walk(i) for i in items))
+                return sorted_conj([walk(i) for i in items])
             case Not(item):
                 return Not(walk(item))
             case Implies(a, c):
@@ -361,18 +352,6 @@ def _rebuild(cf: Form, binders: dict[int, _Binder]) -> Form:
         return f
 
     return walk(cf)
-
-
-def _conjoin_innermost(f: Form, extra: Atom) -> Form:
-    # Push the bridging atom below any quantifier prefix so it sits in the
-    # same matrix as the predications it explains.
-    if isinstance(f, Quant):
-        return Quant(f.kind, f.var, f.vtype, _conjoin_innermost(f.body, extra))
-    return conj([f, extra])
-
-
-def _sort_conjunctions(f: Form) -> Form:
-    return _sort_pass(f)
 
 
 def _fresh_name(base: str, used: set[str]) -> str:

@@ -1,10 +1,10 @@
 """Brute-force oracles and random generators backing the property tests.
 
 Everything here recomputes expected results from first principles: ancestor
-chains walked as plain lists, least upper bounds found by intersecting them,
-adjective orders judged by a direct monotone simulation. None of it calls
-the package's own comparison logic, so agreement is evidence rather than
-tautology.
+chains walked as plain lists, adjective orders judged by a direct monotone
+simulation, the truth of a logical form found by trying every element of a
+small finite model. None of it calls the package's own comparison or
+rewriting logic, so agreement is evidence rather than tautology.
 """
 from __future__ import annotations
 
@@ -28,14 +28,6 @@ def ancestor_chain(parent: dict[str, str | None], node: str) -> list[str]:
 
 def oracle_subsumes(parent: dict[str, str | None], general: str, specific: str) -> bool:
     return general in ancestor_chain(parent, specific)
-
-
-def oracle_lub(parent: dict[str, str | None], a: str, b: str) -> str:
-    b_ancestors = set(ancestor_chain(parent, b))
-    for t in ancestor_chain(parent, a):  # deepest-first, so first hit is least
-        if t in b_ancestors:
-            return t
-    raise AssertionError("tree has a root, so a common ancestor must exist")
 
 
 def oracle_compare(parent: dict[str, str | None], a: str, b: str) -> str:
@@ -160,7 +152,7 @@ def random_liftable_form(rng: random.Random, max_depth: int = 2) -> Form:
             bound = bound + [var]
         if rng.random() < 0.35:
             # (A x)(T(x) -> ...), or its contrapositive (A x)((! ...) -> (! T(x)))
-            kind, var, vtype = prefix[-1]
+            var = prefix[-1][1]
             if rng.random() < 0.7:
                 prefix[-1] = (QuantKind.FORALL, var, None)
             antecedent = membership(var)
@@ -244,12 +236,12 @@ def holds(form: Form, model: Model, env: dict[str, int] | None = None) -> bool:
             return not holds(a, model, env) or holds(c, model, env)
         case Quant(kind, var, vtype, body):
             scope = range(model.size) if vtype is None else sorted(model.members[vtype])
-            hits = sum(holds(body, model, {**env, var: d}) for d in scope)
+            truths = (holds(body, model, {**env, var: d}) for d in scope)
             if kind is QuantKind.EXISTS:
-                return hits >= 1
-            if kind is QuantKind.EXISTS_UNIQUE:
-                return hits == 1
-            return hits == len(scope)
+                return any(truths)
+            if kind is QuantKind.FORALL:
+                return all(truths)
+            return list(itertools.islice(filter(None, truths), 2)) == [True]
     raise TypeError(f"not a form: {form!r}")
 
 

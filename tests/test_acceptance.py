@@ -130,13 +130,14 @@ def test_criterion_5_paradox_dissolution(ont, lex, capsys):
 
 def test_criterion_6_property_suites(ont, lex, capsys):
     with verdict(capsys, 6, "oracle-backed property suites run clean"):
-        # (a) subsumption and least upper bounds vs the ancestor-chain oracle
+        # (a) subsumption vs the ancestor-chain oracle
         test_ontology.test_subsumption_matches_oracle_on_random_trees()
         test_ontology.test_partial_order_axioms_on_random_trees()
         # (b) parse/pretty round-trip
         test_logform.test_round_trip_on_random_forms()
-        # (c) canonicalization idempotence
+        # (c) canonicalization idempotence, and meaning vs the finite-model oracle
         test_logform.test_canonicalize_idempotent_on_random_forms(ont, lex)
+        test_logform.test_canonicalize_preserves_meaning_in_finite_models(ont, lex)
         # (d) adjective-order verdicts vs the monotone oracle
         test_aor.test_verdicts_match_the_monotone_oracle_on_random_draws()
         # (e) unification commutes up to role on every reference type pair

@@ -85,6 +85,17 @@ def test_analyze_parse_failures_exit_3(capsys, text):
     assert err.startswith("error:")
 
 
+def test_analyze_membership_under_a_restricted_universal_exits_3(capsys):
+    code, out, err = run(
+        capsys, "analyze", "@lf: (E x)(A y)(raven(y) -> (and (omelet(x)) (black(y))))"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: type name 'omelet' used as a predicate where no rewrite can lift it: omelet(x)\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # parse
 # ----------------------------------------------------------------------

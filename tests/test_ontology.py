@@ -4,7 +4,7 @@ import pytest
 
 from ontologik import Ontology, OntologyError, SubsumptionVerdict, UnknownTypeError, load_ontology
 
-from oracles import ancestor_chain, oracle_compare, oracle_lub, oracle_subsumes, random_tree, tree_source
+from oracles import ancestor_chain, oracle_compare, oracle_subsumes, random_tree, tree_source
 
 V = SubsumptionVerdict
 
@@ -19,8 +19,7 @@ def test_load_minimal_tree():
     assert ont.root == "entity"
     assert len(ont) == 2
     assert "person" in ont and "entity" in ont
-    assert ont.parent_of("person") == "entity"
-    assert ont.parent_of("entity") is None
+    assert ont.parent == {"entity": None, "person": "entity"}
 
 
 def test_load_skips_comments_and_blanks():
@@ -93,8 +92,6 @@ def test_unknown_type_queries(ont):
         ont.require("unicorn")
     with pytest.raises(UnknownTypeError):
         ont.subsumes("entity", "unicorn")
-    with pytest.raises(UnknownTypeError):
-        ont.least_upper_bound("unicorn", "person")
 
 
 # ----------------------------------------------------------------------
@@ -125,21 +122,6 @@ def test_compare_examples(ont, first, second, verdict):
     assert ont.compare(first, second) is verdict
 
 
-@pytest.mark.parametrize(
-    "first, second, lub",
-    [
-        ("beer", "car", "physical"),
-        ("person", "raven", "living"),
-        ("person", "person", "person"),
-        ("entity", "omelet", "entity"),
-        ("omelet", "beer", "physical"),
-        ("animal", "person", "animal"),
-    ],
-)
-def test_lub_examples(ont, first, second, lub):
-    assert ont.least_upper_bound(first, second) == lub
-
-
 # ----------------------------------------------------------------------
 # properties on random trees, checked against the ancestor-chain oracle
 # ----------------------------------------------------------------------
@@ -167,7 +149,6 @@ def test_subsumption_matches_oracle_on_random_trees():
                 (V.SECOND_SUBSUMES_FIRST, "second"),
                 (V.INCOMPARABLE, "incomparable"),
             }
-            assert ont.least_upper_bound(a, b) == oracle_lub(parent, a, b)
 
 
 def test_partial_order_axioms_on_random_trees():
@@ -185,17 +166,3 @@ def test_partial_order_axioms_on_random_trees():
                 assert a == b  # antisymmetric
             if ont.subsumes(a, b) and ont.subsumes(b, c):
                 assert ont.subsumes(a, c)  # transitive
-
-
-def test_lub_laws_on_random_trees():
-    rng = random.Random(419)
-    for _ in range(50):
-        parent = random_tree(rng, max_nodes=30)
-        ont = load_ontology(tree_source(parent))
-        nodes = list(parent)
-        for _ in range(60):
-            a, b = rng.choice(nodes), rng.choice(nodes)
-            lub = ont.least_upper_bound(a, b)
-            assert ont.subsumes(lub, a) and ont.subsumes(lub, b)
-            assert lub == ont.least_upper_bound(b, a)
-            assert ont.least_upper_bound(a, a) == a

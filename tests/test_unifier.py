@@ -138,7 +138,7 @@ def test_fold_allows_at_most_one_coercion(ont, lex):
     # omelet declaration meets person again and may not coerce a second time
     outcome, trace = fold_expectations(ont, lex, "omelet", ["omelet", "person"])
     assert outcome == Failed("omelet", "person")
-    assert [s.outcome for s in trace] == [
+    assert [s.outcome for s in trace.steps] == [
         "coerced: person via EATING(person, omelet)",
         "failed: omelet vs person",
     ]
