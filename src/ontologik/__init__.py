@@ -66,7 +66,6 @@ from .unifier import (
     UnificationOutcome,
     analyze,
     fold_expectations,
-    missing_text_report,
     unify_types,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "fold_expectations",
     "analyze",
     "AnalyzedForm",
-    "missing_text_report",
     "DerivationTrace",
     "TraceStep",
     # adjective order

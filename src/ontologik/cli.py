@@ -10,95 +10,129 @@ Subcommands::
     hempel   canonicalize two hypotheses, compare them, and evaluate
              observations against both
 
-Exit codes: 0 success, 2 semantic or type failure, 3 parse or load failure.
+Every subcommand builds one :class:`Record` per result, and
+:meth:`Reporter.emit` prints it as human text or, with ``--format
+structured``, as one JSON line with six fields: command, status, canonical,
+trace, glosses and a command-specific detail object. The exit code follows
+from the statuses: 0 when every status is ``ok``, 3 when one is
+``parse_error`` or ``load_error``, and 2 otherwise.
 
-``--format structured`` switches from human-readable text to one JSON
-record per result line, each carrying the same five fields (command,
-status, canonical, trace, glosses) plus a command-specific detail object.
+An error record's detail holds ``message``, ``error`` (the exception's
+class name) and whichever of the exception's fields ``line``, ``position``,
+``name``, ``subject``, ``declared`` and ``expectation`` it has; human mode
+prints only ``error: <message>`` on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import fixtures
 from .aor import Accepted, TypeFailure, Violation, check_order
-from .confirm import ConfirmationVerdict, equivalence_check, evaluate, parse_observation
-from .errors import (
-    CanonicalizationError,
-    HypothesisShapeError,
-    LexiconError,
-    LFSyntaxError,
-    OntologyError,
-    SentenceError,
-    TypeCheckError,
-    UnknownTypeError,
-)
+from .confirm import equivalence_check, evaluate, parse_observation
+from .errors import LexiconError, OntologikError, OntologyError, TypeCheckError
 from .lexicon import Lexicon, load_lexicon
 from .logform import parse_lf, pretty
 from .nlparser import parse_sentence
 from .ontology import Ontology, load_ontology
-from .unifier import Coerced, Failed, Unified, analyze, missing_text_report, unify_types
+from .unifier import Coerced, Failed, TraceStep, Unified, analyze, unify_types
 
 EXIT_OK = 0
-EXIT_SEMANTIC = 2
+EXIT_SEMANTIC = 2  # the exit code of every status not in EXIT_CODES
 EXIT_PARSE = 3
+EXIT_CODES = {"ok": EXIT_OK, "parse_error": EXIT_PARSE, "load_error": EXIT_PARSE}
 
-# Failures of vocabulary, syntax, or resource loading.
-_PARSE_ERRORS = (
-    OntologyError,
-    LexiconError,
-    LFSyntaxError,
-    SentenceError,
-    CanonicalizationError,
-    HypothesisShapeError,
-    UnknownTypeError,
-    OSError,
-)
+ERROR_STATUSES = {"type_error", "parse_error", "load_error"}
+ERROR_FIELDS = ("line", "position", "name", "subject", "declared", "expectation")
 
 LF_PREFIX = "@lf:"
 
 
+@dataclass(slots=True)
+class Record:
+    """One result, as the structured format prints it."""
+
+    command: str
+    status: str
+    canonical: str | None = None
+    trace: list[TraceStep] = field(default_factory=list)
+    glosses: list[str] = field(default_factory=list)
+    detail: dict = field(default_factory=dict)
+
+
+def _render(record: Record) -> str:
+    """The human text of a record that is not an error."""
+    d = record.detail
+    match record.command:
+        case "analyze":
+            lines = [f"typed form: {record.canonical}", "derivation:"]
+            lines += [
+                "  " + (f"[{s.subject}] " if s.subject else "") + f"{s.detail} -> {s.outcome}"
+                for s in record.trace
+            ]
+            lines.append("missing text:")
+            lines += [f"  {gloss}" for gloss in record.glosses or ["no missing text detected"]]
+            return "\n".join(lines)
+        case "parse":
+            return record.canonical
+        case "aor" if record.status == "ok":
+            lines = ["Accepted: " + " -> ".join(d["running_types"])]
+            lines += [f"  (coerced at '{c['adjective']}' via {c['relation']})" for c in d["coercions"]]
+            return "\n".join(lines)
+        case "aor" if record.status == "violation":
+            return f"Violation at '{d['adjective']}': expected {d['expected']}, running {d['running']}"
+        case "aor":
+            return f"Type failure at '{d['adjective']}'"
+        case "unify" if record.status == "ok":
+            if d["outcome"] == "unified":
+                return f"Unified {d['result']}"
+            return f"Coerced {d['result']} via {d['relation']}({d['result']}, {d['relatum']})"
+        case "unify":
+            return "Failed"
+        case "hempel":
+            equivalent = "yes" if d["equivalent"] else "no"
+            return f"h1 canonical: {d['h1']}\nh2 canonical: {d['h2']}\nequivalent: {equivalent}"
+    return f"{d['observation']}: h1 {d['h1']}, h2 {d['h2']}" + ("" if d["agree"] else "  [disagree]")
+
+
 class Reporter:
-    """Writes either prose or line-delimited JSON records."""
+    """Prints records as prose or as line-delimited JSON."""
 
     def __init__(self, output_format: str):
         self.structured = output_format == "structured"
 
-    def record(self, command: str, status: str, *, canonical=None, trace=None, glosses=None, detail=None):
-        if self.structured:
-            print(
-                json.dumps(
-                    {
-                        "command": command,
-                        "status": status,
-                        "canonical": canonical,
-                        "trace": [
-                            {
-                                "op": s.op,
-                                "subject": s.subject,
-                                "detail": s.detail,
-                                "outcome": s.outcome,
-                            }
-                            for s in (trace.steps if trace is not None else [])
-                        ],
-                        "glosses": list(glosses or []),
-                        "detail": detail or {},
-                    }
-                )
-            )
+    def emit(self, records: list[Record]) -> int:
+        """Print ``records`` and return the highest exit code of their statuses."""
+        code = EXIT_OK
+        for record in records:
+            if self.structured:
+                print(json.dumps(asdict(record)))
+            elif record.status in ERROR_STATUSES:
+                print(f"error: {record.detail['message']}", file=sys.stderr)
+            else:
+                print(_render(record))
+            code = max(code, EXIT_CODES.get(record.status, EXIT_SEMANTIC))
+        return code
 
-    def say(self, text: str):
-        if not self.structured:
-            print(text)
 
-    def error(self, command: str, status: str, message: str):
-        if self.structured:
-            self.record(command, status, detail={"message": message})
-        else:
-            print(f"error: {message}", file=sys.stderr)
+def _attempt(command: str, compute, failure: str = "parse_error"):
+    """``compute()``'s value, or a list of one error record when it raises:
+    ``type_error`` for a :class:`TypeCheckError`, ``failure`` for any other
+    package or OS error and for input nested too deeply for the stack."""
+    try:
+        return compute()
+    except TypeCheckError as err:
+        status, error, message = "type_error", err, str(err)
+    except (OntologikError, OSError) as err:
+        status, error, message = failure, err, str(err)
+    except RecursionError as err:
+        status, error, message = failure, err, "input nested too deeply"
+    detail = {"message": message, "error": type(error).__name__}
+    detail.update((key, getattr(error, key)) for key in ERROR_FIELDS if hasattr(error, key))
+    return [Record(command, status, detail=detail)]
 
 
 # ----------------------------------------------------------------------
@@ -106,11 +140,18 @@ class Reporter:
 # ----------------------------------------------------------------------
 
 
+def _read(path: Path, error: type[OntologikError]) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+
+
 def _load_session(args: argparse.Namespace) -> tuple[Ontology, Lexicon]:
     ontology_path = Path(getattr(args, "ontology", None) or fixtures.ontology_path())
     lexicon_path = Path(getattr(args, "lexicon", None) or fixtures.lexicon_path())
-    ont = load_ontology(ontology_path.read_text())
-    lex = load_lexicon(lexicon_path.read_text(), ont)
+    ont = load_ontology(_read(ontology_path, OntologyError))
+    lex = load_lexicon(_read(lexicon_path, LexiconError), ont)
     return ont, lex
 
 
@@ -126,144 +167,65 @@ def _read_form(text: str, ont: Ontology, lex: Lexicon):
 
 
 def cmd_analyze(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
-    try:
-        form = _read_form(text, ont, lex)
-        result = analyze(form, ont, lex)
-    except TypeCheckError as err:
-        rep.error("analyze", "type_error", str(err))
-        return EXIT_SEMANTIC
-    except _PARSE_ERRORS as err:
-        rep.error("analyze", "parse_error", str(err))
-        return EXIT_PARSE
-    typed = pretty(result.form)
-    rep.say(f"typed form: {typed}")
-    rep.say("derivation:")
-    for line in result.trace.format_lines():
-        rep.say(f"  {line}")
-    rep.say("missing text:")
-    for line in missing_text_report(result).splitlines():
-        rep.say(f"  {line}")
-    rep.record(
-        "analyze",
-        "ok",
-        canonical=typed,
-        trace=result.trace,
-        glosses=result.missing_text,
-    )
-    return EXIT_OK
+    def records():
+        result = analyze(_read_form(text, ont, lex), ont, lex)
+        return [Record("analyze", "ok", pretty(result.form), result.trace.steps, result.missing_text)]
+
+    return rep.emit(_attempt("analyze", records))
 
 
 def cmd_parse(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
-    try:
-        form = _read_form(text, ont, lex)
-    except _PARSE_ERRORS as err:
-        rep.error("parse", "parse_error", str(err))
-        return EXIT_PARSE
-    printed = pretty(form)
-    rep.say(printed)
-    rep.record("parse", "ok", canonical=printed)
-    return EXIT_OK
+    def records():
+        return [Record("parse", "ok", pretty(_read_form(text, ont, lex)))]
+
+    return rep.emit(_attempt("parse", records))
 
 
 def cmd_aor(ont: Ontology, lex: Lexicon, rep: Reporter, adjectives: list[str], noun: str) -> int:
-    try:
-        verdict = check_order(ont, lex, adjectives, noun)
-    except _PARSE_ERRORS as err:
-        rep.error("aor", "parse_error", str(err))
-        return EXIT_PARSE
-    match verdict:
-        case Accepted(chain, coercions):
-            rep.say("Accepted: " + " -> ".join(chain))
-            for index, relation in coercions:
-                rep.say(f"  (coerced at '{adjectives[index]}' via {relation})")
-            rep.record(
-                "aor",
-                "ok",
-                detail={
-                    "verdict": "accepted",
-                    "running_types": list(chain),
-                    "coercions": [
-                        {"adjective": adjectives[i], "relation": r} for i, r in coercions
-                    ],
-                },
-            )
-            return EXIT_OK
-        case Violation(at_index, expected, running):
-            rep.say(
-                f"Violation at '{adjectives[at_index]}': "
-                f"expected {expected}, running {running}"
-            )
-            rep.record(
-                "aor",
-                "violation",
-                detail={
+    def records():
+        match check_order(ont, lex, adjectives, noun):
+            case Accepted(chain, coercions):
+                coerced = [{"adjective": adjectives[i], "relation": r} for i, r in coercions]
+                detail = {"verdict": "accepted", "running_types": list(chain), "coercions": coerced}
+            case Violation(i, expected, running):
+                detail = {
                     "verdict": "violation",
-                    "adjective": adjectives[at_index],
-                    "at_index": at_index,
+                    "adjective": adjectives[i],
+                    "at_index": i,
                     "expected": expected,
                     "running": running,
-                },
-            )
-            return EXIT_SEMANTIC
-        case TypeFailure(at_index):
-            rep.say(f"Type failure at '{adjectives[at_index]}'")
-            rep.record(
-                "aor",
-                "type_failure",
-                detail={
-                    "verdict": "type_failure",
-                    "adjective": adjectives[at_index],
-                    "at_index": at_index,
-                },
-            )
-            return EXIT_SEMANTIC
-    return EXIT_SEMANTIC  # pragma: no cover
+                }
+            case TypeFailure(i):
+                detail = {"verdict": "type_failure", "adjective": adjectives[i], "at_index": i}
+        status = "ok" if detail["verdict"] == "accepted" else detail["verdict"]
+        return [Record("aor", status, detail=detail)]
+
+    return rep.emit(_attempt("aor", records))
 
 
 def cmd_unify(ont: Ontology, lex: Lexicon, rep: Reporter, first: str, second: str) -> int:
-    try:
-        outcome = unify_types(ont, lex, first, second)
-    except _PARSE_ERRORS as err:
-        rep.error("unify", "parse_error", str(err))
-        return EXIT_PARSE
-    match outcome:
-        case Unified(result):
-            rep.say(f"Unified {result}")
-            rep.record("unify", "ok", detail={"outcome": "unified", "result": result})
-            return EXIT_OK
-        case Coerced(result, relation, relatum):
-            rep.say(f"Coerced {result} via {relation.name}({result}, {relatum})")
-            rep.record(
-                "unify",
-                "ok",
-                detail={
+    def records():
+        match unify_types(ont, lex, first, second):
+            case Unified(result):
+                status, detail = "ok", {"outcome": "unified", "result": result}
+            case Coerced(result, relation, relatum):
+                status, detail = "ok", {
                     "outcome": "coerced",
                     "result": result,
                     "relation": relation.name,
                     "relatum": relatum,
-                },
-            )
-            return EXIT_OK
-        case Failed(left, right):
-            rep.say("Failed")
-            rep.record(
-                "unify",
-                "failed",
-                detail={"outcome": "failed", "left": left, "right": right},
-            )
-            return EXIT_SEMANTIC
-    return EXIT_SEMANTIC  # pragma: no cover
+                }
+            case Failed(left, right):
+                status, detail = "failed", {"outcome": "failed", "left": left, "right": right}
+        return [Record("unify", status, detail=detail)]
+
+    return rep.emit(_attempt("unify", records))
 
 
 def cmd_hempel(
-    ont: Ontology,
-    lex: Lexicon,
-    rep: Reporter,
-    h1: str,
-    h2: str,
-    observations: list[str],
+    ont: Ontology, lex: Lexicon, rep: Reporter, h1: str, h2: str, observations: list[str]
 ) -> int:
-    try:
+    def records():
         sources = [
             text[len(LF_PREFIX):].strip()
             if text.startswith(LF_PREFIX)
@@ -271,49 +233,19 @@ def cmd_hempel(
             for text in (h1, h2)
         ]
         result = equivalence_check(sources[0], sources[1], ont, lex)
-        judged = []
+        c1, c2 = pretty(result.canonical_first), pretty(result.canonical_second)
+        status = "ok" if result.equivalent else "not_equivalent"
+        detail = {"equivalent": result.equivalent, "h1": c1, "h2": c2}
+        out = [Record("hempel", status, c1 if result.equivalent else None, detail=detail)]
         for obs_text in observations:
             obs = parse_observation(obs_text, ont, lex)
-            v1 = evaluate(result.canonical_first, obs, ont)
-            v2 = evaluate(result.canonical_second, obs, ont)
-            judged.append((obs_text.strip(), obs, v1, v2))
-    except _PARSE_ERRORS as err:
-        rep.error("hempel", "parse_error", str(err))
-        return EXIT_PARSE
+            v1 = evaluate(result.canonical_first, obs, ont).name.capitalize()
+            v2 = evaluate(result.canonical_second, obs, ont).name.capitalize()
+            detail = {"observation": obs_text.strip(), "h1": v1, "h2": v2, "agree": v1 == v2}
+            out.append(Record("hempel.observe", "ok" if v1 == v2 else "disagree", detail=detail))
+        return out
 
-    c1, c2 = pretty(result.canonical_first), pretty(result.canonical_second)
-    rep.say(f"h1 canonical: {c1}")
-    rep.say(f"h2 canonical: {c2}")
-    rep.say(f"equivalent: {'yes' if result.equivalent else 'no'}")
-    rep.record(
-        "hempel",
-        "ok" if result.equivalent else "not_equivalent",
-        canonical=c1 if result.equivalent else None,
-        detail={"equivalent": result.equivalent, "h1": c1, "h2": c2},
-    )
-    all_agree = True
-    for text, _, v1, v2 in judged:
-        agree = v1 is v2
-        all_agree = all_agree and agree
-        rep.say(
-            f"{text}: h1 {_verdict_name(v1)}, h2 {_verdict_name(v2)}"
-            + ("" if agree else "  [disagree]")
-        )
-        rep.record(
-            "hempel.observe",
-            "ok" if agree else "disagree",
-            detail={
-                "observation": text,
-                "h1": _verdict_name(v1),
-                "h2": _verdict_name(v2),
-                "agree": agree,
-            },
-        )
-    return EXIT_OK if result.equivalent and all_agree else EXIT_SEMANTIC
-
-
-def _verdict_name(verdict: ConfirmationVerdict) -> str:
-    return verdict.name.capitalize()
+    return rep.emit(_attempt("hempel", records))
 
 
 # ----------------------------------------------------------------------
@@ -366,12 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     rep = Reporter(getattr(args, "format", None) or "human")
-    try:
-        ont, lex = _load_session(args)
-    except _PARSE_ERRORS as err:
-        rep.error(args.command, "load_error", str(err))
-        return EXIT_PARSE
-
+    session = _attempt(args.command, lambda: _load_session(args), "load_error")
+    if isinstance(session, list):
+        return rep.emit(session)
+    ont, lex = session
     match args.command:
         case "analyze":
             return cmd_analyze(ont, lex, rep, args.text)

@@ -181,7 +181,7 @@ class _Parser:
                 raise LFSyntaxError("empty conjunction", self.pos())
             return conj(items)
         if self._quantifier_ahead():
-            return self._quantifier(bound)
+            return self._quantifiers(bound)
         # grouped form or implication
         self.take("(")
         left = self.form(bound)
@@ -200,27 +200,34 @@ class _Parser:
             return True
         return _is_ident(head) and _is_ident(second) and self.peek(3) in ("::", ")")
 
-    def _quantifier(self, bound: frozenset[str]) -> Form:
-        self.take("(")
-        at = self.pos()
-        kind_tok = self.take()
-        if kind_tok == "E" and self.peek() == "!":
-            self.take("!")
-            kind_tok = "E!"
-        kind = _QUANT_KINDS.get(kind_tok)
-        if kind is None:
-            raise LFSyntaxError(f"unknown quantifier kind '{kind_tok}'", at)
-        var_at = self.pos()
-        var = self.take_ident("a variable")
-        if var in bound:
-            raise LFSyntaxError(f"'{var}' already bound in an enclosing scope", var_at)
-        vtype = None
-        if self.peek() == "::":
-            self.take("::")
-            vtype = self.take_ident("a type name")
-        self.take(")")
-        body = self.form(bound | {var})
-        return Quant(kind, var, vtype, body)
+    def _quantifiers(self, bound: frozenset[str]) -> Form:
+        # A whole prefix in one loop, so binders cost no stack frames. The
+        # caller has seen the first binder; before each further one the loop
+        # makes the checks that form and _parenthesized would make.
+        prefix, scope = [], set(bound)
+        while True:
+            self.take("(")
+            at = self.pos()
+            kind_tok = self.take()
+            if kind_tok == "E" and self.peek() == "!":
+                self.take("!")
+                kind_tok = "E!"
+            kind = _QUANT_KINDS.get(kind_tok)
+            if kind is None:
+                raise LFSyntaxError(f"unknown quantifier kind '{kind_tok}'", at)
+            var_at = self.pos()
+            var = self.take_ident("a variable")
+            if var in scope:
+                raise LFSyntaxError(f"'{var}' already bound in an enclosing scope", var_at)
+            vtype = None
+            if self.peek() == "::":
+                self.take("::")
+                vtype = self.take_ident("a type name")
+            self.take(")")
+            prefix.append((kind, var, vtype))
+            scope.add(var)
+            if self.peek() != "(" or self.peek(1) == "and" or not self._quantifier_ahead():
+                return with_prefix(prefix, self.form(frozenset(scope)))
 
     def _atom(self, bound: frozenset[str]) -> Form:
         pred = self.take_ident("a predicate")
@@ -265,9 +272,13 @@ def pretty(form: Form) -> str:
             return f"({pretty(antecedent)} -> {pretty(consequent)})"
         case And(items):
             return "(and " + " ".join(_grouped(i) for i in items) + ")"
-        case Quant(kind, var, vtype, body):
-            head = f"({kind.value} {var} :: {vtype})" if vtype else f"({kind.value} {var})"
-            return head + _grouped(body)
+        case Quant():
+            text = ""
+            while isinstance(form, Quant):  # a whole prefix, without recursion
+                kind, var, vtype = form.kind.value, form.var, form.vtype
+                text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
+                form = form.body
+            return text + _grouped(form)
     raise TypeError(f"not a form: {form!r}")
 
 

@@ -92,12 +92,6 @@ class DerivationTrace:
     def steps_for(self, subject: str) -> list[TraceStep]:
         return [s for s in self.steps if s.subject == subject]
 
-    def format_lines(self) -> list[str]:
-        return [
-            (f"[{s.subject}] " if s.subject else "") + f"{s.detail} -> {s.outcome}"
-            for s in self.steps
-        ]
-
 
 @dataclass
 class AnalyzedForm:
@@ -259,13 +253,6 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
     return AnalyzedForm(typed, trace, glosses)
 
 
-def missing_text_report(analyzed: AnalyzedForm) -> str:
-    """The elided content an analysis recovered, one gloss per line."""
-    if not analyzed.missing_text:
-        return "no missing text detected"
-    return "\n".join(analyzed.missing_text)
-
-
 # -- collection --------------------------------------------------------
 
 
@@ -276,18 +263,23 @@ def _collect(
     const_slots: list[tuple[str, TypeName]] = []
     counter = iter(range(1 << 30))
 
-    def walk(f: Form, scope: dict[str, int]):
+    # ``positive`` is the polarity of ``f``: only a unary predicate asserted
+    # of a referent, not one denied of it, belongs in that referent's gloss.
+    def walk(f: Form, scope: dict[str, int], positive: bool):
         match f:
-            case Quant(_, var, vtype, body):
-                ident = next(counter)
-                declared = vtype
-                if declared is None and var in lex.names:
-                    declared = lex.names[var].declared_type
-                if declared is None:
-                    declared = ont.root
-                ont.require(declared)
-                binders[ident] = _Binder(var, declared)
-                walk(body, {**scope, var: ident})
+            case Quant():
+                prefix, body = read_prefix(f)
+                scope = dict(scope)
+                for _, var, vtype in prefix:
+                    declared = vtype
+                    if declared is None and var in lex.names:
+                        declared = lex.names[var].declared_type
+                    if declared is None:
+                        declared = ont.root
+                    ont.require(declared)
+                    scope[var] = ident = next(counter)
+                    binders[ident] = _Binder(var, declared)
+                walk(body, scope, positive)
             case Atom(pred, args):
                 sig = lex.atom_signature(pred)  # canonicalize has already vetted preds
                 assert sig is not None
@@ -300,7 +292,7 @@ def _collect(
                     if arg in scope:
                         b = binders[scope[arg]]
                         b.expectations.append(expectation)
-                        if sig.arity == 1:
+                        if sig.arity == 1 and positive:
                             b.adjectives.append(pred)
                     else:
                         if arg not in lex.names:
@@ -308,14 +300,14 @@ def _collect(
                         const_slots.append((arg, expectation))
             case And(items):
                 for i in items:
-                    walk(i, scope)
+                    walk(i, scope, positive)
             case Not(item):
-                walk(item, scope)
+                walk(item, scope, not positive)
             case Implies(a, c):
-                walk(a, scope)
-                walk(c, scope)
+                walk(a, scope, not positive)
+                walk(c, scope, positive)
 
-    walk(cf, {})
+    walk(cf, {}, True)
     return binders, const_slots
 
 

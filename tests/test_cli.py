@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,11 @@ def run(capsys, *argv):
 
 def records(out):
     return [json.loads(line) for line in out.splitlines()]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+ABSENT = Path(__file__).with_name("absent.ont")
+FIELDS = ["command", "status", "canonical", "trace", "glosses", "detail"]
 
 
 # ----------------------------------------------------------------------
@@ -360,3 +368,144 @@ def test_load_error_is_a_record_in_structured_mode(capsys, tmp_path):
     assert code == 3
     [record] = records(out)
     assert record["status"] == "load_error"
+
+
+def test_non_utf8_resource_file_exits_3(capsys, tmp_path):
+    bad = tmp_path / "bad.ont"
+    bad.write_bytes(b"type entity\n\xff\n")
+    code, out, err = run(capsys, "--ontology", str(bad), "unify", "beer", "entity")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+    assert err.count("\n") == 1
+    code, out, _ = run(
+        capsys, "--format", "structured", "--ontology", str(bad), "unify", "beer", "entity"
+    )
+    assert code == 3
+    [record] = records(out)
+    assert record["status"] == "load_error"
+    assert record["detail"]["error"] == "OntologyError"
+    assert str(bad) in record["detail"]["message"]
+
+
+# ----------------------------------------------------------------------
+# deep input
+# ----------------------------------------------------------------------
+
+
+def test_a_1000_binder_prefix_analyzes(capsys):
+    binders = "".join(f"(E x{i} :: person)" for i in range(1000))
+    atoms = " ".join(f"(loud(x{i}))" for i in range(1000))
+    code, out, err = run(capsys, "analyze", f"@lf: {binders}(and {atoms})")
+    assert code == 0
+    assert err == ""
+    assert out.startswith(f"typed form: {binders}(and (loud(x0)) (loud(x1)) ")
+
+
+def test_deep_negation_exits_3_with_one_error_line(capsys):
+    text = "@lf: " + "(! " * 1000 + "loud(Julie)" + ")" * 1000
+    code, out, err = run(capsys, "analyze", text)
+    assert code == 3
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+    code, out, _ = run(capsys, "--format", "structured", "analyze", text)
+    assert code == 3
+    [record] = records(out)
+    assert record["status"] == "parse_error"
+    assert record["detail"] == {"message": "input nested too deeply", "error": "RecursionError"}
+
+
+# ----------------------------------------------------------------------
+# typed error records
+# ----------------------------------------------------------------------
+
+
+def test_unknown_type_record_names_the_type(capsys):
+    code, out, _ = run(capsys, "--format", "structured", "unify", "beer", "unicorn")
+    assert code == 3
+    [record] = records(out)
+    assert record["detail"] == {
+        "message": "unknown type name 'unicorn'",
+        "error": "UnknownTypeError",
+        "name": "unicorn",
+    }
+
+
+def test_type_error_record_carries_subject_declared_and_expectation(capsys):
+    code, out, _ = run(capsys, "--format", "structured", "analyze", "The red beer wants a car")
+    assert code == 2
+    [record] = records(out)
+    assert record["detail"] == {
+        "message": "'b' of type beer cannot satisfy expectation animal",
+        "error": "TypeCheckError",
+        "subject": "b",
+        "declared": "beer",
+        "expectation": "animal",
+    }
+
+
+def test_syntax_error_record_carries_the_position(capsys):
+    code, out, _ = run(capsys, "--format", "structured", "analyze", "@lf: (E x)(loud(y))")
+    assert code == 3
+    [record] = records(out)
+    assert record["detail"]["error"] == "LFSyntaxError"
+    assert record["detail"]["position"] == 11
+    code, out, err = run(capsys, "analyze", "@lf: (E x)(loud(y))")
+    assert (code, out, err) == (3, "", "error: at position 11: unbound variable 'y'\n")
+
+
+# ----------------------------------------------------------------------
+# the contract: README examples and format invariance
+# ----------------------------------------------------------------------
+
+
+def readme_blocks(text):
+    return re.findall(r"```\n(.*?)```", text, re.S)
+
+
+def test_readme_transcript_is_what_analyze_prints(capsys):
+    [block] = [b for b in readme_blocks(README.read_text()) if b.startswith("$ ontologik analyze")]
+    command, expected = block.split("\n", 1)
+    code, out, err = run(capsys, *shlex.split(command)[2:])
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_readme_command_line_examples_exit_0(capsys):
+    section = README.read_text().split("## Command line", 1)[1]
+    block = readme_blocks(section)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) == 6
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "ontologik"
+        assert run(capsys, *argv[1:])[0] == 0, command
+
+
+HEMPEL_APART = ["hempel", "--h1", "All ravens are black", "--h2", "All people are beautiful"]
+
+
+@pytest.mark.parametrize(
+    "status, argv",
+    [
+        ("ok", ["analyze", "The loud omelet wants another beer"]),
+        ("ok", ["parse", "Julie is articulate"]),
+        ("ok", ["aor", "loud", "--noun", "omelet"]),
+        ("ok", ["unify", "omelet", "person"]),
+        ("ok", ["hempel", "--h1", "All ravens are black", "--h2", "All ravens are black"]),
+        ("type_error", ["analyze", "The red beer wants a car"]),
+        ("parse_error", ["analyze", "Goats sing loudly"]),
+        ("load_error", ["--ontology", str(ABSENT), "unify", "beer", "entity"]),
+        ("violation", ["aor", "red", "beautiful", "--noun", "car"]),
+        ("type_failure", ["aor", "loud", "--noun", "car"]),
+        ("failed", ["unify", "car", "person"]),
+        ("not_equivalent", HEMPEL_APART),
+        ("disagree", HEMPEL_APART + ["--observe", "raven: black"]),
+    ],
+)
+def test_both_formats_exit_alike(capsys, status, argv):
+    code, _, _ = run(capsys, *argv)
+    structured_code, out, _ = run(capsys, "--format", "structured", *argv)
+    assert structured_code == code
+    got = records(out)
+    assert status in [record["status"] for record in got]
+    assert all(list(record) == FIELDS for record in got)

@@ -1,15 +1,18 @@
 import pytest
 
 from ontologik import (
+    Atom,
     Coerced,
     Failed,
     LexiconError,
+    Quant,
+    QuantKind,
     TypeCheckError,
     Unified,
     alpha_equal,
     analyze,
+    conj,
     fold_expectations,
-    missing_text_report,
     parse_lf,
     parse_sentence,
     pretty,
@@ -233,12 +236,11 @@ def test_coercion_trace_has_exactly_two_reductions_for_the_referent(loud_omelet)
 
 def test_coercion_surfaces_the_missing_text(loud_omelet):
     assert loud_omelet.missing_text == ["some loud person eating the omelet"]
-    assert missing_text_report(loud_omelet) == "some loud person eating the omelet"
 
 
 def test_no_coercion_means_no_missing_text(ont, lex):
     got = analyze(parse_lf("(E! j :: person)(articulate(j))"), ont, lex)
-    assert missing_text_report(got) == "no missing text detected"
+    assert got.missing_text == []
 
 
 def test_reanalysis_is_a_fixpoint(ont, lex, loud_omelet):
@@ -277,3 +279,25 @@ def test_sentence_and_logical_form_inputs_agree(ont, lex):
     by_sentence = analyze(parse_sentence("Julie is an articulate person", ont, lex), ont, lex)
     by_lf = analyze(parse_lf("(E! j :: person)(articulate(j))"), ont, lex)
     assert alpha_equal(by_sentence.form, by_lf.form)
+
+
+def test_a_denied_adjective_stays_out_of_the_gloss(ont, lex):
+    got = analyze(parse_lf("(E o :: omelet)(! loud(o))"), ont, lex)
+    assert got.missing_text == ["some person eating the omelet"]
+    assert pretty(got.form) == (
+        "(E o :: person)(E o2 :: omelet)(and (! loud(o)) (EATING(o, o2)))"
+    )
+
+
+def test_an_antecedent_adjective_stays_out_of_the_gloss(ont, lex):
+    got = analyze(parse_lf("(E o :: omelet)(loud(o) -> articulate(o))"), ont, lex)
+    assert got.missing_text == ["some articulate person eating the omelet"]
+
+
+def test_analyze_takes_an_api_built_500_binder_prefix(ont, lex):
+    form = conj([Atom("loud", (f"x{i}",)) for i in range(500)])
+    for i in reversed(range(500)):
+        form = Quant(QuantKind.EXISTS, f"x{i}", "person", form)
+    got = analyze(form, ont, lex)
+    assert pretty(got.form).startswith("(E x0 :: person)(E x1 :: person)")
+    assert got.missing_text == []
