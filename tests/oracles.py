@@ -46,11 +46,21 @@ def oracle_compare(parent: dict[str, str | None], a: str, b: str) -> str:
 
 
 def random_tree(rng: random.Random, max_nodes: int = 50) -> dict[str, str | None]:
+    """A parent map, parents listed first, of one of three shapes: each node
+    under a random earlier one, a chain, or a broom (a chain whose last node
+    is the parent of every node after it)."""
     count = rng.randint(1, max_nodes)
     names = [f"t{i}" for i in range(count)]
+    shape = rng.choice(("random", "chain", "broom"))
+    handle = rng.randint(1, count)
     parent: dict[str, str | None] = {names[0]: None}
-    for name in names[1:]:
-        parent[name] = rng.choice(list(parent))
+    for i, name in enumerate(names[1:], start=1):
+        if shape == "chain" or (shape == "broom" and i < handle):
+            parent[name] = names[i - 1]
+        elif shape == "broom":
+            parent[name] = names[handle - 1]
+        else:
+            parent[name] = rng.choice(list(parent))
     return parent
 
 
@@ -59,6 +69,48 @@ def tree_source(parent: dict[str, str | None]) -> str:
     for name, up in parent.items():
         lines.append(f"type {name}" if up is None else f"type {name} isa {up}")
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# coercion candidate oracle: scan every relation
+# ----------------------------------------------------------------------
+
+Relation = tuple[str, str, str, int]  # (name, domain, range, priority)
+
+
+def random_relations(
+    rng: random.Random, parent: dict[str, str | None], max_count: int = 30
+) -> list[Relation]:
+    """Relations over the types of ``parent``. Now and then one repeats an
+    earlier (domain, range) pair, and in half the sets priorities repeat too,
+    so every tie-break of the candidate order is reached."""
+    nodes = list(parent)
+    ties = rng.random() < 0.5
+    out: list[Relation] = []
+    for i in range(rng.randint(0, max_count)):
+        if out and rng.random() < 0.3:
+            _, domain, range_, _ = rng.choice(out)
+        else:
+            domain, range_ = rng.choice(nodes), rng.choice(nodes)
+        out.append((f"R{i}", domain, range_, rng.randrange(3) if ties else i))
+    return out
+
+
+def oracle_candidates(
+    parent: dict[str, str | None], relations: list[Relation], target: str, source: str
+) -> list[str]:
+    """Names of the relations whose domain is comparable with ``target`` and
+    whose range is comparable with ``source``, found by scanning them all in
+    declaration order and sorted (stably) by exact range match, then exact
+    domain match, then priority."""
+    found = [
+        rel
+        for rel in relations
+        if oracle_compare(parent, rel[1], target) != "incomparable"
+        and oracle_compare(parent, rel[2], source) != "incomparable"
+    ]
+    found.sort(key=lambda rel: (rel[2] != source, rel[1] != target, rel[3]))
+    return [rel[0] for rel in found]
 
 
 # ----------------------------------------------------------------------

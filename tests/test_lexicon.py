@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from ontologik import LexiconError, PredicateSignature, load_lexicon, load_ontology
+from ontologik import Lexicon, LexiconError, PredicateSignature, SalientRelation, load_lexicon, load_ontology
+
+from oracles import oracle_candidates, random_relations, random_tree, tree_source
 
 
 def test_reference_lexicon_contents(lex):
@@ -64,6 +68,20 @@ def test_coercion_candidates_tie_breaks_by_declaration_order(ont):
     lex = load_lexicon(source, ont)
     got = [r.name for r in lex.coercion_candidates(ont, "person", "food")]
     assert got == ["FIRST", "SECOND"]
+
+
+def test_coercion_candidates_match_the_scan_oracle_on_random_trees():
+    rng = random.Random(419)
+    for _ in range(120):
+        parent = random_tree(rng, max_nodes=30)
+        ont = load_ontology(tree_source(parent))
+        rels = random_relations(rng, parent)
+        lex = Lexicon(relations=[SalientRelation(*rel) for rel in rels])
+        nodes = list(parent)
+        for _ in range(40):
+            target, source = rng.choice(nodes), rng.choice(nodes)
+            got = [rel.name for rel in lex.coercion_candidates(ont, target, source)]
+            assert got == oracle_candidates(parent, rels, target, source), (target, source)
 
 
 # ----------------------------------------------------------------------
