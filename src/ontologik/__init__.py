@@ -29,6 +29,7 @@ from .errors import (
     HypothesisShapeError,
     LexiconError,
     LFSyntaxError,
+    NestingError,
     OntologikError,
     OntologyError,
     SentenceError,
@@ -136,6 +137,7 @@ __all__ = [
     "UnknownTypeError",
     "LexiconError",
     "LFSyntaxError",
+    "NestingError",
     "CanonicalizationError",
     "TypeCheckError",
     "SentenceError",

@@ -121,15 +121,13 @@ class Reporter:
 def _attempt(command: str, compute, failure: str = "parse_error"):
     """``compute()``'s value, or a list of one error record when it raises:
     ``type_error`` for a :class:`TypeCheckError`, ``failure`` for any other
-    package or OS error and for input nested too deeply for the stack."""
+    package or OS error."""
     try:
         return compute()
     except TypeCheckError as err:
         status, error, message = "type_error", err, str(err)
     except (OntologikError, OSError) as err:
         status, error, message = failure, err, str(err)
-    except RecursionError as err:
-        status, error, message = failure, err, "input nested too deeply"
     detail = {"message": message, "error": type(error).__name__}
     detail.update((key, getattr(error, key)) for key in ERROR_FIELDS if hasattr(error, key))
     return [Record(command, status, detail=detail)]

@@ -48,6 +48,13 @@ class LFSyntaxError(OntologikError):
         self.position = position
 
 
+class NestingError(OntologikError):
+    """A form nested deeper than ``logform.MAX_NESTING`` levels."""
+
+    def __init__(self):
+        super().__init__("input nested too deeply")
+
+
 class CanonicalizationError(OntologikError):
     """A form that cannot be brought to canonical shape."""
 

@@ -49,13 +49,37 @@ class NameDecl:
     declared_type: TypeName
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    """Predicate signatures, salient relations, and names. Load-once."""
+    """Predicate signatures, salient relations, and names. Load-once.
+
+    Relations are also kept in buckets by name, by domain type and by range
+    type, built at construction, so a lookup reads only the relations near
+    the names or types it is asked about.
+    """
 
     signatures: dict[str, PredicateSignature] = field(default_factory=dict)
-    relations: list[SalientRelation] = field(default_factory=list)
+    relations: tuple[SalientRelation, ...] = ()
     names: dict[str, NameDecl] = field(default_factory=dict)
+    # Set by __post_init__: _by_name maps a name to its relation, and
+    # _by_domain and _by_range map a type to the positions of its relations.
+
+    def __post_init__(self):
+        relations = tuple(self.relations)
+        by_name: dict[str, SalientRelation] = {}
+        by_domain: dict[TypeName, list[int] | tuple[int, ...]] = {}
+        by_range: dict[TypeName, list[int] | tuple[int, ...]] = {}
+        for i, rel in enumerate(relations):
+            by_name.setdefault(rel.name, rel)
+            by_domain.setdefault(rel.domain_type, []).append(i)
+            by_range.setdefault(rel.range_type, []).append(i)
+        for buckets in (by_domain, by_range):
+            for t, ix in buckets.items():  # most hold one relation: a tuple is half a list
+                buckets[t] = tuple(ix)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_domain", by_domain)
+        object.__setattr__(self, "_by_range", by_range)
 
     def atom_signature(self, pred: str) -> PredicateSignature | None:
         """Signature for anything that may head an atom: a declared predicate,
@@ -64,9 +88,9 @@ class Lexicon:
         sig = self.signatures.get(pred)
         if sig is not None:
             return sig
-        for rel in self.relations:
-            if rel.name == pred:
-                return PredicateSignature(rel.name, (rel.domain_type, rel.range_type))
+        rel = self._by_name.get(pred)
+        if rel is not None:
+            return PredicateSignature(rel.name, (rel.domain_type, rel.range_type))
         return None
 
     def expectation(self, pred: str, arg_index: int) -> TypeName:
@@ -89,13 +113,29 @@ class Lexicon:
         A relation qualifies when its domain is comparable with the target and
         its range comparable with the source. Candidates come back ordered by
         exactness of the range match, then of the domain match, then priority,
-        so callers can commit to the first without a second look.
+        then declaration order, so callers can commit to the first without a
+        second look.
+
+        Only relations near one type are read: of the target and the source,
+        the one with fewer comparable types (subtree size plus depth) looks up
+        its side's buckets (domain for the target, range for the source) over
+        its subtree, one pre-order range, and its proper ancestors. A
+        qualifying relation is in one of those buckets, so none is missed.
+        When there are no more relations than that, all of them are read.
         """
-        ont.require(target_type)
-        ont.require(source_type)
+        rels = self.relations
+        near_target = ont.comparable_count(target_type)
+        near_source = ont.comparable_count(source_type)
+        if len(rels) > min(near_target, near_source):
+            if near_target <= near_source:
+                near, buckets = target_type, self._by_domain
+            else:
+                near, buckets = source_type, self._by_range
+            nearby = sorted(i for t in ont.comparable_types(near) for i in buckets.get(t, ()))
+            rels = [rels[i] for i in nearby]
         found = [
             rel
-            for rel in self.relations
+            for rel in rels
             if ont.compare(rel.domain_type, target_type) is not SubsumptionVerdict.INCOMPARABLE
             and ont.compare(rel.range_type, source_type) is not SubsumptionVerdict.INCOMPARABLE
         ]
@@ -126,7 +166,9 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
     Comments (``#``) and blank lines are ignored. All types mentioned must
     exist in the ontology, and no predicate may reuse a type name.
     """
-    lex = Lexicon()
+    signatures: dict[str, PredicateSignature] = {}
+    relations: dict[str, SalientRelation] = {}
+    names: dict[str, NameDecl] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,33 +184,33 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
                 raise LexiconError(
                     f"predicate '{name}' clashes with an ontology type", lineno
                 )
-            if name in lex.signatures:
+            if name in signatures:
                 raise LexiconError(f"duplicate predicate '{name}'", lineno)
             for a in args:
                 _require_type(ont, a, lineno)
-            lex.signatures[name] = PredicateSignature(name, tuple(args))
+            signatures[name] = PredicateSignature(name, tuple(args))
         elif line.startswith("rel"):
             m = _REL_RE.match(line)
             if not m:
                 raise LexiconError(f"malformed relation declaration '{line}'", lineno)
             name, dom, rng = m.groups()
-            if any(rel.name == name for rel in lex.relations):
+            if name in relations:
                 raise LexiconError(f"duplicate relation '{name}'", lineno)
             _require_type(ont, dom, lineno)
             _require_type(ont, rng, lineno)
-            lex.relations.append(SalientRelation(name, dom, rng, priority=len(lex.relations)))
+            relations[name] = SalientRelation(name, dom, rng, priority=len(relations))
         elif line.startswith("name"):
             m = _NAME_RE.match(line)
             if not m:
                 raise LexiconError(f"malformed name declaration '{line}'", lineno)
             name, t = m.groups()
-            if name in lex.names:
+            if name in names:
                 raise LexiconError(f"duplicate name '{name}'", lineno)
             _require_type(ont, t, lineno)
-            lex.names[name] = NameDecl(name, t)
+            names[name] = NameDecl(name, t)
         else:
             raise LexiconError(f"unrecognized declaration '{line}'", lineno)
-    return lex
+    return Lexicon(signatures, tuple(relations.values()), names)
 
 
 def _require_type(ont: Ontology, name: str, lineno: int):

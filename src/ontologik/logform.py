@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
 
-from .errors import CanonicalizationError, LFSyntaxError
+from .errors import CanonicalizationError, LFSyntaxError, NestingError
 from .lexicon import Lexicon
 from .ontology import Ontology, TypeName
 
@@ -69,6 +69,11 @@ class Quant:
 
 
 Form = Union[Atom, And, Not, Implies, Quant]
+
+# How deep negations, implications, conjunctions and quantifier prefixes may
+# nest. The walks below take at most three frames per level (a prefix is read
+# in a loop), so this stays well inside Python's default 1,000-frame limit.
+MAX_NESTING = 200
 
 # A canonical form is an ordinary Form as canonicalize builds it, which no
 # rewrite below changes; the alias only marks intent in signatures.
@@ -152,20 +157,22 @@ class _Parser:
 
     # -- grammar ---------------------------------------------------------
 
-    def form(self, bound: frozenset[str]) -> Form:
+    def form(self, bound: frozenset[str], depth: int) -> Form:
         tok = self.peek()
         if tok == "(":
-            return self._parenthesized(bound)
+            return self._parenthesized(bound, depth)
         if _is_ident(tok):
             return self._atom(bound)
         raise LFSyntaxError(f"expected a form, got '{tok}'", self.pos())
 
-    def _parenthesized(self, bound: frozenset[str]) -> Form:
+    def _parenthesized(self, bound: frozenset[str], depth: int) -> Form:
+        if depth == MAX_NESTING:
+            raise NestingError()
         head = self.peek(1)
         if head == "!":
             self.take("(")
             self.take("!")
-            inner = self.form(bound)
+            inner = self.form(bound, depth + 1)
             self.take(")")
             return Not(inner)
         if head == "and":
@@ -175,19 +182,19 @@ class _Parser:
             while self.peek() != ")":
                 if self.peek() is None:
                     raise LFSyntaxError("unterminated conjunction", self.pos())
-                items.append(self.form(bound))
+                items.append(self.form(bound, depth + 1))
             self.take(")")
             if not items:
                 raise LFSyntaxError("empty conjunction", self.pos())
             return conj(items)
         if self._quantifier_ahead():
-            return self._quantifiers(bound)
+            return self._quantifiers(bound, depth)
         # grouped form or implication
         self.take("(")
-        left = self.form(bound)
+        left = self.form(bound, depth + 1)
         if self.peek() == "->":
             self.take("->")
-            right = self.form(bound)
+            right = self.form(bound, depth + 1)
             self.take(")")
             return Implies(left, right)
         self.take(")")
@@ -200,7 +207,7 @@ class _Parser:
             return True
         return _is_ident(head) and _is_ident(second) and self.peek(3) in ("::", ")")
 
-    def _quantifiers(self, bound: frozenset[str]) -> Form:
+    def _quantifiers(self, bound: frozenset[str], depth: int) -> Form:
         # A whole prefix in one loop, so binders cost no stack frames. The
         # caller has seen the first binder; before each further one the loop
         # makes the checks that form and _parenthesized would make.
@@ -227,7 +234,7 @@ class _Parser:
             prefix.append((kind, var, vtype))
             scope.add(var)
             if self.peek() != "(" or self.peek(1) == "and" or not self._quantifier_ahead():
-                return with_prefix(prefix, self.form(frozenset(scope)))
+                return with_prefix(prefix, self.form(frozenset(scope), depth + 1))
 
     def _atom(self, bound: frozenset[str]) -> Form:
         pred = self.take_ident("a predicate")
@@ -248,9 +255,10 @@ class _Parser:
 
 
 def parse_lf(source: str) -> Form:
-    """Parse surface syntax into a :class:`Form`. Errors carry positions."""
+    """Parse surface syntax into a :class:`Form`. Errors carry positions;
+    text nested deeper than :data:`MAX_NESTING` raises :class:`NestingError`."""
     parser = _Parser(source)
-    form = parser.form(frozenset())
+    form = parser.form(frozenset(), 0)
     if parser.peek() is not None:
         raise LFSyntaxError(f"trailing input '{parser.peek()}'", parser.pos())
     return form
@@ -374,6 +382,8 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon) -> CanonicalForm:
     universal true whatever the atom says. A matrix that shrinks to a
     quantifier joins its prefix, and the binders look again. Only then may
     an innermost unrestricted ``A`` take a type antecedent as its restriction.
+
+    A form nested deeper than :data:`MAX_NESTING` raises :class:`NestingError`.
     """
     cf = _canon(form, ont)
     for atom in atoms(cf):
@@ -387,21 +397,26 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon) -> CanonicalForm:
     return cf
 
 
-def _canon(f: Form, ont: Ontology) -> Form:
+def _canon(f: Form, ont: Ontology, depth: int = 0) -> Form:
+    if isinstance(f, Atom):
+        return f
+    if depth == MAX_NESTING:
+        raise NestingError()
+    depth += 1
     match f:
         case Not(item):
-            inner = _canon(item, ont)
+            inner = _canon(item, ont, depth)
             return inner.item if isinstance(inner, Not) else Not(inner)
         case Implies(a, c):
-            a, c = _canon(a, ont), _canon(c, ont)
+            a, c = _canon(a, ont, depth), _canon(c, ont, depth)
             if isinstance(a, Not) and isinstance(c, Not):
                 return Implies(c.item, a.item)
             return Implies(a, c)
         case And(items):
-            return sorted_conj([_canon(i, ont) for i in items])
+            return sorted_conj([_canon(i, ont, depth) for i in items])
         case Quant():
             prefix, matrix = read_prefix(f)
-            return _lift(prefix, _canon(matrix, ont), ont)
+            return _lift(prefix, _canon(matrix, ont, depth), ont)
     return f
 
 
@@ -499,9 +514,13 @@ def _alpha(a: Form, b: Form, env_a: dict[str, int], env_b: dict[str, int]) -> bo
             return _alpha(x, y, env_a, env_b)
         case Implies(xa, xc), Implies(ya, yc):
             return _alpha(xa, ya, env_a, env_b) and _alpha(xc, yc, env_a, env_b)
-        case Quant(ka, va, ta, ba), Quant(kb, vb, tb, bb):
-            if ka is not kb or ta != tb:
-                return False
-            serial = len(env_a)
-            return _alpha(ba, bb, {**env_a, va: serial}, {**env_b, vb: serial})
+        case Quant(), Quant():
+            env_a, env_b = dict(env_a), dict(env_b)
+            while isinstance(a, Quant) and isinstance(b, Quant):  # a whole prefix
+                if a.kind is not b.kind or a.vtype != b.vtype:
+                    return False
+                serial = len(env_a)
+                env_a[a.var] = env_b[b.var] = serial
+                a, b = a.body, b.body
+            return _alpha(a, b, env_a, env_b)
     return False

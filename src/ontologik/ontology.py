@@ -6,13 +6,20 @@ anything the way a predicate is. The tree is immutable once loaded; every
 query below is a pure read.
 
 Subsumption is the reflexive-transitive ancestor relation: ``subsumes(g, s)``
-holds when ``g`` lies on the parent chain of ``s`` (or equals it).
+holds when ``g`` lies on the parent chain of ``s`` (or equals it). It is
+answered in constant time from labels the tree gets once, at construction
+(Aït-Kaci, Boyer, Lincoln & Nasr, TOPLAS 1989; Agrawal, Borgida & Jagadish,
+SIGMOD 1989): each type's pre-order index, the last pre-order index in its
+subtree, and its depth. A subtree is then one contiguous pre-order range, so
+``g`` subsumes ``s`` exactly when ``pre[g] <= pre[s] <= last[g]``.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum, auto
+from types import MappingProxyType
 
 from .errors import OntologyError, UnknownTypeError
 
@@ -33,17 +40,63 @@ class SubsumptionVerdict(Enum):
 
 @dataclass(frozen=True)
 class Ontology:
-    """A rooted tree of type names. Construct via :func:`load_ontology`."""
+    """A rooted tree of type names. Construct via :func:`load_ontology`.
+
+    A parent map built through the API may list a child before its parent,
+    but it must form one tree under ``root``; anything else raises
+    :class:`OntologyError`. ``parent`` is kept as a read-only copy, so the
+    labels cannot go stale.
+    """
 
     root: TypeName
-    parent: dict[TypeName, TypeName | None]
+    parent: Mapping[TypeName, TypeName | None]
+    # Set by __post_init__: _pre maps a name to its pre-order number, and
+    # _order, _last and _depth are indexed by that number.
+
+    def __post_init__(self):
+        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
+        if self.parent.get(self.root, self.root) is not None:
+            raise OntologyError(f"root '{self.root}' is not a parentless type")
+        children: dict[TypeName, list[TypeName]] = {name: [] for name in self.parent}
+        for name, up in self.parent.items():
+            if up in children:
+                children[up].append(name)
+            elif up is not None:
+                raise OntologyError(f"unknown parent '{up}' for '{name}'")
+            elif name != self.root:
+                raise OntologyError(f"second root '{name}' (root '{self.root}' already declared)")
+        pre: dict[TypeName, int] = {}
+        order: list[TypeName] = []
+        depth: list[int] = []
+        stack = [self.root]
+        while stack:  # pre-order, so a parent is numbered before its children
+            name = stack.pop()
+            up = self.parent[name]
+            pre[name] = len(order)
+            order.append(name)
+            depth.append(0 if up is None else depth[pre[up]] + 1)
+            stack.extend(reversed(children[name]))
+        if len(order) < len(self.parent):
+            stray = next(name for name in self.parent if name not in pre)
+            raise OntologyError(f"cycle: '{stray}' is not below root '{self.root}'")
+        last = list(pre.values())  # 0, 1, ..., sharing the int objects in pre
+        for i in range(len(order) - 1, 0, -1):  # a subtree's nodes all come after its root
+            up = pre[self.parent[order[i]]]
+            last[up] = max(last[up], last[i])
+        object.__setattr__(self, "_pre", pre)
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_last", last)
+        object.__setattr__(self, "_depth", depth)
+
+    def __reduce__(self):  # a mapping proxy does not pickle; the labels are rebuilt
+        return Ontology, (self.root, dict(self.parent))
 
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
-        return name in self.parent
+        return name in self._pre
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -53,9 +106,12 @@ class Ontology:
         return tuple(self.parent)
 
     def require(self, name: str) -> TypeName:
-        if name not in self.parent:
+        if name not in self._pre:
             raise UnknownTypeError(name)
         return name
+
+    def _index(self, name: str) -> int:
+        return self._pre[self.require(name)]
 
     # ------------------------------------------------------------------
     # queries
@@ -70,27 +126,34 @@ class Ontology:
         return chain
 
     def depth(self, name: TypeName) -> int:
-        return len(self.ancestors(name)) - 1
+        return self._depth[self._index(name)]
 
     def subsumes(self, general: TypeName, specific: TypeName) -> bool:
         """True when ``general`` is ``specific`` or one of its ancestors."""
-        self.require(general)
-        cur: TypeName | None = self.require(specific)
-        while cur is not None:
-            if cur == general:
-                return True
-            cur = self.parent[cur]
-        return False
+        g = self._index(general)
+        return g <= self._index(specific) <= self._last[g]
 
     def compare(self, first: TypeName, second: TypeName) -> SubsumptionVerdict:
-        if first == second:
-            self.require(first)
+        a, b = self._index(first), self._index(second)
+        if a == b:
             return SubsumptionVerdict.EQUAL
-        if self.subsumes(first, second):
+        if a < b <= self._last[a]:
             return SubsumptionVerdict.FIRST_SUBSUMES_SECOND
-        if self.subsumes(second, first):
+        if b < a <= self._last[b]:
             return SubsumptionVerdict.SECOND_SUBSUMES_FIRST
         return SubsumptionVerdict.INCOMPARABLE
+
+    def comparable_count(self, name: TypeName) -> int:
+        """How many types are comparable with ``name``: its subtree, itself
+        included, and its proper ancestors."""
+        i = self._index(name)
+        return self._last[i] - i + 1 + self._depth[i]
+
+    def comparable_types(self, name: TypeName) -> list[TypeName]:
+        """The types comparable with ``name``: its subtree in pre-order,
+        itself first, then its proper ancestors from the parent up."""
+        i = self._index(name)
+        return [*self._order[i : self._last[i] + 1], *self.ancestors(name)[1:]]
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from ontologik import (
 from ontologik.cli import main
 
 import test_aor
+import test_lexicon
 import test_logform
 import test_ontology
 import test_unifier
@@ -133,6 +134,8 @@ def test_criterion_6_property_suites(ont, lex, capsys):
         # (a) subsumption vs the ancestor-chain oracle
         test_ontology.test_subsumption_matches_oracle_on_random_trees()
         test_ontology.test_partial_order_axioms_on_random_trees()
+        # (a') ordered coercion candidates vs a scan of every relation
+        test_lexicon.test_coercion_candidates_match_the_scan_oracle_on_random_trees()
         # (b) parse/pretty round-trip
         test_logform.test_round_trip_on_random_forms()
         # (c) canonicalization idempotence, and meaning vs the finite-model oracle

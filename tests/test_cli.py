@@ -412,7 +412,7 @@ def test_deep_negation_exits_3_with_one_error_line(capsys):
     assert code == 3
     [record] = records(out)
     assert record["status"] == "parse_error"
-    assert record["detail"] == {"message": "input nested too deeply", "error": "RecursionError"}
+    assert record["detail"] == {"message": "input nested too deeply", "error": "NestingError"}
 
 
 # ----------------------------------------------------------------------

@@ -98,6 +98,15 @@ def test_equivalence_is_up_to_variable_renaming(ont, lex):
     assert result.equivalent
 
 
+def test_equivalence_reads_a_1000_binder_prefix(ont, lex):
+    binders = "".join(f"(E x{i} :: person)" for i in range(1000))
+    source = binders + "(and " + " ".join(f"(loud(x{i}))" for i in range(1000)) + ")"
+    renamed = source.replace("x", "y")
+    changed = renamed.replace("(loud(y999))", "(articulate(y999))")
+    assert equivalence_check(source, renamed, ont, lex).equivalent
+    assert not equivalence_check(source, changed, ont, lex).equivalent
+
+
 def test_different_hypotheses_are_not_equivalent(ont, lex):
     assert not equivalence_check(H1, "(A x)(raven(x) -> red(x))", ont, lex).equivalent
     assert not equivalence_check(H1, "(A x)(bird(x) -> black(x))", ont, lex).equivalent

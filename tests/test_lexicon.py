@@ -1,8 +1,16 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from ontologik import Lexicon, LexiconError, PredicateSignature, SalientRelation, load_lexicon, load_ontology
+from ontologik import (
+    Lexicon,
+    LexiconError,
+    PredicateSignature,
+    SalientRelation,
+    load_lexicon,
+    load_ontology,
+)
 
 from oracles import oracle_candidates, random_relations, random_tree, tree_source
 
@@ -40,6 +48,16 @@ def test_atom_signature_covers_relations(lex):
 # ----------------------------------------------------------------------
 # coercion candidate search
 # ----------------------------------------------------------------------
+
+
+def test_api_built_lexicon_indexes_itself_and_stays_frozen(ont):
+    eating = SalientRelation("EATING", "person", "food", 0)
+    lex = Lexicon(relations=[eating])
+    assert lex.relations == (eating,)
+    assert lex.atom_signature("EATING") == PredicateSignature("EATING", ("person", "food"))
+    assert lex.coercion_candidates(ont, "person", "omelet") == [eating]
+    with pytest.raises(FrozenInstanceError):
+        lex.relations = ()
 
 
 def test_coercion_candidates_reference(ont, lex):

@@ -8,6 +8,7 @@ from ontologik import (
     CanonicalizationError,
     Implies,
     LFSyntaxError,
+    NestingError,
     Not,
     Quant,
     QuantKind,
@@ -20,6 +21,7 @@ from ontologik import (
     parse_lf,
     pretty,
 )
+from ontologik.logform import MAX_NESTING
 
 from oracles import holds, random_liftable_form, random_form, random_model
 
@@ -411,3 +413,20 @@ def test_alpha_equal_on_random_forms_is_reflexive():
     for _ in range(100):
         form = random_form(rng, max_depth=5)
         assert alpha_equal(form, form)
+
+
+# ----------------------------------------------------------------------
+# the nesting cap
+# ----------------------------------------------------------------------
+
+
+def test_nesting_is_capped_in_text_and_in_api_built_forms(ont, lex):
+    def negated(depth):
+        return "(! " * depth + "loud(Julie)" + ")" * depth
+
+    form = parse_lf(negated(MAX_NESTING))
+    assert canonicalize(form, ont, lex) == Atom("loud", ("Julie",))  # an even count cancels
+    with pytest.raises(NestingError, match="^input nested too deeply$"):
+        parse_lf(negated(MAX_NESTING + 1))
+    with pytest.raises(NestingError, match="^input nested too deeply$"):
+        canonicalize(Not(form), ont, lex)

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -92,6 +93,55 @@ def test_unknown_type_queries(ont):
         ont.require("unicorn")
     with pytest.raises(UnknownTypeError):
         ont.subsumes("entity", "unicorn")
+    with pytest.raises(UnknownTypeError, match="'unicorn'"):
+        ont.compare("unicorn", "griffin")
+    with pytest.raises(UnknownTypeError):
+        ont.depth("unicorn")
+
+
+@pytest.mark.parametrize(
+    "root, parent, fragment",
+    [
+        ("a", {"a": None, "b": "missing"}, "unknown parent 'missing' for 'b'"),
+        ("a", {"a": None, "b": "c", "c": "b"}, "cycle: 'b'"),
+        ("a", {"a": None, "b": "b"}, "cycle: 'b'"),
+        ("a", {"a": None, "b": None}, "second root 'b'"),
+        ("a", {"a": None, "b": "a", "c": "d", "d": "c", "e": "d"}, "cycle: 'c'"),
+        ("x", {"a": None}, "root 'x' is not a parentless type"),
+        ("a", {"a": "b", "b": None}, "root 'a' is not a parentless type"),
+    ],
+)
+def test_api_built_parent_map_must_be_one_rooted_tree(root, parent, fragment):
+    with pytest.raises(OntologyError, match=fragment):
+        Ontology(root=root, parent=parent)
+
+
+def test_parent_map_is_a_read_only_copy():
+    parent = {"entity": None, "person": "entity"}
+    ont = Ontology(root="entity", parent=parent)
+    parent["unicorn"] = "entity"
+    assert "unicorn" not in ont
+    with pytest.raises(TypeError):
+        ont.parent["unicorn"] = "entity"
+    assert pickle.loads(pickle.dumps(ont)) == ont
+
+
+def test_api_built_tree_may_list_a_child_before_its_parent():
+    ont = Ontology(root="entity", parent={"person": "animal", "animal": "entity", "entity": None})
+    assert ont.subsumes("entity", "person") and not ont.subsumes("person", "animal")
+    assert ont.compare("person", "animal") is V.SECOND_SUBSUMES_FIRST
+    assert [ont.depth(t) for t in ("entity", "animal", "person")] == [0, 1, 2]
+
+
+def test_a_20000_deep_chain_answers_at_both_ends():
+    names = [f"t{i}" for i in range(20_000)]
+    parent = {name: names[i - 1] if i else None for i, name in enumerate(names)}
+    top, bottom = names[0], names[-1]
+    for ont in (load_ontology(tree_source(parent)), Ontology(top, dict(reversed(parent.items())))):
+        assert ont.subsumes(top, bottom) and not ont.subsumes(bottom, top)
+        assert ont.compare(top, bottom) is V.FIRST_SUBSUMES_SECOND
+        assert ont.compare(bottom, top) is V.SECOND_SUBSUMES_FIRST
+        assert (ont.depth(top), ont.depth(bottom)) == (0, 19_999)
 
 
 # ----------------------------------------------------------------------
@@ -137,18 +187,20 @@ def test_subsumption_matches_oracle_on_random_trees():
     rng = random.Random(417)
     for _ in range(200):
         parent = random_tree(rng, max_nodes=50)
-        ont = load_ontology(tree_source(parent))
+        loaded = load_ontology(tree_source(parent))
+        # the same tree built through the API, every child before its parent
+        reversed_ont = Ontology(root="t0", parent=dict(reversed(parent.items())))
         nodes = list(parent)
         for a, b in _pairs(rng, nodes):
-            assert ont.subsumes(a, b) == oracle_subsumes(parent, a, b)
-            got = ont.compare(a, b)
             want = oracle_compare(parent, a, b)
-            assert (got, want) in {
-                (V.EQUAL, "equal"),
-                (V.FIRST_SUBSUMES_SECOND, "first"),
-                (V.SECOND_SUBSUMES_FIRST, "second"),
-                (V.INCOMPARABLE, "incomparable"),
-            }
+            for ont in (loaded, reversed_ont):
+                assert ont.subsumes(a, b) == oracle_subsumes(parent, a, b)
+                assert (ont.compare(a, b), want) in {
+                    (V.EQUAL, "equal"),
+                    (V.FIRST_SUBSUMES_SECOND, "first"),
+                    (V.SECOND_SUBSUMES_FIRST, "second"),
+                    (V.INCOMPARABLE, "incomparable"),
+                }
 
 
 def test_partial_order_axioms_on_random_trees():

@@ -5,6 +5,8 @@ from ontologik import (
     Coerced,
     Failed,
     LexiconError,
+    NestingError,
+    Not,
     Quant,
     QuantKind,
     TypeCheckError,
@@ -301,3 +303,11 @@ def test_analyze_takes_an_api_built_500_binder_prefix(ont, lex):
     got = analyze(form, ont, lex)
     assert pretty(got.form).startswith("(E x0 :: person)(E x1 :: person)")
     assert got.missing_text == []
+
+
+def test_analyze_on_deeply_nested_api_built_negation_raises_a_package_error(ont, lex):
+    form = Atom("loud", ("o",))
+    for _ in range(1000):
+        form = Not(form)
+    with pytest.raises(NestingError, match="^input nested too deeply$"):
+        analyze(Quant(QuantKind.EXISTS, "o", "person", form), ont, lex)
