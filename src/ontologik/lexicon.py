@@ -67,15 +67,12 @@ class Lexicon:
     def __post_init__(self):
         relations = tuple(self.relations)
         by_name: dict[str, SalientRelation] = {}
-        by_domain: dict[TypeName, list[int] | tuple[int, ...]] = {}
-        by_range: dict[TypeName, list[int] | tuple[int, ...]] = {}
+        by_domain: dict[TypeName, list[int]] = {}
+        by_range: dict[TypeName, list[int]] = {}
         for i, rel in enumerate(relations):
             by_name.setdefault(rel.name, rel)
             by_domain.setdefault(rel.domain_type, []).append(i)
             by_range.setdefault(rel.range_type, []).append(i)
-        for buckets in (by_domain, by_range):
-            for t, ix in buckets.items():  # most hold one relation: a tuple is half a list
-                buckets[t] = tuple(ix)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_by_domain", by_domain)
@@ -121,18 +118,14 @@ class Lexicon:
         its side's buckets (domain for the target, range for the source) over
         its subtree, one pre-order range, and its proper ancestors. A
         qualifying relation is in one of those buckets, so none is missed.
-        When there are no more relations than that, all of them are read.
+        Relations must name types of ``ont``, as :func:`load_lexicon` checks.
         """
-        rels = self.relations
-        near_target = ont.comparable_count(target_type)
-        near_source = ont.comparable_count(source_type)
-        if len(rels) > min(near_target, near_source):
-            if near_target <= near_source:
-                near, buckets = target_type, self._by_domain
-            else:
-                near, buckets = source_type, self._by_range
-            nearby = sorted(i for t in ont.comparable_types(near) for i in buckets.get(t, ()))
-            rels = [rels[i] for i in nearby]
+        if ont.comparable_count(target_type) <= ont.comparable_count(source_type):
+            near, buckets = target_type, self._by_domain
+        else:
+            near, buckets = source_type, self._by_range
+        nearby = sorted(i for t in ont.comparable_types(near) for i in buckets.get(t, ()))
+        rels = [self.relations[i] for i in nearby]
         found = [
             rel
             for rel in rels

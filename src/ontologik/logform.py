@@ -75,6 +75,15 @@ Form = Union[Atom, And, Not, Implies, Quant]
 # in a loop), so this stays well inside Python's default 1,000-frame limit.
 MAX_NESTING = 200
 
+
+def deeper(depth: int) -> int:
+    """The level below a Not, And, Implies or quantifier prefix at ``depth``
+    (the outermost is at 0); :class:`NestingError` past the cap."""
+    if depth >= MAX_NESTING:
+        raise NestingError()
+    return depth + 1
+
+
 # A canonical form is an ordinary Form as canonicalize builds it, which no
 # rewrite below changes; the alias only marks intent in signatures.
 CanonicalForm = Form
@@ -166,35 +175,40 @@ class _Parser:
         raise LFSyntaxError(f"expected a form, got '{tok}'", self.pos())
 
     def _parenthesized(self, bound: frozenset[str], depth: int) -> Form:
-        if depth == MAX_NESTING:
+        # Levels count as in _canon: a Not, and, -> or quantifier prefix at
+        # ``depth`` needs depth < MAX_NESTING. Parentheses that only group
+        # take a level too, so they cannot nest without bound, but they may
+        # open at MAX_NESTING itself, where all they can hold is an atom:
+        # that is how pretty prints an atom in a conjunction or a matrix.
+        if depth > MAX_NESTING:
             raise NestingError()
         head = self.peek(1)
         if head == "!":
             self.take("(")
             self.take("!")
-            inner = self.form(bound, depth + 1)
+            inner = self.form(bound, deeper(depth))
             self.take(")")
             return Not(inner)
         if head == "and":
             self.take("(")
             self.take("and")
-            items = []
+            items, inner = [], deeper(depth)
             while self.peek() != ")":
                 if self.peek() is None:
                     raise LFSyntaxError("unterminated conjunction", self.pos())
-                items.append(self.form(bound, depth + 1))
+                items.append(self.form(bound, inner))
             self.take(")")
             if not items:
                 raise LFSyntaxError("empty conjunction", self.pos())
             return conj(items)
         if self._quantifier_ahead():
-            return self._quantifiers(bound, depth)
+            return self._quantifiers(bound, deeper(depth))
         # grouped form or implication
         self.take("(")
         left = self.form(bound, depth + 1)
         if self.peek() == "->":
             self.take("->")
-            right = self.form(bound, depth + 1)
+            right = self.form(bound, deeper(depth))
             self.take(")")
             return Implies(left, right)
         self.take(")")
@@ -234,7 +248,7 @@ class _Parser:
             prefix.append((kind, var, vtype))
             scope.add(var)
             if self.peek() != "(" or self.peek(1) == "and" or not self._quantifier_ahead():
-                return with_prefix(prefix, self.form(frozenset(scope), depth + 1))
+                return with_prefix(prefix, self.form(frozenset(scope), depth))
 
     def _atom(self, bound: frozenset[str]) -> Form:
         pred = self.take_ident("a predicate")
@@ -400,9 +414,7 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon) -> CanonicalForm:
 def _canon(f: Form, ont: Ontology, depth: int = 0) -> Form:
     if isinstance(f, Atom):
         return f
-    if depth == MAX_NESTING:
-        raise NestingError()
-    depth += 1
+    depth = deeper(depth)
     match f:
         case Not(item):
             inner = _canon(item, ont, depth)

@@ -79,7 +79,7 @@ class Ontology:
         if len(order) < len(self.parent):
             stray = next(name for name in self.parent if name not in pre)
             raise OntologyError(f"cycle: '{stray}' is not below root '{self.root}'")
-        last = list(pre.values())  # 0, 1, ..., sharing the int objects in pre
+        last = list(range(len(order)))
         for i in range(len(order) - 1, 0, -1):  # a subtree's nodes all come after its root
             up = pre[self.parent[order[i]]]
             last[up] = max(last[up], last[i])

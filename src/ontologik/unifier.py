@@ -31,6 +31,7 @@ from .logform import (
     Quant,
     QuantKind,
     canonicalize,
+    deeper,
     pretty,
     read_prefix,
     sorted_conj,
@@ -210,7 +211,8 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
     """Canonicalize, type every variable and constant, and surface missing text.
 
     Raises :class:`TypeCheckError` when some type can meet none of its
-    expectations, even by coercion.
+    expectations, even by coercion, and :class:`NestingError` when the form,
+    or the typed form with its bridges, nests deeper than ``MAX_NESTING``.
     """
     trace = DerivationTrace()
     cf = canonicalize(form, ont, lex)
@@ -320,10 +322,13 @@ def _rebuild(cf: Form, binders: dict[int, _Binder], used: set[str]) -> Form:
     # atom joins the matrix of the prefix, next to the predications it explains.
     counter = iter(range(1 << 30))
 
-    def walk(f: Form) -> Form:
+    # A bridge can turn a matrix into a conjunction, one level deeper than
+    # the input had it, so the levels are counted again as in _canon.
+    def walk(f: Form, depth: int) -> Form:
         match f:
             case Quant():
                 prefix, matrix = read_prefix(f)
+                inner = deeper(depth)
                 typed, bridges = [], []
                 for kind, var, _ in prefix:
                     b = binders[next(counter)]
@@ -334,16 +339,20 @@ def _rebuild(cf: Form, binders: dict[int, _Binder], used: set[str]) -> Form:
                         typed.append((QuantKind.EXISTS, fresh, b.coercion.relatum_type))
                         bridges.append(Atom(b.coercion.relation.name, (var, fresh)))
                 items = matrix.items if isinstance(matrix, And) else (matrix,)
-                return with_prefix(typed, sorted_conj([walk(i) for i in items] + bridges))
+                if len(items) + len(bridges) > 1:
+                    inner = deeper(inner)
+                return with_prefix(typed, sorted_conj([walk(i, inner) for i in items] + bridges))
             case And(items):
-                return sorted_conj([walk(i) for i in items])
+                inner = deeper(depth)
+                return sorted_conj([walk(i, inner) for i in items])
             case Not(item):
-                return Not(walk(item))
+                return Not(walk(item, deeper(depth)))
             case Implies(a, c):
-                return Implies(walk(a), walk(c))
+                inner = deeper(depth)
+                return Implies(walk(a, inner), walk(c, inner))
         return f
 
-    return walk(cf)
+    return walk(cf, 0)
 
 
 def _fresh_name(base: str, used: set[str]) -> str:

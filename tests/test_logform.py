@@ -430,3 +430,22 @@ def test_nesting_is_capped_in_text_and_in_api_built_forms(ont, lex):
         parse_lf(negated(MAX_NESTING + 1))
     with pytest.raises(NestingError, match="^input nested too deeply$"):
         canonicalize(Not(form), ont, lex)
+
+
+def test_a_form_at_the_cap_round_trips_through_pretty(ont, lex):
+    # pretty groups the matrix atom, one parenthesis below the last level;
+    # the parser does not count that parenthesis against the cap.
+    form = Quant(K.EXISTS, "x", "person", Atom("loud", ("x",)))
+    for _ in range(MAX_NESTING - 1):
+        form = Not(form)
+    assert parse_lf(pretty(form)) == form
+    canonicalize(form, ont, lex)
+    with pytest.raises(NestingError):
+        parse_lf(pretty(Not(form)))
+    with pytest.raises(NestingError):
+        canonicalize(Not(form), ont, lex)
+
+
+def test_grouping_parentheses_cannot_nest_without_bound():
+    with pytest.raises(NestingError, match="^input nested too deeply$"):
+        parse_lf("(" * 100_000 + "loud(Julie)" + ")" * 100_000)

@@ -4,6 +4,7 @@ from ontologik import (
     Atom,
     Coerced,
     Failed,
+    Implies,
     LexiconError,
     NestingError,
     Not,
@@ -13,6 +14,7 @@ from ontologik import (
     Unified,
     alpha_equal,
     analyze,
+    canonicalize,
     conj,
     fold_expectations,
     parse_lf,
@@ -20,6 +22,7 @@ from ontologik import (
     pretty,
     unify_types,
 )
+from ontologik.logform import MAX_NESTING
 
 # ----------------------------------------------------------------------
 # pairwise unification
@@ -311,3 +314,20 @@ def test_analyze_on_deeply_nested_api_built_negation_raises_a_package_error(ont,
         form = Not(form)
     with pytest.raises(NestingError, match="^input nested too deeply$"):
         analyze(Quant(QuantKind.EXISTS, "o", "person", form), ont, lex)
+
+
+def test_analyze_refuses_a_bridge_that_would_nest_past_the_cap(ont, lex):
+    # The omelet's bridge turns the matrix atom into a conjunction, one
+    # level deeper; the typed form must still print to text parse_lf reads.
+    def implications(count):
+        form = Quant(QuantKind.EXISTS, "o", "omelet", Atom("loud", ("o",)))
+        for _ in range(count):
+            form = Implies(Atom("loud", ("Julie",)), form)
+        return form
+
+    got = analyze(implications(MAX_NESTING - 2), ont, lex)
+    assert got.missing_text == ["some loud person eating the omelet"]
+    assert parse_lf(pretty(got.form)) == got.form
+    canonicalize(implications(MAX_NESTING - 1), ont, lex)
+    with pytest.raises(NestingError, match="^input nested too deeply$"):
+        analyze(implications(MAX_NESTING - 1), ont, lex)
