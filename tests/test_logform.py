@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -84,24 +85,62 @@ def test_nested_conjunctions_flatten():
     assert isinstance(form, And) and len(form.items) == 3
 
 
+def case(source, message, position, label):
+    # A case is named by its source and the words of the message that say
+    # what is wrong, so the name does not change with the position.
+    return pytest.param(source, message, position, id=f"{source}-{label}")
+
+
 @pytest.mark.parametrize(
-    "source, fragment",
+    "source, message, position",
     [
-        ("(E x)(loud(y))", "unbound variable 'y'"),
-        ("loud(x)", "unbound variable 'x'"),
-        ("(E x)((E x)(loud(x)))", "already bound"),
-        ("(Q x)(loud(x))", "unknown quantifier kind"),
-        ("(E x)(loud(x)) extra(x)", "trailing input"),
-        ("(E x)(loud(x)", "unexpected end of input"),
-        ("(and )", "empty conjunction"),
-        ("(E x)(@loud(x))", "unexpected character"),
-        ("", "expected a form"),
-        ("(E x :: )(loud(x))", "expected a type name"),
+        case("(E x)(loud(y))", "unbound variable 'y'", 11, "unbound variable 'y'"),
+        case("loud(x)", "unbound variable 'x'", 5, "unbound variable 'x'"),
+        case("(E x)((E x)(loud(x)))", "'x' already bound in an enclosing scope", 9, "already bound"),
+        case("(E x)(E y)(E x)(loud(x))", "'x' already bound in an enclosing scope", 13, "already bound"),
+        case("(Q x)(loud(x))", "unknown quantifier kind 'Q'", 1, "unknown quantifier kind"),
+        case("(B x)(loud(x))", "unknown quantifier kind 'B'", 1, "unknown quantifier kind"),
+        case("(E x)(loud x)", "unknown quantifier kind 'loud'", 6, "unknown quantifier kind"),
+        case("(E ! )(loud(x))", "expected a variable, got ')'", 5, "expected a variable"),
+        case("(A ! x)(loud(x))", "expected '(', got '!'", 3, "expected '('"),
+        case("(E x)(loud(x)) extra(x)", "trailing input 'extra'", 15, "trailing input"),
+        case("(E x)(loud(x)) )", "trailing input ')'", 15, "trailing input"),
+        case("(E x)(loud(x)", "unexpected end of input, expected ')'", 13, "unexpected end of input"),
+        case("(E x)(loud(x, ", "expected a term, got 'None'", 14, "expected a term"),
+        case("(E x)(want(x, , x))", "expected a term, got ','", 14, "expected a term"),
+        case("(E x)(", "expected a form, got 'None'", 6, "expected a form"),
+        case("(E x)", "expected a form, got 'None'", 5, "expected a form"),
+        case("(E x) ", "expected a form, got 'None'", 6, "expected a form"),
+        case("(E x ::", "expected a type name, got 'None'", 7, "expected a type name"),
+        case("(E x)(E", "unexpected end of input, expected '('", 7, "unexpected end of input"),
+        case("loud", "unexpected end of input, expected '('", 4, "unexpected end of input"),
+        case("(and (loud(Julie))", "unterminated conjunction", 18, "unterminated conjunction"),
+        case("(E x)(and", "unterminated conjunction", 9, "unterminated conjunction"),
+        case("(E x)(! loud(x)", "unexpected end of input, expected ')'", 15, "unexpected end of input"),
+        case("(E x)(loud(x) -> red(x)", "unexpected end of input, expected ')'", 23, "unexpected end of input"),
+        case("(and )", "empty conjunction", 6, "empty conjunction"),
+        case("(E x)(@loud(x))", "unexpected character '@'", 6, "unexpected character"),
+        case("(E x)(loud(x))   #", "unexpected character '#'", 17, "unexpected character"),
+        case("(E x)(loud(x))\t.", "unexpected character '.'", 15, "unexpected character"),
+        case("(E x)(lé(x))", "unexpected character 'é'", 7, "unexpected character"),
+        case("1x", "unexpected character '1'", 0, "unexpected character"),
+        case("(E x)(loud(x)):", "unexpected character ':'", 14, "unexpected character"),
+        case("", "expected a form, got 'None'", 0, "expected a form"),
+        case("   ", "expected a form, got 'None'", 3, "expected a form"),
+        case("(E x :: )(loud(x))", "expected a type name, got ')'", 8, "expected a type name"),
+        case("(E x :: person loud(x))", "expected ')', got 'loud'", 15, "expected ')'"),
+        case("(E x)(loud(x) -> )", "expected a form, got ')'", 17, "expected a form"),
+        case("(E x)(loud(x) red(x))", "expected ')', got 'red'", 14, "expected ')'"),
+        case("(! loud(Julie) red(Julie))", "expected ')', got 'red'", 15, "expected ')'"),
+        case("((loud(Julie)) red(Julie))", "expected ')', got 'red'", 15, "expected ')'"),
+        case("loud Julie", "expected '(', got 'Julie'", 5, "expected '('"),
     ],
 )
-def test_parse_rejections(source, fragment):
-    with pytest.raises(LFSyntaxError, match=fragment):
+def test_parse_rejections(source, message, position):
+    with pytest.raises(LFSyntaxError) as err:
         parse_lf(source)
+    assert str(err.value) == f"at position {position}: {message}"
+    assert err.value.position == position
 
 
 def test_parse_error_positions():
@@ -109,6 +148,12 @@ def test_parse_error_positions():
         parse_lf("(E x)(loud(y))")
     assert err.value.position == 11
     assert "at position 11" in str(err.value)
+
+
+def test_whitespace_separates_tokens():
+    # E! is two tokens, so a space may stand between them
+    assert parse_lf("(E ! x)(loud(x))") == parse_lf("(E! x)(loud(x))")
+    assert parse_lf(" (E\tx ::\nperson) ( loud ( x ) )\n") == parse_lf("(E x :: person)(loud(x))")
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +203,43 @@ def test_round_trip_on_random_forms():
         assert parse_lf(pretty(form)) == form
 
 
+# Where each token of printed text starts; nothing may be inserted inside one.
+_TOKEN_STARTS = re.compile(r"::|->|[()!,]|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _random_forms(rng):
+    return [random_form(rng, max_depth=5) for _ in range(150)] + [
+        random_liftable_form(rng) for _ in range(150)
+    ]
+
+
+def test_whitespace_between_tokens_does_not_change_the_form():
+    rng = random.Random(908)
+    for form in _random_forms(rng):
+        names = [var for var, _ in binders(form)]
+        if len(set(names)) < len(names):
+            continue  # shadowing, which only the API can build
+        text = pretty(form)
+        cuts = [m.start() for m in _TOKEN_STARTS.finditer(text)] + [len(text)]
+        spaced, done = [], 0
+        for cut in cuts:
+            spaced += [text[done:cut], "".join(rng.choices(" \t\n", k=rng.randint(0, 3)))]
+            done = cut
+        assert parse_lf("".join(spaced)) == form
+
+
+@pytest.mark.parametrize("stray", ["@", "#", ".", "é"])
+def test_a_stray_character_is_reported_where_it_stands(stray):
+    rng = random.Random(909)
+    for form in _random_forms(rng):
+        text = pretty(form)
+        at = rng.choice([m.start() for m in _TOKEN_STARTS.finditer(text)] + [len(text)])
+        with pytest.raises(LFSyntaxError) as err:
+            parse_lf(text[:at] + stray + text[at:])
+        assert str(err.value) == f"at position {at}: unexpected character '{stray}'"
+        assert err.value.position == at
+
+
 # ----------------------------------------------------------------------
 # structural walks
 # ----------------------------------------------------------------------
@@ -177,6 +259,7 @@ def test_constants_excludes_bound_variables():
     form = parse_lf("(E x)(and (want(x, Julie)) (beautiful(Julie)))")
     assert constants(form) == ["Julie"]
     assert constants(parse_lf("(E x)(loud(x))")) == []
+    assert constants(parse_lf("(A x)(loud(Julie) -> red(Jules))")) == ["Julie", "Jules"]
 
 
 # ----------------------------------------------------------------------
@@ -447,5 +530,12 @@ def test_a_form_at_the_cap_round_trips_through_pretty(ont, lex):
 
 
 def test_grouping_parentheses_cannot_nest_without_bound():
+    def grouped(depth):
+        return "(" * depth + "loud(Julie)" + ")" * depth
+
+    assert parse_lf(grouped(MAX_NESTING + 1)) == Atom("loud", ("Julie",))
     with pytest.raises(NestingError, match="^input nested too deeply$"):
-        parse_lf("(" * 100_000 + "loud(Julie)" + ")" * 100_000)
+        parse_lf(grouped(MAX_NESTING + 2))
+    with pytest.raises(NestingError, match="^input nested too deeply$"):
+        parse_lf(grouped(100_000))
+
