@@ -314,5 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_PARSE  # pragma: no cover
 
 
-def run():  # console-script entry point
+def run():  # console-script entry point, and python -m ontologik
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

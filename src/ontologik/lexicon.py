@@ -9,7 +9,9 @@ declared types.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import LexiconError
 from .ontology import Ontology, SubsumptionVerdict, TypeName
@@ -55,16 +57,19 @@ class Lexicon:
 
     Relations are also kept in buckets by name, by domain type and by range
     type, built at construction, so a lookup reads only the relations near
-    the names or types it is asked about.
+    the names or types it is asked about. ``signatures`` and ``names`` are
+    kept as read-only copies, so a loaded lexicon cannot be changed.
     """
 
-    signatures: dict[str, PredicateSignature] = field(default_factory=dict)
+    signatures: Mapping[str, PredicateSignature] = field(default_factory=dict)
     relations: tuple[SalientRelation, ...] = ()
-    names: dict[str, NameDecl] = field(default_factory=dict)
+    names: Mapping[str, NameDecl] = field(default_factory=dict)
     # Set by __post_init__: _by_name maps a name to its relation, and
     # _by_domain and _by_range map a type to the positions of its relations.
 
     def __post_init__(self):
+        object.__setattr__(self, "signatures", MappingProxyType(dict(self.signatures)))
+        object.__setattr__(self, "names", MappingProxyType(dict(self.names)))
         relations = tuple(self.relations)
         by_name: dict[str, SalientRelation] = {}
         by_domain: dict[TypeName, list[int]] = {}
@@ -77,6 +82,9 @@ class Lexicon:
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_by_domain", by_domain)
         object.__setattr__(self, "_by_range", by_range)
+
+    def __reduce__(self):  # a mapping proxy does not pickle; the buckets are rebuilt
+        return Lexicon, (dict(self.signatures), self.relations, dict(self.names))
 
     def atom_signature(self, pred: str) -> PredicateSignature | None:
         """Signature for anything that may head an atom: a declared predicate,

@@ -7,6 +7,11 @@ The surface syntax is a small ASCII s-expression language::
     (E o)(E b)(and (omelet(o)) (beer(b)) (loud(o)) (want(o, b)))
     (A x)((! black(x)) -> (! raven(x)))
 
+The tokens are ``::``, ``->``, each of ``( ) ! ,`` and ASCII identifiers
+(a letter or ``_``, then letters, digits and ``_``). Whitespace separates
+tokens and is otherwise ignored, so ``E!`` may also be written ``E !``; the
+first character that starts no token is the error.
+
 Quantifier kinds are ``E`` (exists), ``E!`` (exists unique) and ``A`` (all);
 an optional ``:: type`` after the bound variable restricts it. Atom arguments
 are either bound variables or capitalized constants (proper names); a
@@ -25,7 +30,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from itertools import repeat
+from typing import Iterator, NoReturn, Union
 
 from .errors import CanonicalizationError, LFSyntaxError, NestingError
 from .lexicon import Lexicon
@@ -108,73 +114,57 @@ def conj(items: list[Form] | tuple[Form, ...]) -> Form:
 # parsing
 # ----------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(::|->|[()!,]|[A-Za-z_][A-Za-z0-9_]*)")
+# A token is "::", "->", one of "()!," or an ASCII identifier. _TOKEN_RE adds
+# an alternative that takes a stray character with the rest of the text, so
+# only the last match can be one. Every token that is not punctuation is an
+# identifier, and None marks the end of the input.
+_ONE_TOKEN = re.compile(r"::|->|[()!,]|[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(_ONE_TOKEN.pattern + r"|\S.*", re.DOTALL)
+_PUNCT = frozenset(("::", "->", "(", ")", "!", ",", None))
 _QUANT_KINDS = {"E": QuantKind.EXISTS, "E!": QuantKind.EXISTS_UNIQUE, "A": QuantKind.FORALL}
 
 
-def _tokenize(source: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or not m.group(1):
-            if source[pos:].strip():
-                bad = source[pos:].lstrip()
-                at = len(source) - len(bad)
-                raise LFSyntaxError(f"unexpected character '{bad[0]}'", at)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
-def _is_ident(tok: str | None) -> bool:
-    return bool(tok) and (tok[0].isalpha() or tok[0] == "_")
+def _tokenize(source: str) -> list[str | None]:
+    # The tokens, padded with three end sentinels, so the parser looks three
+    # tokens ahead without a bounds check.
+    toks = _TOKEN_RE.findall(source)
+    if toks and not _ONE_TOKEN.fullmatch(toks[-1]):
+        at = len(source) - len(toks[-1])
+        raise LFSyntaxError(f"unexpected character '{source[at]}'", at)
+    toks += [None] * 3
+    return toks
 
 
 class _Parser:
+    # Each method takes the index of its first token and returns what it read
+    # with the index after it. Offsets are found again only for an error: a
+    # match object per token would add about a third to the parse.
     def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.i = 0
+        self.source, self.toks = source, _tokenize(source)
 
-    def peek(self, ahead: int = 0) -> str | None:
-        j = self.i + ahead
-        return self.tokens[j][0] if j < len(self.tokens) else None
+    def at(self, i: int) -> int:
+        offs = [m.start() for m in _TOKEN_RE.finditer(self.source)]
+        return offs[i] if i < len(offs) else len(self.source)
 
-    def pos(self, ahead: int = 0) -> int:
-        j = self.i + ahead
-        return self.tokens[j][1] if j < len(self.tokens) else len(self.source)
+    def reject(self, i: int, expected: str) -> NoReturn:
+        if self.toks[i] is None:
+            raise LFSyntaxError(f"unexpected end of input, expected '{expected}'", self.at(i))
+        raise LFSyntaxError(f"expected '{expected}', got '{self.toks[i]}'", self.at(i))
 
-    def take(self, expected: str | None = None) -> str:
-        if self.i >= len(self.tokens):
-            raise LFSyntaxError(
-                f"unexpected end of input" + (f", expected '{expected}'" if expected else ""),
-                len(self.source),
-            )
-        tok, at = self.tokens[self.i]
-        if expected is not None and tok != expected:
-            raise LFSyntaxError(f"expected '{expected}', got '{tok}'", at)
-        self.i += 1
-        return tok
-
-    def take_ident(self, what: str) -> str:
-        tok = self.peek()
-        if not _is_ident(tok):
-            raise LFSyntaxError(f"expected {what}, got '{tok}'", self.pos())
-        return self.take()
+    def reject_ident(self, i: int, what: str) -> NoReturn:
+        raise LFSyntaxError(f"expected {what}, got '{self.toks[i]}'", self.at(i))
 
     # -- grammar ---------------------------------------------------------
 
-    def form(self, bound: frozenset[str], depth: int) -> Form:
-        tok = self.peek()
+    def form(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
+        tok = self.toks[i]
         if tok == "(":
-            return self._parenthesized(bound, depth)
-        if _is_ident(tok):
-            return self._atom(bound)
-        raise LFSyntaxError(f"expected a form, got '{tok}'", self.pos())
+            return self._parenthesized(i, bound, depth)
+        if tok not in _PUNCT:
+            return self._atom(i, bound)
+        raise LFSyntaxError(f"expected a form, got '{tok}'", self.at(i))
 
-    def _parenthesized(self, bound: frozenset[str], depth: int) -> Form:
+    def _parenthesized(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
         # Levels count as in _canon: a Not, and, -> or quantifier prefix at
         # ``depth`` needs depth < MAX_NESTING. Parentheses that only group
         # take a level too, so they cannot nest without bound, but they may
@@ -182,99 +172,102 @@ class _Parser:
         # that is how pretty prints an atom in a conjunction or a matrix.
         if depth > MAX_NESTING:
             raise NestingError()
-        head = self.peek(1)
+        toks = self.toks
+        head = toks[i + 1]
         if head == "!":
-            self.take("(")
-            self.take("!")
-            inner = self.form(bound, deeper(depth))
-            self.take(")")
-            return Not(inner)
+            inner, i = self.form(i + 2, bound, deeper(depth))
+            if toks[i] != ")":
+                self.reject(i, ")")
+            return Not(inner), i + 1
         if head == "and":
-            self.take("(")
-            self.take("and")
-            items, inner = [], deeper(depth)
-            while self.peek() != ")":
-                if self.peek() is None:
-                    raise LFSyntaxError("unterminated conjunction", self.pos())
-                items.append(self.form(bound, inner))
-            self.take(")")
+            i, items, inner = i + 2, [], deeper(depth)
+            while (tok := toks[i]) != ")":
+                if tok is None:
+                    raise LFSyntaxError("unterminated conjunction", self.at(i))
+                item, i = self.form(i, bound, inner)
+                items.append(item)
             if not items:
-                raise LFSyntaxError("empty conjunction", self.pos())
-            return conj(items)
-        if self._quantifier_ahead():
-            return self._quantifiers(bound, deeper(depth))
+                raise LFSyntaxError("empty conjunction", self.at(i + 1))
+            return conj(items), i + 1
+        if self._quantifier_ahead(i):
+            return self._quantifiers(i, bound, deeper(depth))
         # grouped form or implication
-        self.take("(")
-        left = self.form(bound, depth + 1)
-        if self.peek() == "->":
-            self.take("->")
-            right = self.form(bound, deeper(depth))
-            self.take(")")
-            return Implies(left, right)
-        self.take(")")
-        return left
+        left, i = self.form(i + 1, bound, depth + 1)
+        if toks[i] == "->":
+            right, i = self.form(i + 1, bound, deeper(depth))
+            if toks[i] != ")":
+                self.reject(i, ")")
+            return Implies(left, right), i + 1
+        if toks[i] != ")":
+            self.reject(i, ")")
+        return left, i + 1
 
-    def _quantifier_ahead(self) -> bool:
+    def _quantifier_ahead(self, i: int) -> bool:
         # "(" ident ident  or  "(" "E" "!" ident  means a binder follows.
-        head, second = self.peek(1), self.peek(2)
+        toks = self.toks
+        head, second = toks[i + 1], toks[i + 2]
         if head == "E" and second == "!":
             return True
-        return _is_ident(head) and _is_ident(second) and self.peek(3) in ("::", ")")
+        return head not in _PUNCT and second not in _PUNCT and toks[i + 3] in ("::", ")")
 
-    def _quantifiers(self, bound: frozenset[str], depth: int) -> Form:
+    def _quantifiers(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
         # A whole prefix in one loop, so binders cost no stack frames. The
         # caller has seen the first binder; before each further one the loop
         # makes the checks that form and _parenthesized would make.
-        prefix, scope = [], set(bound)
+        toks, prefix, scope = self.toks, [], set(bound)
         while True:
-            self.take("(")
-            at = self.pos()
-            kind_tok = self.take()
-            if kind_tok == "E" and self.peek() == "!":
-                self.take("!")
-                kind_tok = "E!"
+            kind_at, kind_tok = i + 1, toks[i + 1]
+            i += 2
+            if kind_tok == "E" and toks[i] == "!":
+                i, kind_tok = i + 1, "E!"
             kind = _QUANT_KINDS.get(kind_tok)
             if kind is None:
-                raise LFSyntaxError(f"unknown quantifier kind '{kind_tok}'", at)
-            var_at = self.pos()
-            var = self.take_ident("a variable")
+                raise LFSyntaxError(f"unknown quantifier kind '{kind_tok}'", self.at(kind_at))
+            var, vtype = toks[i], None
+            if var in _PUNCT:
+                self.reject_ident(i, "a variable")
             if var in scope:
-                raise LFSyntaxError(f"'{var}' already bound in an enclosing scope", var_at)
-            vtype = None
-            if self.peek() == "::":
-                self.take("::")
-                vtype = self.take_ident("a type name")
-            self.take(")")
+                raise LFSyntaxError(f"'{var}' already bound in an enclosing scope", self.at(i))
+            if toks[i + 1] == "::":
+                i, vtype = i + 2, toks[i + 2]
+                if vtype in _PUNCT:
+                    self.reject_ident(i, "a type name")
+            if toks[i + 1] != ")":
+                self.reject(i + 1, ")")
+            i += 2
             prefix.append((kind, var, vtype))
             scope.add(var)
-            if self.peek() != "(" or self.peek(1) == "and" or not self._quantifier_ahead():
-                return with_prefix(prefix, self.form(frozenset(scope), depth))
+            if toks[i] != "(" or toks[i + 1] == "and" or not self._quantifier_ahead(i):
+                matrix, i = self.form(i, frozenset(scope), depth)
+                return with_prefix(prefix, matrix), i
 
-    def _atom(self, bound: frozenset[str]) -> Form:
-        pred = self.take_ident("a predicate")
-        self.take("(")
-        args = []
+    def _atom(self, i: int, bound: frozenset[str]) -> tuple[Form, int]:
+        toks, pred, args = self.toks, self.toks[i], []
+        if toks[i + 1] != "(":
+            self.reject(i + 1, "(")
+        i += 2
         while True:
-            at = self.pos()
-            term = self.take_ident("a term")
+            term = toks[i]
+            if term in _PUNCT:
+                self.reject_ident(i, "a term")
             if term not in bound and not term[0].isupper():
-                raise LFSyntaxError(f"unbound variable '{term}'", at)
+                raise LFSyntaxError(f"unbound variable '{term}'", self.at(i))
             args.append(term)
-            if self.peek() == ",":
-                self.take(",")
-                continue
-            break
-        self.take(")")
-        return Atom(pred, tuple(args))
+            if toks[i + 1] != ",":
+                break
+            i += 2
+        if toks[i + 1] != ")":
+            self.reject(i + 1, ")")
+        return Atom(pred, tuple(args)), i + 2
 
 
 def parse_lf(source: str) -> Form:
     """Parse surface syntax into a :class:`Form`. Errors carry positions;
     text nested deeper than :data:`MAX_NESTING` raises :class:`NestingError`."""
     parser = _Parser(source)
-    form = parser.form(frozenset(), 0)
-    if parser.peek() is not None:
-        raise LFSyntaxError(f"trailing input '{parser.peek()}'", parser.pos())
+    form, i = parser.form(0, frozenset(), 0)
+    if parser.toks[i] is not None:
+        raise LFSyntaxError(f"trailing input '{parser.toks[i]}'", parser.at(i))
     return form
 
 
@@ -283,31 +276,37 @@ def parse_lf(source: str) -> Form:
 # ----------------------------------------------------------------------
 
 
-def pretty(form: Form) -> str:
-    """Render a form in the surface syntax. ``parse_lf(pretty(f)) == f``."""
+def pretty(form: Form, depth: int = 0) -> str:
+    """Render a form in the surface syntax. ``parse_lf(pretty(f)) == f``.
+
+    ``depth`` is the level ``form`` stands at (0 for a whole form). A form
+    nested past :data:`MAX_NESTING` levels, counted as :func:`canonicalize`
+    counts them, raises :class:`NestingError`."""
+    if isinstance(form, Atom):
+        return f"{form.pred}({', '.join(form.args)})"
     match form:
-        case Atom(pred, args):
-            return f"{pred}({', '.join(args)})"
         case Not(item):
-            return f"(! {pretty(item)})"
+            return f"(! {pretty(item, deeper(depth))})"
         case Implies(antecedent, consequent):
-            return f"({pretty(antecedent)} -> {pretty(consequent)})"
+            depth = deeper(depth)
+            return f"({pretty(antecedent, depth)} -> {pretty(consequent, depth)})"
         case And(items):
-            return "(and " + " ".join(_grouped(i) for i in items) + ")"
+            depth = deeper(depth)
+            return "(and " + " ".join(map(_grouped, items, repeat(depth))) + ")"
         case Quant():
-            text = ""
+            depth, text = deeper(depth), ""
             while isinstance(form, Quant):  # a whole prefix, without recursion
                 kind, var, vtype = form.kind.value, form.var, form.vtype
                 text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
                 form = form.body
-            return text + _grouped(form)
+            return text + _grouped(form, depth)
     raise TypeError(f"not a form: {form!r}")
 
 
-def _grouped(form: Form) -> str:
+def _grouped(form: Form, depth: int) -> str:
     # Atoms need explicit parentheses when standing where a form is expected;
     # every other node prints its own.
-    text = pretty(form)
+    text = pretty(form, depth)
     return f"({text})" if isinstance(form, Atom) else text
 
 
@@ -319,24 +318,18 @@ def _grouped(form: Form) -> str:
 def binders(form: Form) -> list[tuple[str, TypeName | None]]:
     """All (variable, restriction) pairs in binding (pre-order) order."""
     out: list[tuple[str, TypeName | None]] = []
-
-    def walk(f: Form):
-        match f:
+    stack = [form]
+    while stack:
+        match stack.pop():
             case Quant(_, var, vtype, body):
                 out.append((var, vtype))
-                walk(body)
+                stack.append(body)
             case And(items):
-                for i in items:
-                    walk(i)
+                stack.extend(reversed(items))
             case Not(item):
-                walk(item)
+                stack.append(item)
             case Implies(a, c):
-                walk(a)
-                walk(c)
-            case Atom():
-                pass
-
-    walk(form)
+                stack += (c, a)
     return out
 
 
@@ -358,23 +351,21 @@ def atoms(form: Form) -> Iterator[Atom]:
 def constants(form: Form) -> list[str]:
     """Capitalized atom arguments not bound by any enclosing quantifier."""
     out: list[str] = []
-
-    def walk(f: Form, bound: frozenset[str]):
+    stack: list[tuple[Form, frozenset[str]]] = [(form, frozenset())]
+    while stack:
+        f, bound = stack.pop()
         match f:
             case Atom(_, args):
                 out.extend(a for a in args if a not in bound and a not in out)
             case And(items):
-                for i in items:
-                    walk(i, bound)
+                stack.extend((i, bound) for i in reversed(items))
             case Not(item):
-                walk(item, bound)
+                stack.append((item, bound))
             case Implies(a, c):
-                walk(a, bound)
-                walk(c, bound)
-            case Quant(_, var, _, body):
-                walk(body, bound | {var})
-
-    walk(form, frozenset())
+                stack += ((c, bound), (a, bound))
+            case Quant():
+                prefix, matrix = read_prefix(f)
+                stack.append((matrix, bound.union(var for _, var, _ in prefix)))
     return out
 
 

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ def records(out):
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.with_name("src")
 ABSENT = Path(__file__).with_name("absent.ont")
 FIELDS = ["command", "status", "canonical", "trace", "glosses", "detail"]
 
@@ -91,6 +95,18 @@ def test_analyze_parse_failures_exit_3(capsys, text):
     code, _, err = run(capsys, "analyze", text)
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("module", ["ontologik", "ontologik.cli"])
+def test_python_m_runs_the_cli(module, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != FIXTURES_ENV}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", module, "analyze", "@lf: (E x)(loud(y))"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: at position 11: unbound variable 'y'\n"
 
 
 def test_analyze_membership_under_a_restricted_universal_exits_3(capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import FrozenInstanceError
 
@@ -58,6 +59,19 @@ def test_api_built_lexicon_indexes_itself_and_stays_frozen(ont):
     assert lex.coercion_candidates(ont, "person", "omelet") == [eating]
     with pytest.raises(FrozenInstanceError):
         lex.relations = ()
+
+
+def test_signatures_and_names_are_read_only_copies(lex):
+    loud = PredicateSignature("loud", ("person",))
+    given = {"loud": loud}
+    built = Lexicon(signatures=given, relations=[], names={})
+    given["red"] = PredicateSignature("red", ("entity",))
+    assert dict(built.signatures) == {"loud": loud}
+    with pytest.raises(TypeError):
+        built.signatures["red"] = given["red"]
+    with pytest.raises(TypeError):
+        lex.names["Jules"] = lex.names["Julie"]
+    assert pickle.loads(pickle.dumps(lex)) == lex
 
 
 def test_coercion_candidates_reference(ont, lex):

@@ -539,3 +539,27 @@ def test_grouping_parentheses_cannot_nest_without_bound():
     with pytest.raises(NestingError, match="^input nested too deeply$"):
         parse_lf(grouped(100_000))
 
+
+def test_walks_and_printing_survive_api_built_depth():
+    loud = Atom("loud", ("Julie",))
+    negated = loud
+    for _ in range(1_000):
+        negated = Not(negated)
+    assert binders(negated) == []
+    assert constants(negated) == ["Julie"]
+    with pytest.raises(NestingError, match="^input nested too deeply$"):
+        pretty(negated)
+    at_cap = loud
+    for _ in range(MAX_NESTING):
+        at_cap = Not(at_cap)
+    assert pretty(at_cap) == "(! " * MAX_NESTING + "loud(Julie)" + ")" * MAX_NESTING
+    with pytest.raises(NestingError):
+        pretty(Not(at_cap))
+
+    names = [f"x{k}" for k in range(1_000)]
+    prefixed = conj([Atom("want", (name, "Julie")) for name in names])
+    for name in reversed(names):
+        prefixed = Quant(K.EXISTS, name, "person", prefixed)
+    assert binders(prefixed) == [(name, "person") for name in names]
+    assert constants(prefixed) == ["Julie"]
+    assert alpha_equal(parse_lf(pretty(prefixed)), prefixed)  # == recurses per binder
