@@ -549,12 +549,13 @@ def test_walks_and_printing_survive_api_built_depth():
     assert constants(negated) == ["Julie"]
     with pytest.raises(NestingError, match="^input nested too deeply$"):
         pretty(negated)
-    at_cap = loud
-    for _ in range(MAX_NESTING):
-        at_cap = Not(at_cap)
-    assert pretty(at_cap) == "(! " * MAX_NESTING + "loud(Julie)" + ")" * MAX_NESTING
-    with pytest.raises(NestingError):
-        pretty(Not(at_cap))
+    for wrap in (Not, lambda f: And((loud, f)), lambda f: Implies(loud, f)):
+        at_cap = loud
+        for _ in range(MAX_NESTING):
+            at_cap = wrap(at_cap)
+        parse_lf(pretty(at_cap))  # the parser takes what pretty prints at the cap
+        with pytest.raises(NestingError):
+            pretty(wrap(at_cap))
 
     names = [f"x{k}" for k in range(1_000)]
     prefixed = conj([Atom("want", (name, "Julie")) for name in names])
