@@ -276,20 +276,24 @@ def parse_lf(source: str) -> Form:
 # ----------------------------------------------------------------------
 
 
-def pretty(form: Form, depth: int = 0) -> str:
+def pretty(form: Form) -> str:
     """Render a form in the surface syntax. ``parse_lf(pretty(f)) == f``.
 
-    ``depth`` is the level ``form`` stands at (0 for a whole form). A form
-    nested past :data:`MAX_NESTING` levels, counted as :func:`canonicalize`
-    counts them, raises :class:`NestingError`."""
+    A form nested past :data:`MAX_NESTING` levels, counted as
+    :func:`canonicalize` counts them, raises :class:`NestingError`."""
+    return _pretty(form, 0)
+
+
+def _pretty(form: Form, depth: int) -> str:
+    # ``depth`` is the level ``form`` stands at.
     if isinstance(form, Atom):
         return f"{form.pred}({', '.join(form.args)})"
     match form:
         case Not(item):
-            return f"(! {pretty(item, deeper(depth))})"
+            return f"(! {_pretty(item, deeper(depth))})"
         case Implies(antecedent, consequent):
             depth = deeper(depth)
-            return f"({pretty(antecedent, depth)} -> {pretty(consequent, depth)})"
+            return f"({_pretty(antecedent, depth)} -> {_pretty(consequent, depth)})"
         case And(items):
             depth = deeper(depth)
             return "(and " + " ".join(map(_grouped, items, repeat(depth))) + ")"
@@ -306,7 +310,7 @@ def pretty(form: Form, depth: int = 0) -> str:
 def _grouped(form: Form, depth: int) -> str:
     # Atoms need explicit parentheses when standing where a form is expected;
     # every other node prints its own.
-    text = pretty(form, depth)
+    text = _pretty(form, depth)
     return f"({text})" if isinstance(form, Atom) else text
 
 
