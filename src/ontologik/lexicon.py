@@ -59,6 +59,12 @@ class Lexicon:
     type, built at construction, so a lookup reads only the relations near
     the names or types it is asked about. ``signatures`` and ``names`` are
     kept as read-only copies, so a loaded lexicon cannot be changed.
+
+    Every type a signature, relation or name mentions must be a type of the
+    ontology the lexicon is used with. :func:`load_lexicon` checks this; a
+    lexicon built through the API is not checked, because it does not hold
+    the ontology, and a relation naming an unknown type may raise
+    :class:`UnknownTypeError` or silently never be a coercion candidate.
     """
 
     signatures: Mapping[str, PredicateSignature] = field(default_factory=dict)

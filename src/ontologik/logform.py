@@ -73,6 +73,22 @@ class Quant:
     vtype: TypeName | None
     body: "Form"
 
+    # A prefix is read in a loop, as alpha_equal does, so comparing or
+    # hashing a prefix of any length takes no frame per binder.
+    def __eq__(self, other):
+        if not isinstance(other, Quant):
+            return NotImplemented
+        a, b = self, other
+        while isinstance(a, Quant) and isinstance(b, Quant):
+            if a.kind is not b.kind or a.var != b.var or a.vtype != b.vtype:
+                return False
+            a, b = a.body, b.body
+        return a == b
+
+    def __hash__(self):
+        prefix, matrix = read_prefix(self)
+        return hash((tuple(prefix), matrix))
+
 
 Form = Union[Atom, And, Not, Implies, Quant]
 

@@ -13,7 +13,9 @@ starts from its declared type (restriction, or the proper-name declaration,
 or the root when nothing is said) and folds in the expectation of every
 argument slot it occupies, innermost first. A variable gets at most one
 coercion; a second incomparable expectation is a hard failure rather than a
-second guess.
+second guess. The fold depends only on the declared type and the
+expectations, so each distinct pair of them is folded once per analysis, and
+binders that share a pair repeat its derivation lines under their own name.
 """
 from __future__ import annotations
 
@@ -220,16 +222,25 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
 
     binders, const_slots = _collect(cf, ont, lex)
 
-    # Variables, in binding order.
+    # Variables, in binding order; a binder whose declared type and
+    # expectations were folded already repeats those steps under its name.
+    folds: dict[tuple[TypeName, ...], tuple[UnificationOutcome, list[TraceStep]]] = {}
     for b in binders.values():
         if not b.expectations:
             b.final = b.declared
             trace.add("type", b.var, b.var, b.declared)
             continue
-        outcome, sub = fold_expectations(
-            ont, lex, b.declared, list(reversed(b.expectations)), subject=b.var
-        )
-        trace.steps.extend(sub.steps)
+        key = (b.declared, *b.expectations)
+        hit = folds.get(key)
+        if hit is not None:
+            outcome, steps = hit
+            trace.steps += [TraceStep(s.op, b.var, s.detail, s.outcome) for s in steps]
+        else:
+            outcome, sub = fold_expectations(
+                ont, lex, b.declared, b.expectations[::-1], subject=b.var
+            )
+            folds[key] = outcome, sub.steps
+            trace.steps += sub.steps
         match outcome:
             case Unified(result):
                 b.final = result
@@ -239,10 +250,15 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
             case Failed(left, right):
                 raise TypeCheckError(b.var, left, right)
 
-    # Constants, in occurrence order: plain comparability only.
+    # Constants, in occurrence order: plain comparability only, each distinct
+    # pair unified once.
+    checked: dict[tuple[TypeName, TypeName], UnificationOutcome] = {}
     for const, expectation in const_slots:
         declared = lex.names[const].declared_type
-        outcome = unify_types(ont, lex, declared, expectation)
+        outcome = checked.get((declared, expectation))
+        if outcome is None:
+            outcome = unify_types(ont, lex, declared, expectation)
+            checked[declared, expectation] = outcome
         trace.add("unify", const, _pair(declared, expectation), _describe(outcome))
         if not isinstance(outcome, Unified):
             raise TypeCheckError(const, declared, expectation)

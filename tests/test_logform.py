@@ -563,4 +563,26 @@ def test_walks_and_printing_survive_api_built_depth():
         prefixed = Quant(K.EXISTS, name, "person", prefixed)
     assert binders(prefixed) == [(name, "person") for name in names]
     assert constants(prefixed) == ["Julie"]
-    assert alpha_equal(parse_lf(pretty(prefixed)), prefixed)  # == recurses per binder
+    assert alpha_equal(parse_lf(pretty(prefixed)), prefixed)
+
+
+def test_equality_and_hash_read_a_long_prefix_in_a_loop():
+    names = [f"x{k}" for k in range(1_000)]
+    matrix = conj([Atom("want", (name, "Julie")) for name in names])
+    prefixed = matrix
+    for name in reversed(names):
+        prefixed = Quant(K.EXISTS, name, "person", prefixed)
+    again = parse_lf(pretty(prefixed))
+    assert again == prefixed
+    assert hash(again) == hash(prefixed)
+    assert len({again, prefixed}) == 1
+    # a difference anywhere in the prefix or the matrix is seen
+    retyped = matrix
+    for name in reversed(names):
+        retyped = Quant(K.EXISTS, name, "beer" if name == "x999" else "person", retyped)
+    assert retyped != prefixed
+    assert Quant(K.EXISTS, "x0", "person", matrix) != Quant(K.FORALL, "x0", "person", matrix)
+    assert Quant(K.EXISTS, "x0", "person", matrix) != Quant(K.EXISTS, "y", "person", matrix)
+    assert Quant(K.EXISTS, "x0", None, matrix) != Quant(K.EXISTS, "x0", "person", matrix)
+    assert prefixed != matrix and matrix != prefixed
+    assert Quant(K.EXISTS, "x0", "person", matrix) != Quant(K.EXISTS, "x0", "person", prefixed)

@@ -22,6 +22,7 @@ from ontologik import (
     pretty,
     unify_types,
 )
+from ontologik import unifier
 from ontologik.logform import MAX_NESTING
 
 # ----------------------------------------------------------------------
@@ -297,6 +298,97 @@ def test_a_denied_adjective_stays_out_of_the_gloss(ont, lex):
 def test_an_antecedent_adjective_stays_out_of_the_gloss(ont, lex):
     got = analyze(parse_lf("(E o :: omelet)(loud(o) -> articulate(o))"), ont, lex)
     assert got.missing_text == ["some articulate person eating the omelet"]
+
+
+# -- one fold per distinct declared type and expectations ----------------
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Counts of the unifier's fold_expectations and unify_types calls."""
+    counts = {"fold_expectations": 0, "unify_types": 0}
+    for name in counts:
+        original = getattr(unifier, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(unifier, name, counting)
+    return counts
+
+
+SHARED_PAIR = (
+    "(E o :: omelet)(E p :: beer)(E q :: omelet)"
+    "(and (black(p)) (loud(o)) (loud(q)) (want(o, Julie)) (want(q, Julie)))"
+)
+
+
+def _lines(got):
+    return [(s.op, s.subject, s.detail, s.outcome) for s in got.trace.steps[1:]]
+
+
+def test_binders_sharing_a_pair_repeat_its_derivation_under_their_own_name(ont, lex, calls):
+    got = analyze(parse_lf(SHARED_PAIR), ont, lex)
+    coerced = "coerced: person via EATING(person, omelet)"
+    assert _lines(got) == [
+        ("unify", "o", "(animal • person)", "person"),
+        ("unify", "o", "(omelet • person)", coerced),
+        ("unify", "p", "(beer • physical)", "beer"),
+        ("unify", "q", "(animal • person)", "person"),
+        ("unify", "q", "(omelet • person)", coerced),
+        ("unify", "Julie", "(person • entity)", "person"),
+        ("unify", "Julie", "(person • entity)", "person"),
+    ]
+    assert pretty(got.form) == (
+        "(E o :: person)(E o2 :: omelet)(E p :: beer)(E q :: person)(E q2 :: omelet)"
+        "(and (EATING(o, o2)) (EATING(q, q2)) (black(p)) (loud(o)) (loud(q))"
+        " (want(o, Julie)) (want(q, Julie)))"
+    )
+    assert got.missing_text == ["some loud person eating the omelet"] * 2
+    # one fold for o and q, one for p; one unify for both Julie slots
+    assert calls == {"fold_expectations": 2, "unify_types": 2 + 1 + 1}
+    again = analyze(parse_lf(SHARED_PAIR), ont, lex)
+    assert calls == {"fold_expectations": 4, "unify_types": 8}
+    assert _lines(again) == _lines(got)
+
+
+def test_binders_whose_expectations_differ_only_in_order_fold_apart(ont, lex, calls):
+    form = parse_lf(
+        "(E o :: omelet)(E p :: omelet)"
+        "(and (beautiful(o)) (black(o)) (black(p)) (want(Julie, p)))"
+    )
+    got = analyze(form, ont, lex)
+    assert _lines(got) == [
+        ("unify", "o", "(physical • entity)", "physical"),
+        ("unify", "o", "(omelet • physical)", "omelet"),
+        ("unify", "p", "(entity • physical)", "physical"),
+        ("unify", "p", "(omelet • physical)", "omelet"),
+        ("unify", "Julie", "(person • animal)", "person"),
+    ]
+    assert calls["fold_expectations"] == 2
+    analyze(form, ont, lex)
+    assert calls["fold_expectations"] == 4
+
+
+def test_binders_whose_declared_types_differ_fold_apart(ont, lex, calls):
+    got = analyze(parse_lf("(E o :: omelet)(E b :: beer)(and (black(b)) (black(o)))"), ont, lex)
+    assert _lines(got) == [
+        ("unify", "o", "(omelet • physical)", "omelet"),
+        ("unify", "b", "(beer • physical)", "beer"),
+    ]
+    assert pretty(got.form) == "(E o :: omelet)(E b :: beer)(and (black(b)) (black(o)))"
+    assert calls["fold_expectations"] == 2
+
+
+def test_a_repeated_failing_pair_fails_at_its_first_binder(ont, lex, calls):
+    form = parse_lf("(E b :: beer)(E c :: beer)(and (loud(b)) (loud(c)))")
+    with pytest.raises(TypeCheckError) as err:
+        analyze(form, ont, lex)
+    assert (err.value.subject, err.value.declared, err.value.expectation) == (
+        "b", "beer", "person"
+    )
+    assert calls["fold_expectations"] == 1
 
 
 def test_analyze_takes_an_api_built_500_binder_prefix(ont, lex):
