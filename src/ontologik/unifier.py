@@ -250,15 +250,10 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
             case Failed(left, right):
                 raise TypeCheckError(b.var, left, right)
 
-    # Constants, in occurrence order: plain comparability only, each distinct
-    # pair unified once.
-    checked: dict[tuple[TypeName, TypeName], UnificationOutcome] = {}
+    # Constants, in occurrence order: plain comparability only.
     for const, expectation in const_slots:
         declared = lex.names[const].declared_type
-        outcome = checked.get((declared, expectation))
-        if outcome is None:
-            outcome = unify_types(ont, lex, declared, expectation)
-            checked[declared, expectation] = outcome
+        outcome = unify_types(ont, lex, declared, expectation)
         trace.add("unify", const, _pair(declared, expectation), _describe(outcome))
         if not isinstance(outcome, Unified):
             raise TypeCheckError(const, declared, expectation)
