@@ -7,15 +7,7 @@ variable's quantifier declares with what its predicates expect, coercing
 through salient relations when the two sides are incomparable, and
 reports the text such a coercion implies but the sentence never said.
 """
-from .aor import (
-    MAX_ENUMERATED_ADJECTIVES,
-    Accepted,
-    AORVerdict,
-    TypeFailure,
-    Violation,
-    check_order,
-    preferred_orders,
-)
+from .aor import Accepted, AORVerdict, TypeFailure, Violation, check_order
 from .confirm import (
     ConfirmationVerdict,
     EquivalenceResult,
@@ -72,74 +64,3 @@ from .unifier import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # ontology
-    "Ontology",
-    "SubsumptionVerdict",
-    "load_ontology",
-    # lexicon
-    "Lexicon",
-    "PredicateSignature",
-    "SalientRelation",
-    "NameDecl",
-    "load_lexicon",
-    # logical forms
-    "Form",
-    "CanonicalForm",
-    "Atom",
-    "And",
-    "Not",
-    "Implies",
-    "Quant",
-    "QuantKind",
-    "conj",
-    "parse_lf",
-    "pretty",
-    "canonicalize",
-    "alpha_equal",
-    "binders",
-    "atoms",
-    "constants",
-    # unification and analysis
-    "Unified",
-    "Coerced",
-    "Failed",
-    "UnificationOutcome",
-    "unify_types",
-    "fold_expectations",
-    "analyze",
-    "AnalyzedForm",
-    "DerivationTrace",
-    "TraceStep",
-    # adjective order
-    "AORVerdict",
-    "Accepted",
-    "Violation",
-    "TypeFailure",
-    "check_order",
-    "preferred_orders",
-    "MAX_ENUMERATED_ADJECTIVES",
-    # confirmation
-    "Observation",
-    "ConfirmationVerdict",
-    "EquivalenceResult",
-    "evaluate",
-    "equivalence_check",
-    "parse_observation",
-    # sentences
-    "parse_sentence",
-    "classify",
-    "SentenceKind",
-    # errors
-    "OntologikError",
-    "OntologyError",
-    "UnknownTypeError",
-    "LexiconError",
-    "LFSyntaxError",
-    "NestingError",
-    "CanonicalizationError",
-    "TypeCheckError",
-    "SentenceError",
-    "HypothesisShapeError",
-]

@@ -10,15 +10,10 @@ expectations get one chance at a metonymic bridge before failing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import LexiconError
 from .lexicon import Lexicon
 from .ontology import Ontology, SubsumptionVerdict, TypeName
-
-#: preferred_orders refuses sets larger than this (8! permutations is enough).
-MAX_ENUMERATED_ADJECTIVES = 8
-
 
 @dataclass(frozen=True)
 class Accepted:
@@ -82,21 +77,3 @@ def check_order(
         chain.append(running)
     return Accepted(tuple(chain), tuple(coercions))
 
-
-def preferred_orders(
-    ont: Ontology, lex: Lexicon, adjectives: set[str] | list[str], noun: TypeName
-) -> list[tuple[tuple[str, ...], AORVerdict]]:
-    """Every permutation of ``adjectives`` with its verdict, admissible orders
-    first, lexicographic within each group."""
-    pool = sorted(set(adjectives))
-    if len(pool) > MAX_ENUMERATED_ADJECTIVES:
-        raise ValueError(
-            f"refusing to enumerate {len(pool)} adjectives "
-            f"(limit {MAX_ENUMERATED_ADJECTIVES})"
-        )
-    judged = [
-        (order, check_order(ont, lex, list(order), noun))
-        for order in permutations(pool)
-    ]
-    judged.sort(key=lambda pair: (not isinstance(pair[1], Accepted), pair[0]))
-    return judged

@@ -167,7 +167,7 @@ def _read_form(text: str, ont: Ontology, lex: Lexicon):
 def cmd_analyze(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
     def records():
         result = analyze(_read_form(text, ont, lex), ont, lex)
-        return [Record("analyze", "ok", pretty(result.form), result.trace.steps, result.missing_text)]
+        return [Record("analyze", "ok", result.text, result.trace.steps, result.missing_text)]
 
     return rep.emit(_attempt("analyze", records))
 

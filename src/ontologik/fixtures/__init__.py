@@ -34,14 +34,6 @@ def lexicon_path() -> Path:
     return fixture_dir() / LEXICON_FILE
 
 
-def reference_ontology() -> Ontology:
-    return load_ontology(ontology_path().read_text())
-
-
-def reference_lexicon(ont: Ontology | None = None) -> Lexicon:
-    return load_lexicon(lexicon_path().read_text(), ont or reference_ontology())
-
-
 def load_reference() -> tuple[Ontology, Lexicon]:
-    ont = reference_ontology()
-    return ont, reference_lexicon(ont)
+    ont = load_ontology(ontology_path().read_text())
+    return ont, load_lexicon(lexicon_path().read_text(), ont)

@@ -23,13 +23,16 @@ contrapositives are turned around, type-membership atoms are lifted into
 quantifier restrictions, and conjunctions are flattened and sorted. One
 bottom-up walk does all of it, rebuilding each node from parts that are
 already canonical; any type name still sitting in predicate position
-afterwards is an error, never silently kept.
+afterwards is an error, never silently kept. Analysis hands the walk a memo
+for the call, so each conjunct is printed once per analysis: the text it was
+sorted by is the text the trace line and the typed form print.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from typing import Iterator, NoReturn, Union
 
@@ -292,6 +295,7 @@ def parse_lf(source: str) -> Form:
 # ----------------------------------------------------------------------
 
 
+# bench/spans.py wraps pretty as a function of the form alone: keep it so.
 def pretty(form: Form) -> str:
     """Render a form in the surface syntax. ``parse_lf(pretty(f)) == f``.
 
@@ -394,7 +398,7 @@ def constants(form: Form) -> list[str]:
 # ----------------------------------------------------------------------
 
 
-def canonicalize(form: Form, ont: Ontology, lex: Lexicon) -> CanonicalForm:
+def canonicalize(form: Form, ont: Ontology, lex: Lexicon, memo: dict | None = None) -> CanonicalForm:
     """Rewrite ``form`` to canonical shape in one bottom-up walk.
 
     Each node is rebuilt from canonical parts so that it stays canonical: a
@@ -408,9 +412,12 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon) -> CanonicalForm:
     quantifier joins its prefix, and the binders look again. Only then may
     an innermost unrestricted ``A`` take a type antecedent as its restriction.
 
+    ``memo``, an empty dict that :func:`~ontologik.unifier.analyze` keeps for
+    one call, collects the texts the sort printed (see :func:`sorted_conj`).
+
     A form nested deeper than :data:`MAX_NESTING` raises :class:`NestingError`.
     """
-    cf = _canon(form, ont)
+    cf = _canon(form, ont, memo)
     for atom in atoms(cf):
         if atom.pred in ont:
             raise CanonicalizationError(
@@ -422,34 +429,80 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon) -> CanonicalForm:
     return cf
 
 
-def _canon(f: Form, ont: Ontology, depth: int = 0) -> Form:
+def _canon(f: Form, ont: Ontology, memo: dict | None, depth: int = 0) -> Form:
     if isinstance(f, Atom):
         return f
     depth = deeper(depth)
     match f:
         case Not(item):
-            inner = _canon(item, ont, depth)
+            inner = _canon(item, ont, memo, depth)
             return inner.item if isinstance(inner, Not) else Not(inner)
         case Implies(a, c):
-            a, c = _canon(a, ont, depth), _canon(c, ont, depth)
+            a, c = _canon(a, ont, memo, depth), _canon(c, ont, memo, depth)
             if isinstance(a, Not) and isinstance(c, Not):
                 return Implies(c.item, a.item)
             return Implies(a, c)
         case And(items):
-            return sorted_conj([_canon(i, ont, depth) for i in items])
+            return sorted_conj([_canon(i, ont, memo, depth) for i in items], memo)
         case Quant():
             prefix, matrix = read_prefix(f)
-            return _lift(prefix, _canon(matrix, ont, depth), ont)
+            return _lift(prefix, _canon(matrix, ont, memo, depth), ont)
     return f
 
 
-def sorted_conj(items: list[Form]) -> Form:
-    """Like :func:`conj`, but the conjuncts are sorted by printed form."""
+def sorted_conj(items: list[Form], memo: dict | None = None) -> Form:
+    """Like :func:`conj`, but the conjuncts are sorted by printed form.
+
+    With ``memo``, the text of each conjunct that is not an atom is read
+    from it or recorded in it, under the conjunct's ``id``, as ``(conjunct,
+    text)``: holding the conjunct keeps its ``id`` from being reused while
+    the memo lives."""
     flat: list[Form] = []
     for item in items:
         flat.extend(item.items if isinstance(item, And) else (item,))
-    flat.sort(key=pretty)
+    flat.sort(key=pretty if memo is None else partial(_text, memo))
     return flat[0] if len(flat) == 1 else And(tuple(flat))
+
+
+def _text(memo: dict, form: Form) -> str:
+    # The sort key of a conjunct: pretty(form), recorded unless it is an atom.
+    if isinstance(form, Atom):
+        return f"{form.pred}({', '.join(form.args)})"
+    hit = memo.get(id(form))
+    if hit is None:
+        hit = memo[id(form)] = form, _memo_pretty(form, memo)
+    return hit[1]
+
+
+def _memo_pretty(form: Form, memo: dict) -> str:
+    """``pretty(form)`` for a form analysis prints, reading the conjunct
+    texts recorded in ``memo``. Each such form (the input, its canonical
+    form, the typed form) has passed the nesting check of
+    :func:`canonicalize` or of the typed rebuild, so this printer makes none."""
+    if isinstance(form, Atom):
+        return f"{form.pred}({', '.join(form.args)})"
+    hit = memo.get(id(form))
+    if hit is not None:
+        return hit[1]
+    match form:
+        case And(items):
+            return "(and " + " ".join([
+                f"({i.pred}({', '.join(i.args)}))" if isinstance(i, Atom) else _memo_pretty(i, memo)
+                for i in items
+            ]) + ")"
+        case Not(item):
+            return f"(! {_memo_pretty(item, memo)})"
+        case Implies(antecedent, consequent):
+            return f"({_memo_pretty(antecedent, memo)} -> {_memo_pretty(consequent, memo)})"
+        case Quant():
+            text = ""
+            while isinstance(form, Quant):
+                kind, var, vtype = form.kind.value, form.var, form.vtype
+                text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
+                form = form.body
+            matrix = _memo_pretty(form, memo)
+            return text + (f"({matrix})" if isinstance(form, Atom) else matrix)
+    raise TypeError(f"not a form: {form!r}")
 
 
 Binder = tuple[QuantKind, str, TypeName | None]

@@ -16,10 +16,15 @@ coercion; a second incomparable expectation is a hard failure rather than a
 second guess. The fold depends only on the declared type and the
 expectations, so each distinct pair of them is folded once per analysis, and
 binders that share a pair repeat its derivation lines under their own name.
+
+Each conjunct is printed once per analysis: the text canonicalization sorted
+it by is kept for the call and reused for the trace line and the typed form,
+whose unchanged subtrees are the canonical nodes themselves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 
 from .errors import LexiconError, TypeCheckError
 from .lexicon import Lexicon, SalientRelation
@@ -32,9 +37,9 @@ from .logform import (
     Not,
     Quant,
     QuantKind,
+    _memo_pretty,
     canonicalize,
     deeper,
-    pretty,
     read_prefix,
     sorted_conj,
     with_prefix,
@@ -98,11 +103,13 @@ class DerivationTrace:
 
 @dataclass
 class AnalyzedForm:
-    """A fully typed form plus the reasoning that produced it."""
+    """A fully typed form plus the reasoning that produced it; ``text`` is
+    ``pretty(form)``."""
 
     form: CanonicalForm
     trace: DerivationTrace
     missing_text: list[str]
+    text: str
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +224,9 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
     or the typed form with its bridges, nests deeper than ``MAX_NESTING``.
     """
     trace = DerivationTrace()
-    cf = canonicalize(form, ont, lex)
-    trace.add("canonicalize", None, pretty(form), pretty(cf))
+    memo: dict = {}  # the texts printed for this call, see logform.sorted_conj
+    cf = canonicalize(form, ont, lex, memo)
+    trace.add("canonicalize", None, _memo_pretty(form, memo), _memo_pretty(cf, memo))
 
     binders, const_slots = _collect(cf, ont, lex)
 
@@ -259,11 +267,11 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
             raise TypeCheckError(const, declared, expectation)
 
     used = {b.var for b in binders.values()} | {c for c, _ in const_slots}
-    typed = _rebuild(cf, binders, used)
+    typed = _rebuild(cf, binders, used, memo)
     glosses = [
         _gloss(b) for b in binders.values() if b.coercion is not None
     ]
-    return AnalyzedForm(typed, trace, glosses)
+    return AnalyzedForm(typed, trace, glosses, _memo_pretty(typed, memo))
 
 
 # -- collection --------------------------------------------------------
@@ -327,10 +335,12 @@ def _collect(
 # -- reconstruction ----------------------------------------------------
 
 
-def _rebuild(cf: Form, binders: dict[int, _Binder], used: set[str]) -> Form:
+def _rebuild(cf: Form, binders: dict[int, _Binder], used: set[str], memo: dict) -> Form:
     # Each binder takes its final type. A coerced binder gets a relatum
     # binder, with a name not in ``used``, right below it, and the bridging
     # atom joins the matrix of the prefix, next to the predications it explains.
+    # A subtree with no new type and no bridge is the canonical node itself,
+    # so the texts ``memo`` holds for it are printed again, not rebuilt.
     counter = iter(range(1 << 30))
 
     # A bridge can turn a matrix into a conjunction, one level deeper than
@@ -352,15 +362,21 @@ def _rebuild(cf: Form, binders: dict[int, _Binder], used: set[str]) -> Form:
                 items = matrix.items if isinstance(matrix, And) else (matrix,)
                 if len(items) + len(bridges) > 1:
                     inner = deeper(inner)
-                return with_prefix(typed, sorted_conj([walk(i, inner) for i in items] + bridges))
+                walked = [walk(i, inner) for i in items]
+                if not bridges and all(map(is_, walked, items)):
+                    return f if typed == prefix else with_prefix(typed, matrix)
+                return with_prefix(typed, sorted_conj(walked + bridges, memo))
             case And(items):
                 inner = deeper(depth)
-                return sorted_conj([walk(i, inner) for i in items])
+                walked = [walk(i, inner) for i in items]
+                return f if all(map(is_, walked, items)) else sorted_conj(walked, memo)
             case Not(item):
-                return Not(walk(item, deeper(depth)))
+                inner = walk(item, deeper(depth))
+                return f if inner is item else Not(inner)
             case Implies(a, c):
                 inner = deeper(depth)
-                return Implies(walk(a, inner), walk(c, inner))
+                a2, c2 = walk(a, inner), walk(c, inner)
+                return f if a2 is a and c2 is c else Implies(a2, c2)
         return f
 
     return walk(cf, 0)

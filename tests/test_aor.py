@@ -11,7 +11,6 @@ from ontologik import (
     check_order,
     load_lexicon,
     load_ontology,
-    preferred_orders,
 )
 from ontologik.lexicon import Lexicon, PredicateSignature
 
@@ -69,32 +68,6 @@ def test_unknown_adjective_and_noun_are_loud_errors(ont, lex):
         check_order(ont, lex, ["red"], "unicorn")
     with pytest.raises(LexiconError, match="not unary"):
         check_order(ont, lex, ["want"], "car")
-
-
-# ----------------------------------------------------------------------
-# enumeration
-# ----------------------------------------------------------------------
-
-
-def test_preferred_orders_rank_admissible_first(ont, lex):
-    judged = preferred_orders(ont, lex, {"beautiful", "red", "black"}, "car")
-    assert len(judged) == 6
-    accepted = [order for order, v in judged if isinstance(v, Accepted)]
-    rejected = [order for order, v in judged if not isinstance(v, Accepted)]
-    # beautiful (entity) must sit outermost; black and red (physical) commute
-    assert set(accepted) == {("beautiful", "black", "red"), ("beautiful", "red", "black")}
-    assert judged[: len(accepted)] == [(o, v) for o, v in judged if isinstance(v, Accepted)]
-    assert all(isinstance(v, Violation) for o, v in judged if o in rejected)
-    # lexicographic inside each band
-    assert accepted == sorted(accepted)
-    assert rejected == sorted(rejected)
-
-
-def test_preferred_orders_deduplicates_and_caps_the_pool(ont, lex):
-    judged = preferred_orders(ont, lex, ["red", "red", "beautiful"], "car")
-    assert len(judged) == 2
-    with pytest.raises(ValueError, match="refusing to enumerate"):
-        preferred_orders(ont, lex, [f"a{i}" for i in range(9)], "car")
 
 
 # ----------------------------------------------------------------------

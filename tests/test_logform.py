@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 
@@ -194,6 +195,11 @@ def test_pretty_examples():
         pretty(conj([Atom("loud", ("Julie",)), Atom("red", ("Julie",))]))
         == "(and (loud(Julie)) (red(Julie)))"
     )
+
+
+def test_pretty_takes_the_form_alone():
+    # bench/spans.py wraps pretty as a function of one argument.
+    assert list(inspect.signature(pretty).parameters) == ["form"]
 
 
 def test_round_trip_on_random_forms():

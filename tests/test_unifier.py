@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from ontologik import (
@@ -8,6 +11,7 @@ from ontologik import (
     LexiconError,
     NestingError,
     Not,
+    OntologikError,
     Quant,
     QuantKind,
     TypeCheckError,
@@ -22,8 +26,10 @@ from ontologik import (
     pretty,
     unify_types,
 )
-from ontologik import unifier
+from ontologik import cli, unifier
 from ontologik.logform import MAX_NESTING
+
+from oracles import random_form, random_liftable_form
 
 # ----------------------------------------------------------------------
 # pairwise unification
@@ -423,3 +429,70 @@ def test_analyze_refuses_a_bridge_that_would_nest_past_the_cap(ont, lex):
     canonicalize(implications(MAX_NESTING - 1), ont, lex)
     with pytest.raises(NestingError, match="^input nested too deeply$"):
         analyze(implications(MAX_NESTING - 1), ont, lex)
+
+
+# -- each conjunct printed once per analysis -----------------------------
+
+
+def test_printed_texts_match_a_fresh_print_on_random_forms(ont, lex, capsys):
+    # One process, one form after another: a memo entry keyed by the id of a
+    # node that died would show here as a stale text once the id is reused.
+    rng = random.Random(707)
+    forms = [random_form(rng, max_depth=5) for _ in range(1000)]
+    forms += [random_liftable_form(rng) for _ in range(1000)]
+    typed = printed = 0
+    for form in forms:
+        source = pretty(form)
+        cli.cmd_analyze(ont, lex, cli.Reporter("structured"), "@lf: " + source)
+        record = json.loads(capsys.readouterr().out)
+        try:
+            got = analyze(form, ont, lex)
+        except OntologikError:
+            assert record["status"] != "ok"
+            continue
+        typed += 1
+        assert got.text == pretty(got.form)
+        first = got.trace.steps[0]
+        assert (first.op, first.detail, first.outcome) == (
+            "canonicalize", source, pretty(canonicalize(form, ont, lex))
+        )
+        if record["status"] == "ok":  # else a shadowed binder, which text cannot say
+            printed += 1
+            assert record["canonical"] == got.text
+            assert record["trace"][0]["detail"] == source
+    assert typed >= 1000 and printed >= 900
+
+
+def test_a_conjunct_that_lifting_absorbs_is_not_printed_for_a_later_node(ont, lex):
+    # Lifting omelet(x) leaves the recorded conjunct (E y :: person)(loud(y))
+    # alone, and the prefix absorbs it; a new node that took its id would
+    # print as it did, unless the memo holds it for the whole call.
+    source = "(and (E x)(and (omelet(x)) ((E y :: person)(loud(y)))) (E z :: person)(loud(z)))"
+    typed = "(and (E x :: omelet)(E y :: person)(loud(y)) (E z :: person)(loud(z)))"
+    for _ in range(50):
+        got = analyze(parse_lf(source), ont, lex)
+        assert (got.text, got.trace.steps[0].outcome) == (typed, typed)
+
+
+def test_a_subtree_with_no_new_type_and_no_bridge_is_the_canonical_node(ont, lex, monkeypatch):
+    # The typed form reuses what analysis does not change, and so reuses the
+    # text printed for it; a rewrite of the rebuild must keep that sharing.
+    canonical = []
+
+    def keep(*args):
+        canonical.append(canonicalize(*args))
+        return canonical[-1]
+
+    monkeypatch.setattr(unifier, "canonicalize", keep)
+    form = parse_lf(
+        "(and (E p :: person)(loud(p)) (E o :: omelet)(loud(o)) (! (E b :: beer)(black(b))))"
+    )
+    typed = analyze(form, ont, lex).form.items
+    negated, coerced, kept = canonical[0].items
+    assert pretty(negated) == "(! (E b :: beer)(black(b)))"
+    assert pretty(coerced) == "(E o :: omelet)(loud(o))"
+    assert pretty(kept) == "(E p :: person)(loud(p))"
+    assert typed[0] is negated and typed[2] is kept and typed[1] is not coerced
+    assert pretty(typed[1]) == "(E o :: person)(E o2 :: omelet)(and (EATING(o, o2)) (loud(o)))"
+    whole = analyze(parse_lf("(E p :: person)(loud(p))"), ont, lex).form
+    assert whole is canonical[-1]
