@@ -64,6 +64,26 @@ def test_analyze_sentence_structured(capsys):
     assert all(set(s) == {"op", "subject", "detail", "outcome"} for s in record["trace"])
 
 
+def test_analyze_structured_line_is_pinned_byte_for_byte(capsys):
+    # Key order and escaping are part of the contract, which json.loads hides.
+    code, out, _ = run(
+        capsys, "--format", "structured", "analyze", "The loud omelet wants another beer"
+    )
+    assert code == 0
+    assert out == (
+        '{"command": "analyze", "status": "ok", "canonical": "(E o :: person)(E o2 :: omelet)'
+        '(E b :: beer)(and (EATING(o, o2)) (loud(o)) (want(o, b)))", "trace": ['
+        '{"op": "canonicalize", "subject": null, "detail": "(E o)(E b)(and (omelet(o)) '
+        '(beer(b)) (loud(o)) (want(o, b)))", "outcome": "(E o :: omelet)(E b :: beer)'
+        '(and (loud(o)) (want(o, b)))"}, '
+        '{"op": "unify", "subject": "o", "detail": "(animal \\u2022 person)", "outcome": "person"}, '
+        '{"op": "unify", "subject": "o", "detail": "(omelet \\u2022 person)", '
+        '"outcome": "coerced: person via EATING(person, omelet)"}, '
+        '{"op": "unify", "subject": "b", "detail": "(beer \\u2022 entity)", "outcome": "beer"}], '
+        '"glosses": ["some loud person eating the omelet"], "detail": {}}\n'
+    )
+
+
 def test_analyze_accepts_lf_input(capsys):
     code, out, _ = run(capsys, "analyze", "@lf: (E! j :: person)(articulate(j))")
     assert code == 0
