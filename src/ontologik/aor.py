@@ -5,41 +5,47 @@ expects. Working from the adjective nearest the noun outward, the running
 type may always generalize (casting up the tree is free) but may never be
 forced back down: once "beautiful" has committed the phrase to entity, an
 outer "red" demanding physical has nothing sound to apply to. Incomparable
-expectations get one chance at a metonymic bridge before failing.
+expectations get one chance at a metonymic bridge before failing. Verdicts
+are immutable slotted classes, not dataclasses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value, _set
 from .errors import LexiconError
 from .lexicon import Lexicon
 from .ontology import Ontology, SubsumptionVerdict, TypeName
 
-@dataclass(frozen=True)
-class Accepted:
+class Accepted(Value):
     """The order is admissible. ``running_types`` starts at the noun and adds
     one commitment per adjective, innermost first."""
 
-    running_types: tuple[TypeName, ...]
-    coercions: tuple[tuple[int, str], ...] = ()  # (adjective index, relation name)
+    __slots__ = ("running_types", "coercions")
+
+    def __init__(self, running_types: tuple[TypeName, ...], coercions: tuple[tuple[int, str], ...] = ()):
+        _set(self, "running_types", running_types)
+        _set(self, "coercions", coercions)  # (adjective index, relation name)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """An adjective demanded a strictly more specific type than the running
     commitment. ``at_index`` points into the outermost-first input list."""
 
-    at_index: int
-    expected: TypeName
-    running: TypeName
+    __slots__ = ("at_index", "expected", "running")
+
+    def __init__(self, at_index: int, expected: TypeName, running: TypeName):
+        _set(self, "at_index", at_index)
+        _set(self, "expected", expected)
+        _set(self, "running", running)
 
 
-@dataclass(frozen=True)
-class TypeFailure:
+class TypeFailure(Value):
     """An adjective's expectation was incomparable with the running type and
     no salient relation bridges the two."""
 
-    at_index: int
+    __slots__ = ("at_index",)
+
+    def __init__(self, at_index: int):
+        _set(self, "at_index", at_index)
 
 
 AORVerdict = Accepted | Violation | TypeFailure

@@ -20,14 +20,14 @@ from the statuses: 0 when every status is ``ok``, 3 when one is
 An error record's detail holds ``message``, ``error`` (the exception's
 class name) and whichever of the exception's fields ``line``, ``position``,
 ``name``, ``subject``, ``declared`` and ``expectation`` it has; human mode
-prints only ``error: <message>`` on stderr.
+prints only ``error: <message>`` on stderr. A record is a plain slotted class
+(no ``dataclasses``), and the structured line is built without ``asdict``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import fixtures
@@ -51,16 +51,18 @@ ERROR_FIELDS = ("line", "position", "name", "subject", "declared", "expectation"
 LF_PREFIX = "@lf:"
 
 
-@dataclass(slots=True)
 class Record:
-    """One result, as the structured format prints it."""
+    """One result, as the structured format prints it: its slots in order."""
 
-    command: str
-    status: str
-    canonical: str | None = None
-    trace: list[TraceStep] = field(default_factory=list)
-    glosses: list[str] = field(default_factory=list)
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("command", "status", "canonical", "trace", "glosses", "detail")
+
+    def __init__(
+        self, command: str, status: str, canonical: str | None = None,
+        trace: list[TraceStep] | None = None, glosses: list[str] | None = None,
+        detail: dict | None = None,
+    ):
+        self.command, self.status, self.canonical = command, status, canonical
+        self.trace, self.glosses, self.detail = trace or [], glosses or [], detail or {}
 
 
 def _render(record: Record) -> str:
@@ -109,7 +111,9 @@ class Reporter:
         code = EXIT_OK
         for record in records:
             if self.structured:
-                print(json.dumps(asdict(record)))
+                trace = [{k: getattr(s, k) for k in TraceStep.__slots__} for s in record.trace]
+                line = {k: getattr(record, k) for k in Record.__slots__} | {"trace": trace}
+                print(json.dumps(line))
             elif record.status in ERROR_STATUSES:
                 print(f"error: {record.detail['message']}", file=sys.stderr)
             else:

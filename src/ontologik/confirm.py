@@ -5,27 +5,30 @@ quantifier restriction instead of predicate position, a hypothesis and its
 contrapositive canonicalize to the same form, and that one form decides
 which observations bear on it at all. Observations of objects outside the
 restriction are neutral by construction; nothing about a red ball can
-confirm anything about ravens.
+confirm anything about ravens. Observations and results are immutable
+slotted classes, not dataclasses.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
 
+from ._value import Value, _set
 from .errors import HypothesisShapeError, LexiconError, OntologyError
 from .lexicon import Lexicon
 from .logform import Atom, CanonicalForm, Quant, QuantKind, alpha_equal, canonicalize, parse_lf, pretty
 from .ontology import Ontology, TypeName
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(Value):
     """One observed object: its type and the predicate literals recorded
     for it. Polarity True means the predicate held."""
 
-    object_type: TypeName
-    literals: tuple[tuple[str, bool], ...]
+    __slots__ = ("object_type", "literals")
+
+    def __init__(self, object_type: TypeName, literals: tuple[tuple[str, bool], ...]):
+        _set(self, "object_type", object_type)
+        _set(self, "literals", literals)
 
     def polarity_of(self, pred: str) -> bool | None:
         for name, polarity in self.literals:
@@ -40,11 +43,13 @@ class ConfirmationVerdict(Enum):
     NEUTRAL = auto()
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    equivalent: bool
-    canonical_first: CanonicalForm
-    canonical_second: CanonicalForm
+class EquivalenceResult(Value):
+    __slots__ = ("equivalent", "canonical_first", "canonical_second")
+
+    def __init__(self, equivalent: bool, canonical_first: CanonicalForm, canonical_second: CanonicalForm):
+        _set(self, "equivalent", equivalent)
+        _set(self, "canonical_first", canonical_first)
+        _set(self, "canonical_second", canonical_second)
 
 
 def evaluate(

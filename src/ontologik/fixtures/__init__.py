@@ -7,7 +7,6 @@ and ``reference.lex`` redirects every default lookup there.
 from __future__ import annotations
 
 import os
-from importlib import resources
 from pathlib import Path
 
 from ..lexicon import Lexicon, load_lexicon
@@ -23,7 +22,7 @@ def fixture_dir() -> Path:
     override = os.environ.get(FIXTURES_ENV)
     if override:
         return Path(override)
-    return Path(str(resources.files(__package__)))
+    return Path(__file__).parent
 
 
 def ontology_path() -> Path:

@@ -4,15 +4,15 @@ The lexicon is the second sort of the model: predicates carry per-argument
 type expectations but are not themselves types, and no identifier may live
 in both sorts at once. Salient relations are the bridges metonymic coercion
 may walk (who does what to what); proper names map constants to their
-declared types.
+declared types. All are immutable slotted classes, not dataclasses.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
+from ._value import Value, _set
 from .errors import LexiconError
 from .ontology import Ontology, SubsumptionVerdict, TypeName
 
@@ -21,38 +21,43 @@ _REL_RE = re.compile(r"rel\s+([A-Za-z_]\w*)\s*\(\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z
 _NAME_RE = re.compile(r"name\s+([A-Za-z_]\w*)\s*::\s*([A-Za-z_]\w*)$")
 
 
-@dataclass(frozen=True)
-class PredicateSignature:
+class PredicateSignature(Value):
     """A predicate and the type each argument slot expects."""
 
-    name: str
-    arg_types: tuple[TypeName, ...]
+    __slots__ = ("name", "arg_types")
+
+    def __init__(self, name: str, arg_types: tuple[TypeName, ...]):
+        _set(self, "name", name)
+        _set(self, "arg_types", arg_types)
 
     @property
     def arity(self) -> int:
         return len(self.arg_types)
 
 
-@dataclass(frozen=True)
-class SalientRelation:
+class SalientRelation(Value):
     """A binary relation coercion may appeal to, e.g. EATING(person, food)."""
 
-    name: str
-    domain_type: TypeName
-    range_type: TypeName
-    priority: int  # declaration order; lower wins ties
+    __slots__ = ("name", "domain_type", "range_type", "priority")
+
+    def __init__(self, name: str, domain_type: TypeName, range_type: TypeName, priority: int):
+        _set(self, "name", name)
+        _set(self, "domain_type", domain_type)
+        _set(self, "range_type", range_type)
+        _set(self, "priority", priority)  # declaration order; lower wins ties
 
 
-@dataclass(frozen=True)
-class NameDecl:
+class NameDecl(Value):
     """A proper name and its declared type."""
 
-    name: str
-    declared_type: TypeName
+    __slots__ = ("name", "declared_type")
+
+    def __init__(self, name: str, declared_type: TypeName):
+        _set(self, "name", name)
+        _set(self, "declared_type", declared_type)
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(Value):
     """Predicate signatures, salient relations, and names. Load-once.
 
     Relations are also kept in buckets by name, by domain type and by range
@@ -67,16 +72,17 @@ class Lexicon:
     :class:`UnknownTypeError` or silently never be a coercion candidate.
     """
 
-    signatures: Mapping[str, PredicateSignature] = field(default_factory=dict)
-    relations: tuple[SalientRelation, ...] = ()
-    names: Mapping[str, NameDecl] = field(default_factory=dict)
-    # Set by __post_init__: _by_name maps a name to its relation, and
-    # _by_domain and _by_range map a type to the positions of its relations.
+    __match_args__ = ("signatures", "relations", "names")  # the fields
+    # _by_name maps a name to its relation, _by_domain and _by_range a type to relation positions.
+    __slots__ = (*__match_args__, "_by_name", "_by_domain", "_by_range")
 
-    def __post_init__(self):
-        object.__setattr__(self, "signatures", MappingProxyType(dict(self.signatures)))
-        object.__setattr__(self, "names", MappingProxyType(dict(self.names)))
-        relations = tuple(self.relations)
+    def __init__(
+        self, signatures: Mapping[str, PredicateSignature] | None = None,
+        relations: tuple[SalientRelation, ...] = (), names: Mapping[str, NameDecl] | None = None,
+    ):
+        _set(self, "signatures", MappingProxyType(dict(signatures or {})))
+        _set(self, "names", MappingProxyType(dict(names or {})))
+        relations = tuple(relations)
         by_name: dict[str, SalientRelation] = {}
         by_domain: dict[TypeName, list[int]] = {}
         by_range: dict[TypeName, list[int]] = {}
@@ -84,10 +90,10 @@ class Lexicon:
             by_name.setdefault(rel.name, rel)
             by_domain.setdefault(rel.domain_type, []).append(i)
             by_range.setdefault(rel.range_type, []).append(i)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_by_domain", by_domain)
-        object.__setattr__(self, "_by_range", by_range)
+        _set(self, "relations", relations)
+        _set(self, "_by_name", by_name)
+        _set(self, "_by_domain", by_domain)
+        _set(self, "_by_range", by_range)
 
     def __reduce__(self):  # a mapping proxy does not pickle; the buckets are rebuilt
         return Lexicon, (dict(self.signatures), self.relations, dict(self.names))

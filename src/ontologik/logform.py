@@ -25,17 +25,18 @@ bottom-up walk does all of it, rebuilding each node from parts that are
 already canonical; any type name still sitting in predicate position
 afterwards is an error, never silently kept. Analysis hands the walk a memo
 for the call, so each conjunct is printed once per analysis: the text it was
-sorted by is the text the trace line and the typed form print.
+sorted by is the text the trace line and the typed form print. Forms are
+immutable slotted classes, and ``import ontologik`` needs no ``dataclasses``.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from functools import partial
 from itertools import repeat
-from typing import Iterator, NoReturn, Union
 
+from ._value import Value, _set
 from .errors import CanonicalizationError, LFSyntaxError, NestingError
 from .lexicon import Lexicon
 from .ontology import Ontology, TypeName
@@ -47,34 +48,44 @@ class QuantKind(Enum):
     FORALL = "A"
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[str, ...]
+class Atom(Value):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[str, ...]):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple["Form", ...]
+class And(Value):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Form, ...]):
+        _set(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Not:
-    item: "Form"
+class Not(Value):
+    __slots__ = ("item",)
+
+    def __init__(self, item: Form):
+        _set(self, "item", item)
 
 
-@dataclass(frozen=True)
-class Implies:
-    antecedent: "Form"
-    consequent: "Form"
+class Implies(Value):
+    __slots__ = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: Form, consequent: Form):
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
 
 
-@dataclass(frozen=True)
-class Quant:
-    kind: QuantKind
-    var: str
-    vtype: TypeName | None
-    body: "Form"
+class Quant(Value):
+    __slots__ = ("kind", "var", "vtype", "body")
+
+    def __init__(self, kind: QuantKind, var: str, vtype: TypeName | None, body: Form):
+        _set(self, "kind", kind)
+        _set(self, "var", var)
+        _set(self, "vtype", vtype)
+        _set(self, "body", body)
 
     # A prefix is read in a loop, as alpha_equal does, so comparing or
     # hashing a prefix of any length takes no frame per binder.
@@ -93,7 +104,7 @@ class Quant:
         return hash((tuple(prefix), matrix))
 
 
-Form = Union[Atom, And, Not, Implies, Quant]
+Form = Atom | And | Not | Implies | Quant
 
 # How deep negations, implications, conjunctions and quantifier prefixes may
 # nest. The walks below take at most three frames per level (a prefix is read
@@ -165,12 +176,12 @@ class _Parser:
         offs = [m.start() for m in _TOKEN_RE.finditer(self.source)]
         return offs[i] if i < len(offs) else len(self.source)
 
-    def reject(self, i: int, expected: str) -> NoReturn:
+    def reject(self, i: int, expected: str):
         if self.toks[i] is None:
             raise LFSyntaxError(f"unexpected end of input, expected '{expected}'", self.at(i))
         raise LFSyntaxError(f"expected '{expected}', got '{self.toks[i]}'", self.at(i))
 
-    def reject_ident(self, i: int, what: str) -> NoReturn:
+    def reject_ident(self, i: int, what: str):
         raise LFSyntaxError(f"expected {what}, got '{self.toks[i]}'", self.at(i))
 
     # -- grammar ---------------------------------------------------------
@@ -297,7 +308,8 @@ def parse_lf(source: str) -> Form:
 
 # bench/spans.py wraps pretty as a function of the form alone: keep it so.
 def pretty(form: Form) -> str:
-    """Render a form in the surface syntax. ``parse_lf(pretty(f)) == f``.
+    """Render a form in the surface syntax. ``parse_lf(pretty(f)) == f`` when
+    no binder of ``f`` shadows another in scope; such text ``parse_lf`` rejects.
 
     A form nested past :data:`MAX_NESTING` levels, counted as
     :func:`canonicalize` counts them, raises :class:`NestingError`."""

@@ -12,13 +12,13 @@ Matching is case-insensitive and ignores trailing punctuation. Content
 words must already be known: adjectives and verbs in the lexicon, nouns in
 the ontology, subjects of copulars among the declared proper names. Plural
 nouns are resolved by stripping a trailing "s", with a small exception
-table for irregulars.
+table for irregulars. A matched pattern is an immutable slotted class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
 
+from ._value import Value, _set
 from .errors import SentenceError
 from .lexicon import Lexicon
 from .logform import Atom, Form, Implies, Not, Quant, QuantKind, conj
@@ -36,12 +36,14 @@ class SentenceKind(Enum):
     UNIVERSAL_CONTRAPOSITIVE = auto()
 
 
-@dataclass(frozen=True)
-class SentencePattern:
+class SentencePattern(Value):
     """Which shape matched and the content words each slot captured."""
 
-    kind: SentenceKind
-    slots: dict[str, object]
+    __slots__ = ("kind", "slots")
+
+    def __init__(self, kind: SentenceKind, slots: dict[str, object]):
+        _set(self, "kind", kind)
+        _set(self, "slots", slots)
 
 
 def parse_sentence(text: str, ont: Ontology, lex: Lexicon) -> Form:

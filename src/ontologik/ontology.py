@@ -11,16 +11,17 @@ answered in constant time from labels the tree gets once, at construction
 (Aït-Kaci, Boyer, Lincoln & Nasr, TOPLAS 1989; Agrawal, Borgida & Jagadish,
 SIGMOD 1989): each type's pre-order index, the last pre-order index in its
 subtree, and its depth. A subtree is then one contiguous pre-order range, so
-``g`` subsumes ``s`` exactly when ``pre[g] <= pre[s] <= last[g]``.
+``g`` subsumes ``s`` exactly when ``pre[g] <= pre[s] <= last[g]``. An
+``Ontology`` is an immutable slotted class; it needs no ``dataclasses``.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum, auto
 from types import MappingProxyType
 
+from ._value import Value, _set
 from .errors import OntologyError, UnknownTypeError
 
 # Type names are plain lowercase identifiers.
@@ -38,8 +39,7 @@ class SubsumptionVerdict(Enum):
     INCOMPARABLE = auto()
 
 
-@dataclass(frozen=True)
-class Ontology:
+class Ontology(Value):
     """A rooted tree of type names. Construct via :func:`load_ontology`.
 
     A parent map built through the API may list a child before its parent,
@@ -48,13 +48,13 @@ class Ontology:
     labels cannot go stale.
     """
 
-    root: TypeName
-    parent: Mapping[TypeName, TypeName | None]
-    # Set by __post_init__: _pre maps a name to its pre-order number, and
-    # _order, _last and _depth are indexed by that number.
+    __match_args__ = ("root", "parent")  # the fields
+    # _pre maps a name to its pre-order number; _order, _last and _depth are indexed by it.
+    __slots__ = (*__match_args__, "_pre", "_order", "_last", "_depth")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
+    def __init__(self, root: TypeName, parent: Mapping[TypeName, TypeName | None]):
+        _set(self, "root", root)
+        _set(self, "parent", MappingProxyType(dict(parent)))
         if self.parent.get(self.root, self.root) is not None:
             raise OntologyError(f"root '{self.root}' is not a parentless type")
         children: dict[TypeName, list[TypeName]] = {name: [] for name in self.parent}
@@ -83,10 +83,10 @@ class Ontology:
         for i in range(len(order) - 1, 0, -1):  # a subtree's nodes all come after its root
             up = pre[self.parent[order[i]]]
             last[up] = max(last[up], last[i])
-        object.__setattr__(self, "_pre", pre)
-        object.__setattr__(self, "_order", tuple(order))
-        object.__setattr__(self, "_last", last)
-        object.__setattr__(self, "_depth", depth)
+        _set(self, "_pre", pre)
+        _set(self, "_order", tuple(order))
+        _set(self, "_last", last)
+        _set(self, "_depth", depth)
 
     def __reduce__(self):  # a mapping proxy does not pickle; the labels are rebuilt
         return Ontology, (self.root, dict(self.parent))

@@ -19,13 +19,14 @@ binders that share a pair repeat its derivation lines under their own name.
 
 Each conjunct is printed once per analysis: the text canonicalization sorted
 it by is kept for the call and reused for the trace line and the typed form,
-whose unchanged subtrees are the canonical nodes themselves.
+whose unchanged subtrees are the canonical nodes themselves. Outcomes,
+traces and results are immutable slotted classes, not dataclasses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import is_
 
+from ._value import Value, _set
 from .errors import LexiconError, TypeCheckError
 from .lexicon import Lexicon, SalientRelation
 from .logform import (
@@ -51,48 +52,58 @@ from .ontology import Ontology, SubsumptionVerdict, TypeName
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Unified:
+class Unified(Value):
     """The types were comparable; ``result`` is the more specific."""
 
-    result: TypeName
+    __slots__ = ("result",)
+
+    def __init__(self, result: TypeName):
+        _set(self, "result", result)
 
 
-@dataclass(frozen=True)
-class Coerced:
+class Coerced(Value):
     """An incomparable pair bridged by a salient relation."""
 
-    result: TypeName
-    relation: SalientRelation
-    relatum_type: TypeName
+    __slots__ = ("result", "relation", "relatum_type")
+
+    def __init__(self, result: TypeName, relation: SalientRelation, relatum_type: TypeName):
+        _set(self, "result", result)
+        _set(self, "relation", relation)
+        _set(self, "relatum_type", relatum_type)
 
 
-@dataclass(frozen=True)
-class Failed:
+class Failed(Value):
     """No subsumption and no salient relation applies."""
 
-    left: TypeName
-    right: TypeName
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: TypeName, right: TypeName):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 UnificationOutcome = Unified | Coerced | Failed
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Value):
     """One recorded inference. ``subject`` is the variable or constant concerned."""
 
-    op: str
-    subject: str | None
-    detail: str
-    outcome: str
+    __slots__ = ("op", "subject", "detail", "outcome")
+
+    def __init__(self, op: str, subject: str | None, detail: str, outcome: str):
+        _set(self, "op", op)
+        _set(self, "subject", subject)
+        _set(self, "detail", detail)
+        _set(self, "outcome", outcome)
 
 
-@dataclass
-class DerivationTrace:
+class DerivationTrace(Value):
     """Ordered record of how an analysis reached its conclusion."""
 
-    steps: list[TraceStep] = field(default_factory=list)
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[TraceStep] | None = None):
+        _set(self, "steps", [] if steps is None else steps)
 
     def add(self, op: str, subject: str | None, detail: str, outcome: str):
         self.steps.append(TraceStep(op, subject, detail, outcome))
@@ -101,15 +112,17 @@ class DerivationTrace:
         return [s for s in self.steps if s.subject == subject]
 
 
-@dataclass
-class AnalyzedForm:
+class AnalyzedForm(Value):
     """A fully typed form plus the reasoning that produced it; ``text`` is
     ``pretty(form)``."""
 
-    form: CanonicalForm
-    trace: DerivationTrace
-    missing_text: list[str]
-    text: str
+    __slots__ = ("form", "trace", "missing_text", "text")
+
+    def __init__(self, form: CanonicalForm, trace: DerivationTrace, missing_text: list[str], text: str):
+        _set(self, "form", form)
+        _set(self, "trace", trace)
+        _set(self, "missing_text", missing_text)
+        _set(self, "text", text)
 
 
 # ----------------------------------------------------------------------
@@ -206,14 +219,12 @@ def fold_expectations(
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class _Binder:
-    var: str
-    declared: TypeName
-    expectations: list[TypeName] = field(default_factory=list)
-    adjectives: list[str] = field(default_factory=list)
-    final: TypeName = ""
-    coercion: Coerced | None = None
+    __slots__ = ("var", "declared", "expectations", "adjectives", "final", "coercion")
+
+    def __init__(self, var: str, declared: TypeName):
+        self.var, self.declared, self.final = var, declared, ""
+        self.expectations, self.adjectives, self.coercion = [], [], None
 
 
 def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
@@ -242,13 +253,13 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
         hit = folds.get(key)
         if hit is not None:
             outcome, steps = hit
-            trace.steps += [TraceStep(s.op, b.var, s.detail, s.outcome) for s in steps]
+            trace.steps.extend([TraceStep(s.op, b.var, s.detail, s.outcome) for s in steps])
         else:
             outcome, sub = fold_expectations(
                 ont, lex, b.declared, b.expectations[::-1], subject=b.var
             )
             folds[key] = outcome, sub.steps
-            trace.steps += sub.steps
+            trace.steps.extend(sub.steps)
         match outcome:
             case Unified(result):
                 b.final = result
@@ -268,9 +279,7 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
 
     used = {b.var for b in binders.values()} | {c for c, _ in const_slots}
     typed = _rebuild(cf, binders, used, memo)
-    glosses = [
-        _gloss(b) for b in binders.values() if b.coercion is not None
-    ]
+    glosses = [_gloss(b) for b in binders.values() if b.coercion is not None]
     return AnalyzedForm(typed, trace, glosses, _memo_pretty(typed, memo))
 
 

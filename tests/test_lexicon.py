@@ -1,6 +1,5 @@
 import pickle
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -57,8 +56,11 @@ def test_api_built_lexicon_indexes_itself_and_stays_frozen(ont):
     assert lex.relations == (eating,)
     assert lex.atom_signature("EATING") == PredicateSignature("EATING", ("person", "food"))
     assert lex.coercion_candidates(ont, "person", "omelet") == [eating]
-    with pytest.raises(FrozenInstanceError):
+    # AttributeError, the base of dataclasses.FrozenInstanceError: the
+    # package does not import dataclasses.
+    with pytest.raises(AttributeError):
         lex.relations = ()
+    assert lex.relations == (eating,)
 
 
 def test_signatures_and_names_are_read_only_copies(lex):
