@@ -1,6 +1,5 @@
-"""The base of the package's records: immutable slotted classes whose fields
-are their ``__match_args__`` (by default their ``__slots__``). They act like
-frozen dataclasses, but ``import ontologik`` needs no ``dataclasses``."""
+"""The base of the package's records: immutable slotted classes that act like frozen
+dataclasses, with their ``__match_args__`` (by default their ``__slots__``) as fields."""
 
 _set = object.__setattr__  # how each record's __init__ sets what __setattr__ refuses
 

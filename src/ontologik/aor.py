@@ -5,8 +5,8 @@ expects. Working from the adjective nearest the noun outward, the running
 type may always generalize (casting up the tree is free) but may never be
 forced back down: once "beautiful" has committed the phrase to entity, an
 outer "red" demanding physical has nothing sound to apply to. Incomparable
-expectations get one chance at a metonymic bridge before failing. Verdicts
-are immutable slotted classes, not dataclasses.
+expectations get one chance at a metonymic bridge before failing.
+Verdicts are immutable slotted classes, not dataclasses.
 """
 from __future__ import annotations
 

@@ -5,8 +5,7 @@ quantifier restriction instead of predicate position, a hypothesis and its
 contrapositive canonicalize to the same form, and that one form decides
 which observations bear on it at all. Observations of objects outside the
 restriction are neutral by construction; nothing about a red ball can
-confirm anything about ravens. Observations and results are immutable
-slotted classes, not dataclasses.
+confirm anything about ravens. Its records are slotted, not dataclasses.
 """
 from __future__ import annotations
 

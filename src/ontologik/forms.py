@@ -1,0 +1,90 @@
+"""Logical-form nodes, which :mod:`ontologik.logform` parses, prints and rewrites:
+immutable slotted classes, so ``import ontologik`` needs no ``dataclasses``."""
+from __future__ import annotations
+
+from enum import Enum
+
+from ._value import Value, _set
+from .ontology import TypeName
+
+
+class QuantKind(Enum):
+    EXISTS = "E"
+    EXISTS_UNIQUE = "E!"
+    FORALL = "A"
+
+
+class Atom(Value):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[str, ...]):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
+
+
+class And(Value):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Form, ...]):
+        _set(self, "items", items)
+
+
+class Not(Value):
+    __slots__ = ("item",)
+
+    def __init__(self, item: Form):
+        _set(self, "item", item)
+
+
+class Implies(Value):
+    __slots__ = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: Form, consequent: Form):
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
+
+
+class Quant(Value):
+    __slots__ = ("kind", "var", "vtype", "body")
+
+    def __init__(self, kind: QuantKind, var: str, vtype: TypeName | None, body: Form):
+        _set(self, "kind", kind)
+        _set(self, "var", var)
+        _set(self, "vtype", vtype)
+        _set(self, "body", body)
+
+    # A prefix is read in a loop, as alpha_equal does, so comparing or
+    # hashing a prefix of any length takes no frame per binder.
+    def __eq__(self, other):
+        if not isinstance(other, Quant):
+            return NotImplemented
+        a, b = self, other
+        while isinstance(a, Quant) and isinstance(b, Quant):
+            if a.kind is not b.kind or a.var != b.var or a.vtype != b.vtype:
+                return False
+            a, b = a.body, b.body
+        return a == b
+
+    def __hash__(self):
+        prefix, matrix = read_prefix(self)
+        return hash((tuple(prefix), matrix))
+
+
+Form = Atom | And | Not | Implies | Quant
+Binder = tuple[QuantKind, str, TypeName | None]
+
+
+def read_prefix(f: Form) -> tuple[list[Binder], Form]:
+    """The maximal quantifier prefix of ``f``, outermost first, and its matrix."""
+    prefix = []
+    while isinstance(f, Quant):
+        prefix.append((f.kind, f.var, f.vtype))
+        f = f.body
+    return prefix, f
+
+
+def with_prefix(prefix: list[Binder], matrix: Form) -> Form:
+    """The inverse of :func:`read_prefix`."""
+    for kind, var, vtype in reversed(prefix):
+        matrix = Quant(kind, var, vtype, matrix)
+    return matrix

@@ -82,15 +82,14 @@ class Lexicon(Value):
     ):
         _set(self, "signatures", MappingProxyType(dict(signatures or {})))
         _set(self, "names", MappingProxyType(dict(names or {})))
-        relations = tuple(relations)
+        _set(self, "relations", tuple(relations))
         by_name: dict[str, SalientRelation] = {}
         by_domain: dict[TypeName, list[int]] = {}
         by_range: dict[TypeName, list[int]] = {}
-        for i, rel in enumerate(relations):
+        for i, rel in enumerate(self.relations):
             by_name.setdefault(rel.name, rel)
             by_domain.setdefault(rel.domain_type, []).append(i)
             by_range.setdefault(rel.range_type, []).append(i)
-        _set(self, "relations", relations)
         _set(self, "_by_name", by_name)
         _set(self, "_by_domain", by_domain)
         _set(self, "_by_range", by_range)
