@@ -20,8 +20,7 @@ from the statuses: 0 when every status is ``ok``, 3 when one is
 An error record's detail holds ``message``, ``error`` (the exception's
 class name) and whichever of the exception's fields ``line``, ``position``,
 ``name``, ``subject``, ``declared`` and ``expectation`` it has; human mode
-prints only ``error: <message>`` on stderr. A record is a plain slotted class
-(no ``dataclasses``), and the structured line is built without ``asdict``.
+prints only ``error: <message>`` on stderr. Records are slotted, not dataclasses.
 """
 from __future__ import annotations
 

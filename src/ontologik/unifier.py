@@ -279,7 +279,9 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
 
     used = {b.var for b in binders.values()} | {c for c, _ in const_slots}
     typed = _rebuild(cf, binders, used, memo)
-    glosses = [_gloss(b) for b in binders.values() if b.coercion is not None]
+    glosses = [
+        _gloss(b) for b in binders.values() if b.coercion is not None
+    ]
     return AnalyzedForm(typed, trace, glosses, _memo_pretty(typed, memo))
 
 
