@@ -413,6 +413,60 @@ def test_unknown_predicate_rejected(ont, lex):
         canonicalize(parse_lf("(E x)(sings(x))"), ont, lex)
 
 
+def _stuck(pred: str) -> str:
+    return f"type name '{pred}' used as a predicate where no rewrite can lift it: {pred}(x)"
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # a binder takes its least membership conjunct by printed form
+        ("(E x)(and (raven(x)) (bird(x)) (black(x)))", _stuck("raven")),
+        ("(E x)(and (bird(x)) (raven(x)) (black(x)))", _stuck("raven")),
+        # the error names the first bad atom of the canonical form
+        ("(E x)(and (nope(x)) (! car(x)) (loud(x)))", _stuck("car")),
+        ("(E x)(and (! car(x)) (! aaa(x)))", "unknown predicate 'aaa'"),
+        # a membership atom inside a nested prefix is out of the outer binder's reach
+        ("(E x)(and (black(x)) (E y)(and (omelet(x)) (beer(y)) (want(x, y))))", _stuck("omelet")),
+    ],
+)
+def test_lifting_choice_and_error_precedence_are_pinned(ont, lex, source, message):
+    with pytest.raises(CanonicalizationError) as err:
+        canonicalize(parse_lf(source), ont, lex)
+    assert str(err.value) == message
+
+
+def _shuffled(form, rng):
+    # the same form with the items of every conjunction in a random order
+    match form:
+        case And(items):
+            items = [_shuffled(item, rng) for item in items]
+            rng.shuffle(items)
+            return And(tuple(items))
+        case Not(item):
+            return Not(_shuffled(item, rng))
+        case Implies(antecedent, consequent):
+            return Implies(_shuffled(antecedent, rng), _shuffled(consequent, rng))
+        case Quant(kind, var, vtype, body):
+            return Quant(kind, var, vtype, _shuffled(body, rng))
+    return form
+
+
+def _canonical_text_or_error(form, ont, lex):
+    try:
+        return pretty(canonicalize(form, ont, lex))
+    except CanonicalizationError as err:
+        return type(err), str(err)
+
+
+def test_canonical_form_and_error_do_not_depend_on_conjunct_order(ont, lex):
+    rng = random.Random(910)
+    for k in range(2_000):
+        form = random_form(rng, max_depth=6) if k % 2 else random_liftable_form(rng)
+        expected = _canonical_text_or_error(form, ont, lex)
+        assert _canonical_text_or_error(_shuffled(form, rng), ont, lex) == expected, pretty(form)
+
+
 def test_canonicalize_idempotent_on_random_forms(ont, lex):
     rng = random.Random(903)
     for _ in range(500):
