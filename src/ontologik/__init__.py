@@ -40,10 +40,8 @@ from .logform import (
     QuantKind,
     alpha_equal,
     atoms,
-    binders,
     canonicalize,
     conj,
-    constants,
     parse_lf,
     pretty,
 )

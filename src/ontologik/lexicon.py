@@ -97,6 +97,9 @@ class Lexicon(Value):
     def __reduce__(self):  # a mapping proxy does not pickle; the buckets are rebuilt
         return Lexicon, (dict(self.signatures), self.relations, dict(self.names))
 
+    def __hash__(self):  # a mapping proxy does not hash; equal lexicons agree on this
+        return hash((len(self.signatures), len(self.relations), len(self.names)))
+
     def atom_signature(self, pred: str) -> PredicateSignature | None:
         """Signature for anything that may head an atom: a declared predicate,
         or a salient relation standing as its own two-place predicate (the

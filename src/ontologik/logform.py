@@ -20,10 +20,13 @@ lowercase argument with no binder in scope is rejected.
 Canonicalization rewrites a form to a normal shape so that logically
 equivalent statements compare equal: double negations are erased,
 contrapositives are turned around, type-membership atoms are lifted into
-quantifier restrictions, and conjunctions are flattened and sorted. One
-bottom-up walk does all of it, rebuilding each node from parts that are
-already canonical; any type name still sitting in predicate position
-afterwards is an error, never silently kept. Analysis hands the walk a memo
+quantifier restrictions (a binder takes its least membership conjunct by
+printed form), and conjunctions are flattened and sorted. One bottom-up walk
+does all of it, rebuilding each node from parts that are already canonical
+and sorting a quantifier's scope only after lifting. The walk also checks
+each atom it meets: a type name still in predicate position afterwards, or an
+unknown predicate, is an error, never silently kept, and only then does an
+ordered walk run, to name the first such atom. Analysis hands the walk a memo
 for the call, so each conjunct is printed once per analysis: the text it was
 sorted by is the text the trace line and the typed form print. The node
 classes come from :mod:`ontologik.forms` and are importable from here too.
@@ -38,7 +41,7 @@ from itertools import repeat
 from .errors import CanonicalizationError, LFSyntaxError, NestingError
 from .forms import And, Atom, Binder, Form, Implies, Not, Quant, QuantKind, read_prefix, with_prefix
 from .lexicon import Lexicon
-from .ontology import Ontology, TypeName
+from .ontology import Ontology
 
 
 # How deep negations, implications, conjunctions and quantifier prefixes may
@@ -267,7 +270,7 @@ def _pretty(form: Form, depth: int) -> str:
         case Quant():
             depth, text = deeper(depth), ""
             while isinstance(form, Quant):  # a whole prefix, without recursion
-                kind, var, vtype = form.kind.value, form.var, form.vtype
+                kind, var, vtype = form.kind._value_, form.var, form.vtype
                 text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
                 form = form.body
             return text + _grouped(form, depth)
@@ -286,24 +289,6 @@ def _grouped(form: Form, depth: int) -> str:
 # ----------------------------------------------------------------------
 
 
-def binders(form: Form) -> list[tuple[str, TypeName | None]]:
-    """All (variable, restriction) pairs in binding (pre-order) order."""
-    out: list[tuple[str, TypeName | None]] = []
-    stack = [form]
-    while stack:
-        match stack.pop():
-            case Quant(_, var, vtype, body):
-                out.append((var, vtype))
-                stack.append(body)
-            case And(items):
-                stack.extend(reversed(items))
-            case Not(item):
-                stack.append(item)
-            case Implies(a, c):
-                stack += (c, a)
-    return out
-
-
 def atoms(form: Form) -> Iterator[Atom]:
     """All atoms, left to right."""
     stack = [form]
@@ -319,27 +304,6 @@ def atoms(form: Form) -> Iterator[Atom]:
                 stack += (c, a)
 
 
-def constants(form: Form) -> list[str]:
-    """Capitalized atom arguments not bound by any enclosing quantifier."""
-    out: list[str] = []
-    stack: list[tuple[Form, frozenset[str]]] = [(form, frozenset())]
-    while stack:
-        f, bound = stack.pop()
-        match f:
-            case Atom(_, args):
-                out.extend(a for a in args if a not in bound and a not in out)
-            case And(items):
-                stack.extend((i, bound) for i in reversed(items))
-            case Not(item):
-                stack.append((item, bound))
-            case Implies(a, c):
-                stack += ((c, bound), (a, bound))
-            case Quant():
-                prefix, matrix = read_prefix(f)
-                stack.append((matrix, bound.union(var for _, var, _ in prefix)))
-    return out
-
-
 # ----------------------------------------------------------------------
 # canonicalization
 # ----------------------------------------------------------------------
@@ -352,48 +316,67 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon, memo: dict | None = No
     double negation cancels, ``(! a) -> (! c)`` turns around to ``c -> a``,
     and a conjunction is flattened and sorted by printed form. Under each
     quantifier prefix, every unrestricted ``E``/``E!`` binder, outermost
-    first, takes the first conjunct ``T(x)`` on its own variable as its
-    restriction, until one conjunct is left as the scope. Nothing is lifted
-    across a restricted ``A``: its restriction may be empty, which makes the
-    universal true whatever the atom says. A matrix that shrinks to a
-    quantifier joins its prefix, and the binders look again. Only then may
-    an innermost unrestricted ``A`` take a type antecedent as its restriction.
+    first, takes its least membership conjunct ``T(x)`` by printed form as
+    its restriction, until one conjunct is left as the scope; only the
+    conjuncts left are sorted. Nothing is lifted across a restricted ``A``:
+    its restriction may be empty, which makes the universal true whatever the
+    atom says. A matrix that shrinks to a quantifier joins its prefix, and
+    the binders look again. Only then may an innermost unrestricted ``A``
+    take a type antecedent as its restriction.
+
+    The walk checks each atom it meets and counts those whose predicate is a
+    type name or unknown, less the ones lifted. Only when some are left does
+    an ordered walk of the canonical form run, to name the first of them in a
+    :class:`CanonicalizationError`.
 
     ``memo``, an empty dict that :func:`~ontologik.unifier.analyze` keeps for
     one call, collects the texts the sort printed (see :func:`sorted_conj`).
 
     A form nested deeper than :data:`MAX_NESTING` raises :class:`NestingError`.
     """
-    cf = _canon(form, ont, memo)
-    for atom in atoms(cf):
-        if atom.pred in ont:
-            raise CanonicalizationError(
-                f"type name '{atom.pred}' used as a predicate where no rewrite can lift it: "
-                f"{pretty(atom)}"
-            )
-        if lex.atom_signature(atom.pred) is None:
-            raise CanonicalizationError(f"unknown predicate '{atom.pred}'")
+    bad = [0]
+    cf = _canon(form, ont, lex, memo, bad)
+    if bad[0]:
+        for atom in atoms(cf):
+            if atom.pred in ont:
+                raise CanonicalizationError(
+                    f"type name '{atom.pred}' used as a predicate where no rewrite can lift it: "
+                    f"{pretty(atom)}"
+                )
+            if lex.atom_signature(atom.pred) is None:
+                raise CanonicalizationError(f"unknown predicate '{atom.pred}'")
     return cf
 
 
-def _canon(f: Form, ont: Ontology, memo: dict | None, depth: int = 0) -> Form:
+def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict | None, bad: list[int], depth: int = 0) -> Form:
+    # ``bad[0]`` counts the atoms met whose predicate is a type name or unknown.
     if isinstance(f, Atom):
+        if f.pred in ont or lex.atom_signature(f.pred) is None:
+            bad[0] += 1
         return f
     depth = deeper(depth)
     match f:
         case Not(item):
-            inner = _canon(item, ont, memo, depth)
+            inner = _canon(item, ont, lex, memo, bad, depth)
             return inner.item if isinstance(inner, Not) else Not(inner)
         case Implies(a, c):
-            a, c = _canon(a, ont, memo, depth), _canon(c, ont, memo, depth)
+            a, c = _canon(a, ont, lex, memo, bad, depth), _canon(c, ont, lex, memo, bad, depth)
             if isinstance(a, Not) and isinstance(c, Not):
                 return Implies(c.item, a.item)
             return Implies(a, c)
         case And(items):
-            return sorted_conj([_canon(i, ont, memo, depth) for i in items], memo)
+            return sorted_conj([_canon(i, ont, lex, memo, bad, depth) for i in items], memo)
         case Quant():
+            # The matrix's canonical conjuncts go to _lift unsorted.
             prefix, matrix = read_prefix(f)
-            return _lift(prefix, _canon(matrix, ont, memo, depth), ont)
+            items: tuple[Form, ...] = (matrix,)
+            if isinstance(matrix, And):
+                depth, items = deeper(depth), matrix.items
+            flat: list[Form] = []
+            for item in items:
+                item = _canon(item, ont, lex, memo, bad, depth)
+                flat.extend(item.items if isinstance(item, And) else (item,))
+            return _lift(prefix, flat, ont, memo, bad)
     return f
 
 
@@ -444,7 +427,7 @@ def _memo_pretty(form: Form, memo: dict) -> str:
         case Quant():
             text = ""
             while isinstance(form, Quant):
-                kind, var, vtype = form.kind.value, form.var, form.vtype
+                kind, var, vtype = form.kind._value_, form.var, form.vtype
                 text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
                 form = form.body
             matrix = _memo_pretty(form, memo)
@@ -452,37 +435,48 @@ def _memo_pretty(form: Form, memo: dict) -> str:
     raise TypeError(f"not a form: {form!r}")
 
 
-def _lift(prefix: list[Binder], matrix: Form, ont: Ontology) -> Form:
-    # Membership lifting under one prefix, by the rules canonicalize gives.
-    inner, matrix = read_prefix(matrix)
-    prefix += inner
-    while isinstance(matrix, And):
+def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict | None, bad: list[int]) -> Form:
+    # Membership lifting under one prefix, by the rules canonicalize gives,
+    # over the matrix's canonical conjuncts in any order. ``matrix`` is the
+    # canonical matrix of a joined prefix while nothing is taken from it.
+    matrix = None
+    while len(items) > 1 or items and isinstance(items[0], Quant):  # an API-built And may be empty
+        if len(items) == 1:  # the matrix is a quantifier: it joins the prefix
+            inner, matrix = read_prefix(items[0])
+            prefix += inner
+            items = list(matrix.items) if isinstance(matrix, And) else [matrix]
+            continue
         owner: dict[str, int | None] = {}  # variable -> its innermost binder, if that may lift
         for i in reversed(range(len(prefix))):
             kind, var, vtype = prefix[i]
             if kind is QuantKind.FORALL and vtype is not None:
                 break
             owner.setdefault(var, None if kind is QuantKind.FORALL or vtype else i)
-        found: dict[int, int] = {}  # binder -> its first membership conjunct
-        for j, item in enumerate(matrix.items):
-            if isinstance(item, Atom) and item.pred in ont and len(item.args) == 1:
-                if (i := owner.get(item.args[0])) is not None:
-                    found.setdefault(i, j)
-        taken = {found[i]: i for i in sorted(found)[: len(matrix.items) - 1]}
+        found: dict[int, int] = {}  # binder -> its least membership conjunct
+        for j, item in enumerate(items):
+            if isinstance(item, Atom) and len(item.args) == 1 and item.pred in ont:
+                i = owner.get(item.args[0])
+                if i is not None and (i not in found or item.pred < items[found[i]].pred):
+                    found[i] = j  # for one variable, the least text has the least predicate
+        taken = {found[i]: i for i in sorted(found)[: len(items) - 1]}
         if not taken:
             break
         for j, i in taken.items():
             kind, var, _ = prefix[i]
-            prefix[i] = (kind, var, matrix.items[j].pred)
-        rest = [item for j, item in enumerate(matrix.items) if j not in taken]
-        inner, matrix = read_prefix(rest[0] if len(rest) == 1 else And(tuple(rest)))
-        prefix += inner
+            prefix[i] = (kind, var, items[j].pred)
+        bad[0] -= len(taken)
+        matrix, items = None, [item for j, item in enumerate(items) if j not in taken]
+        if len(items) > 1:  # every binder that found a conjunct took it
+            break
+    if matrix is None:
+        matrix = items[0] if len(items) == 1 else sorted_conj(items, memo)
     match prefix[-1], matrix:
         case (QuantKind.FORALL, var, None), Implies(Atom(pred, args), body) if (
             pred in ont and args == (var,)
         ):
             prefix[-1] = (QuantKind.FORALL, var, pred)
             matrix = body
+            bad[0] -= 1
     return with_prefix(prefix, matrix)
 
 

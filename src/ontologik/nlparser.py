@@ -40,6 +40,7 @@ class SentencePattern(Value):
     """Which shape matched and the content words each slot captured."""
 
     __slots__ = ("kind", "slots")
+    __hash__ = None  # the slots are a dict, so hash() names the record
 
     def __init__(self, kind: SentenceKind, slots: dict[str, object]):
         _set(self, "kind", kind)

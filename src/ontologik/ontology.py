@@ -91,6 +91,9 @@ class Ontology(Value):
     def __reduce__(self):  # a mapping proxy does not pickle; the labels are rebuilt
         return Ontology, (self.root, dict(self.parent))
 
+    def __hash__(self):  # a mapping proxy does not hash; equal ontologies agree on this
+        return hash((self.root, len(self.parent)))
+
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------

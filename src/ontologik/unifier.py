@@ -101,6 +101,7 @@ class DerivationTrace(Value):
     """Ordered record of how an analysis reached its conclusion."""
 
     __slots__ = ("steps",)
+    __hash__ = None  # the steps are a list, so hash() names the record
 
     def __init__(self, steps: list[TraceStep] | None = None):
         _set(self, "steps", [] if steps is None else steps)
@@ -108,15 +109,13 @@ class DerivationTrace(Value):
     def add(self, op: str, subject: str | None, detail: str, outcome: str):
         self.steps.append(TraceStep(op, subject, detail, outcome))
 
-    def steps_for(self, subject: str) -> list[TraceStep]:
-        return [s for s in self.steps if s.subject == subject]
-
 
 class AnalyzedForm(Value):
     """A fully typed form plus the reasoning that produced it; ``text`` is
     ``pretty(form)``."""
 
     __slots__ = ("form", "trace", "missing_text", "text")
+    __hash__ = None  # the trace and missing_text are mutable, so hash() names the record
 
     def __init__(self, form: CanonicalForm, trace: DerivationTrace, missing_text: list[str], text: str):
         _set(self, "form", form)

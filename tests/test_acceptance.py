@@ -15,7 +15,6 @@ from ontologik import (
     alpha_equal,
     analyze,
     atoms,
-    binders,
     equivalence_check,
     evaluate,
     parse_lf,
@@ -23,6 +22,7 @@ from ontologik import (
     pretty,
 )
 from ontologik.cli import main
+from ontologik.forms import read_prefix
 
 import test_aor
 import test_lexicon
@@ -57,7 +57,8 @@ def test_criterion_2_loud_omelet_coercion(ont, lex, capsys):
     with verdict(capsys, 2, "metonymic coercion re-types the omelet and recovers the eater"):
         got = analyze(parse_sentence("The loud omelet wants another beer", ont, lex), ont, lex)
 
-        bound = binders(got.form)
+        prefix, _ = read_prefix(got.form)
+        bound = [(var, vtype) for _, var, vtype in prefix]
         referent = bound[0]
         assert referent[1] == "person"  # the wanter ends up a person
         relata = [(v, t) for v, t in bound[1:] if t == "omelet"]
@@ -68,7 +69,7 @@ def test_criterion_2_loud_omelet_coercion(ont, lex, capsys):
         [gloss] = got.missing_text
         assert "person" in gloss and "omelet" in gloss
 
-        reductions = [(s.detail, s.outcome) for s in got.trace.steps_for(referent[0])]
+        reductions = [(s.detail, s.outcome) for s in got.trace.steps if s.subject == referent[0]]
         assert reductions == [
             ("(animal • person)", "person"),
             ("(omelet • person)", "coerced: person via EATING(person, omelet)"),

@@ -119,6 +119,25 @@ def test_record_contract(cls, names, values, required):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+SUMMARY_HASHED = (Ontology, Lexicon)  # their fields are read-only mapping proxies
+UNHASHABLE = (DerivationTrace, AnalyzedForm, SentencePattern)  # their fields are mutable
+
+
+@pytest.mark.parametrize(
+    "cls, values",
+    [(r[0], r[2]) for r in RECORDS if r[0] in SUMMARY_HASHED + UNHASHABLE],
+    ids=[r[0].__name__ for r in RECORDS if r[0] in SUMMARY_HASHED + UNHASHABLE],
+)
+def test_a_record_whose_fields_do_not_hash_hashes_a_summary_or_names_itself(cls, values):
+    record = cls(*values)
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError, match=f"^unhashable type: '{cls.__name__}'$"):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*values))
+        assert {record: "found"}[cls(*values)] == "found"
+
+
 def test_equality_is_type_aware():
     assert Not(Implies(LOUD, BLACK)) != And((LOUD, BLACK))
     assert Atom("loud", ("x",)) != PredicateSignature("loud", ("x",))

@@ -31,6 +31,11 @@ from ontologik.logform import MAX_NESTING
 
 from oracles import random_form, random_liftable_form
 
+
+def _steps_for(trace, subject):
+    return [step for step in trace.steps if step.subject == subject]
+
+
 # ----------------------------------------------------------------------
 # pairwise unification
 # ----------------------------------------------------------------------
@@ -114,7 +119,7 @@ def test_unified_result_subsumed_by_both_sides(ont, lex):
 def test_fold_plain_cast_up(ont, lex):
     outcome, trace = fold_expectations(ont, lex, "beer", ["entity"], subject="b")
     assert outcome == Unified("beer")
-    [step] = trace.steps_for("b")
+    [step] = _steps_for(trace, "b")
     assert step.detail == "(beer • entity)"
     assert step.outcome == "beer"
 
@@ -127,7 +132,7 @@ def test_fold_coercion_records_both_reductions(ont, lex):
     assert outcome.result == "person"
     assert outcome.relation.name == "EATING"
     assert outcome.relatum_type == "omelet"
-    details = [(s.detail, s.outcome) for s in trace.steps_for("o")]
+    details = [(s.detail, s.outcome) for s in _steps_for(trace, "o")]
     assert details == [
         ("(animal • person)", "person"),
         ("(omelet • person)", "coerced: person via EATING(person, omelet)"),
@@ -144,7 +149,7 @@ def test_fold_coercion_records_both_reductions(ont, lex):
 def test_fold_failure_identifies_the_stuck_pair(ont, lex, declared, expected_type):
     outcome, trace = fold_expectations(ont, lex, declared, [expected_type], subject="v")
     assert outcome == Failed(declared, expected_type)
-    last = trace.steps_for("v")[-1]
+    last = _steps_for(trace, "v")[-1]
     assert last.outcome == f"failed: {declared} vs {expected_type}"
 
 
@@ -178,7 +183,7 @@ def test_analyze_types_every_binder(ont, lex):
 def test_analyze_defaults_untouched_binders_to_the_root(ont, lex):
     got = analyze(parse_lf("(E x)(E y :: beer)(loud(x))"), ont, lex)
     assert pretty(got.form) == "(E x :: person)(E y :: beer)(loud(x))"
-    [step] = got.trace.steps_for("y")
+    [step] = _steps_for(got.trace, "y")
     assert (step.op, step.outcome) == ("type", "beer")
 
 
@@ -205,7 +210,7 @@ def test_analyze_rejects_unsatisfiable_expectations(ont, lex):
 
 def test_analyze_checks_constants_by_plain_comparability(ont, lex):
     got = analyze(parse_lf("(E x :: person)(want(x, Julie))"), ont, lex)
-    [step] = got.trace.steps_for("Julie")
+    [step] = _steps_for(got.trace, "Julie")
     assert step.detail == "(person • entity)"
     assert step.outcome == "person"
     assert pretty(got.form) == "(E x :: person)(want(x, Julie))"
@@ -239,7 +244,7 @@ def test_coercion_retypes_the_referent_and_introduces_a_relatum(ont, lex, loud_o
 
 
 def test_coercion_trace_has_exactly_two_reductions_for_the_referent(loud_omelet):
-    details = [(s.detail, s.outcome) for s in loud_omelet.trace.steps_for("o")]
+    details = [(s.detail, s.outcome) for s in _steps_for(loud_omelet.trace, "o")]
     assert details == [
         ("(animal • person)", "person"),
         ("(omelet • person)", "coerced: person via EATING(person, omelet)"),
