@@ -153,6 +153,12 @@ def test_each_sentence_matches_exactly_one_pattern(ont, lex):
         assert classify(text, ont, lex).kind is kind
 
 
+@pytest.mark.parametrize("text", ["", "   ", " . "])
+def test_an_empty_sentence_is_named(ont, lex, text):
+    with pytest.raises(SentenceError, match="^empty sentence$"):
+        parse_sentence(text, ont, lex)
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "   ", "Wants the omelet a beer", "Omelet loud wants beer"],

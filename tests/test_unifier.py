@@ -419,6 +419,16 @@ def test_analyze_on_deeply_nested_api_built_negation_raises_a_package_error(ont,
         analyze(Quant(QuantKind.EXISTS, "o", "person", form), ont, lex)
 
 
+def test_a_form_at_the_cap_analyzes_and_prints(ont, lex):
+    # The trace line prints the input, at the cap, and the typed form.
+    form = Quant(QuantKind.EXISTS, "x", "person", Atom("loud", ("x",)))
+    for _ in range(MAX_NESTING - 1):
+        form = Not(form)
+    got = analyze(form, ont, lex)
+    assert got.trace.steps[0].detail == pretty(form)
+    assert got.text == pretty(got.form)
+
+
 def test_analyze_refuses_a_bridge_that_would_nest_past_the_cap(ont, lex):
     # The omelet's bridge turns the matrix atom into a conjunction, one
     # level deeper; the typed form must still print to text parse_lf reads.
