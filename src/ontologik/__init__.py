@@ -45,7 +45,7 @@ from .logform import (
     parse_lf,
     pretty,
 )
-from .nlparser import SentenceKind, classify, parse_sentence
+from .nlparser import parse_sentence
 from .ontology import Ontology, SubsumptionVerdict, load_ontology
 from .unifier import (
     AnalyzedForm,

@@ -26,17 +26,17 @@ does all of it, rebuilding each node from parts that are already canonical
 and sorting a quantifier's scope only after lifting. The walk also checks
 each atom it meets: a type name still in predicate position afterwards, or an
 unknown predicate, is an error, never silently kept, and only then does an
-ordered walk run, to name the first such atom. Analysis hands the walk a memo
-for the call, so each conjunct is printed once per analysis: the text it was
-sorted by is the text the trace line and the typed form print. The node
-classes come from :mod:`ontologik.forms` and are importable from here too.
+ordered walk run, to name the first such atom. :func:`pretty` and analysis
+share one printer, which counts levels as the walk does; analysis hands it
+the memo of texts the walk sorted by, so each conjunct is printed once per
+call. The node classes come from :mod:`ontologik.forms` and are importable
+from here too.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
 from functools import partial
-from itertools import repeat
 
 from .errors import CanonicalizationError, LFSyntaxError, NestingError
 from .forms import And, Atom, Binder, Form, Implies, Not, Quant, QuantKind, read_prefix, with_prefix
@@ -251,37 +251,39 @@ def pretty(form: Form) -> str:
 
     A form nested past :data:`MAX_NESTING` levels, counted as
     :func:`canonicalize` counts them, raises :class:`NestingError`."""
-    return _pretty(form, 0)
+    return _print(form, {}, 0)
 
 
-def _pretty(form: Form, depth: int) -> str:
-    # ``depth`` is the level ``form`` stands at.
+def _print(form: Form, memo: dict, depth: int) -> str:
+    # The one printer. ``depth`` is the level ``form`` stands at, counted as
+    # in _canon. A text recorded in ``memo`` (see sorted_conj) was printed by
+    # this function from level 0, so a hit is returned without a check.
     if isinstance(form, Atom):
         return f"{form.pred}({', '.join(form.args)})"
+    hit = memo.get(id(form))
+    if hit is not None:
+        return hit[1]
+    depth = deeper(depth)
     match form:
         case Not(item):
-            return f"(! {_pretty(item, deeper(depth))})"
+            return f"(! {_print(item, memo, depth)})"
         case Implies(antecedent, consequent):
-            depth = deeper(depth)
-            return f"({_pretty(antecedent, depth)} -> {_pretty(consequent, depth)})"
+            return f"({_print(antecedent, memo, depth)} -> {_print(consequent, memo, depth)})"
         case And(items):
-            depth = deeper(depth)
-            return "(and " + " ".join(map(_grouped, items, repeat(depth))) + ")"
+            # An atom standing where a form is expected takes parentheses.
+            return "(and " + " ".join([
+                f"({i.pred}({', '.join(i.args)}))" if isinstance(i, Atom) else _print(i, memo, depth)
+                for i in items
+            ]) + ")"
         case Quant():
-            depth, text = deeper(depth), ""
+            text = ""
             while isinstance(form, Quant):  # a whole prefix, without recursion
                 kind, var, vtype = form.kind._value_, form.var, form.vtype
                 text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
                 form = form.body
-            return text + _grouped(form, depth)
+            matrix = _print(form, memo, depth)
+            return text + (f"({matrix})" if isinstance(form, Atom) else matrix)
     raise TypeError(f"not a form: {form!r}")
-
-
-def _grouped(form: Form, depth: int) -> str:
-    # Atoms need explicit parentheses when standing where a form is expected;
-    # every other node prints its own.
-    text = _pretty(form, depth)
-    return f"({text})" if isinstance(form, Atom) else text
 
 
 # ----------------------------------------------------------------------
@@ -330,10 +332,15 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon, memo: dict | None = No
     :class:`CanonicalizationError`.
 
     ``memo``, an empty dict that :func:`~ontologik.unifier.analyze` keeps for
-    one call, collects the texts the sort printed (see :func:`sorted_conj`).
+    one call, collects the texts the sort printed (see :func:`sorted_conj`);
+    without one, the call makes its own.
 
-    A form nested deeper than :data:`MAX_NESTING` raises :class:`NestingError`.
+    A form nested deeper than :data:`MAX_NESTING` raises :class:`NestingError`;
+    an empty conjunction or an object that is no form, which only the API can
+    build, raises :class:`CanonicalizationError`.
     """
+    if memo is None:
+        memo = {}
     bad = [0]
     cf = _canon(form, ont, lex, memo, bad)
     if bad[0]:
@@ -348,7 +355,7 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon, memo: dict | None = No
     return cf
 
 
-def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict | None, bad: list[int], depth: int = 0) -> Form:
+def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], depth: int = 0) -> Form:
     # ``bad[0]`` counts the atoms met whose predicate is a type name or unknown.
     if isinstance(f, Atom):
         if f.pred in ont or lex.atom_signature(f.pred) is None:
@@ -364,33 +371,35 @@ def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict | None, bad: list[in
             if isinstance(a, Not) and isinstance(c, Not):
                 return Implies(c.item, a.item)
             return Implies(a, c)
+        case And(()):
+            raise CanonicalizationError("empty conjunction")
         case And(items):
             return sorted_conj([_canon(i, ont, lex, memo, bad, depth) for i in items], memo)
         case Quant():
             # The matrix's canonical conjuncts go to _lift unsorted.
             prefix, matrix = read_prefix(f)
             items: tuple[Form, ...] = (matrix,)
-            if isinstance(matrix, And):
+            if isinstance(matrix, And) and matrix.items:  # an empty one is walked, and raises
                 depth, items = deeper(depth), matrix.items
             flat: list[Form] = []
             for item in items:
                 item = _canon(item, ont, lex, memo, bad, depth)
                 flat.extend(item.items if isinstance(item, And) else (item,))
             return _lift(prefix, flat, ont, memo, bad)
-    return f
+    raise CanonicalizationError(f"not a form: {f!r}")
 
 
-def sorted_conj(items: list[Form], memo: dict | None = None) -> Form:
+def sorted_conj(items: list[Form], memo: dict) -> Form:
     """Like :func:`conj`, but the conjuncts are sorted by printed form.
 
-    With ``memo``, the text of each conjunct that is not an atom is read
-    from it or recorded in it, under the conjunct's ``id``, as ``(conjunct,
-    text)``: holding the conjunct keeps its ``id`` from being reused while
-    the memo lives."""
+    The text of each conjunct that is not an atom is read from ``memo`` or
+    recorded in it, under the conjunct's ``id``, as ``(conjunct, text)``:
+    holding the conjunct keeps its ``id`` from being reused while the memo
+    lives."""
     flat: list[Form] = []
     for item in items:
         flat.extend(item.items if isinstance(item, And) else (item,))
-    flat.sort(key=pretty if memo is None else partial(_text, memo))
+    flat.sort(key=partial(_text, memo))
     return flat[0] if len(flat) == 1 else And(tuple(flat))
 
 
@@ -400,47 +409,16 @@ def _text(memo: dict, form: Form) -> str:
         return f"{form.pred}({', '.join(form.args)})"
     hit = memo.get(id(form))
     if hit is None:
-        hit = memo[id(form)] = form, _memo_pretty(form, memo)
+        hit = memo[id(form)] = form, _print(form, memo, 0)
     return hit[1]
 
 
-def _memo_pretty(form: Form, memo: dict) -> str:
-    """``pretty(form)`` for a form analysis prints, reading the conjunct
-    texts recorded in ``memo``. Each such form (the input, its canonical
-    form, the typed form) has passed the nesting check of
-    :func:`canonicalize` or of the typed rebuild, so this printer makes none."""
-    if isinstance(form, Atom):
-        return f"{form.pred}({', '.join(form.args)})"
-    hit = memo.get(id(form))
-    if hit is not None:
-        return hit[1]
-    match form:
-        case And(items):
-            return "(and " + " ".join([
-                f"({i.pred}({', '.join(i.args)}))" if isinstance(i, Atom) else _memo_pretty(i, memo)
-                for i in items
-            ]) + ")"
-        case Not(item):
-            return f"(! {_memo_pretty(item, memo)})"
-        case Implies(antecedent, consequent):
-            return f"({_memo_pretty(antecedent, memo)} -> {_memo_pretty(consequent, memo)})"
-        case Quant():
-            text = ""
-            while isinstance(form, Quant):
-                kind, var, vtype = form.kind._value_, form.var, form.vtype
-                text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
-                form = form.body
-            matrix = _memo_pretty(form, memo)
-            return text + (f"({matrix})" if isinstance(form, Atom) else matrix)
-    raise TypeError(f"not a form: {form!r}")
-
-
-def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict | None, bad: list[int]) -> Form:
+def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, bad: list[int]) -> Form:
     # Membership lifting under one prefix, by the rules canonicalize gives,
     # over the matrix's canonical conjuncts in any order. ``matrix`` is the
     # canonical matrix of a joined prefix while nothing is taken from it.
     matrix = None
-    while len(items) > 1 or items and isinstance(items[0], Quant):  # an API-built And may be empty
+    while len(items) > 1 or isinstance(items[0], Quant):
         if len(items) == 1:  # the matrix is a quantifier: it joins the prefix
             inner, matrix = read_prefix(items[0])
             prefix += inner

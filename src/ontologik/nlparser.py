@@ -12,13 +12,11 @@ Matching is case-insensitive and ignores trailing punctuation. Content
 words must already be known: adjectives and verbs in the lexicon, nouns in
 the ontology, subjects of copulars among the declared proper names. Plural
 nouns are resolved by stripping a trailing "s", with a small exception
-table for irregulars. A matched pattern is an immutable slotted class.
+table for irregulars. The leading tokens pick the shape, and that shape's
+reader builds the form as it reads the content words.
 """
 from __future__ import annotations
 
-from enum import Enum, auto
-
-from ._value import Value, _set
 from .errors import SentenceError
 from .lexicon import Lexicon
 from .logform import Atom, Form, Implies, Not, Quant, QuantKind, conj
@@ -29,71 +27,10 @@ PLURAL_EXCEPTIONS = {"people": "person"}
 _ARTICLES = {"a", "an", "another"}
 
 
-class SentenceKind(Enum):
-    COPULAR = auto()
-    TRANSITIVE = auto()
-    UNIVERSAL_AFFIRMATIVE = auto()
-    UNIVERSAL_CONTRAPOSITIVE = auto()
-
-
-class SentencePattern(Value):
-    """Which shape matched and the content words each slot captured."""
-
-    __slots__ = ("kind", "slots")
-    __hash__ = None  # the slots are a dict, so hash() names the record
-
-    def __init__(self, kind: SentenceKind, slots: dict[str, object]):
-        _set(self, "kind", kind)
-        _set(self, "slots", slots)
-
-
 def parse_sentence(text: str, ont: Ontology, lex: Lexicon) -> Form:
-    """Translate one sentence into an untyped logical form."""
-    pattern = classify(text, ont, lex)
-    s = pattern.slots
-    match pattern.kind:
-        case SentenceKind.COPULAR:
-            var = s["name"]
-            parts: list[Form] = []
-            if s["noun"] is not None:
-                parts.append(Atom(s["noun"], (var,)))
-            parts.extend(Atom(adj, (var,)) for adj in s["adjectives"])
-            return Quant(QuantKind.EXISTS_UNIQUE, var, None, conj(parts))
-        case SentenceKind.TRANSITIVE:
-            v1 = _variable_for(s["subject_noun"], taken=set())
-            v2 = _variable_for(s["object_noun"], taken={v1})
-            parts = [Atom(s["subject_noun"], (v1,)), Atom(s["object_noun"], (v2,))]
-            parts.extend(Atom(adj, (v1,)) for adj in s["subject_adjectives"])
-            parts.extend(Atom(adj, (v2,)) for adj in s["object_adjectives"])
-            parts.append(Atom(s["verb"], (v1, v2)))
-            body = conj(parts)
-            return Quant(
-                QuantKind.EXISTS, v1, None, Quant(QuantKind.EXISTS, v2, None, body)
-            )
-        case SentenceKind.UNIVERSAL_AFFIRMATIVE:
-            return Quant(
-                QuantKind.FORALL,
-                "x",
-                None,
-                Implies(Atom(s["noun"], ("x",)), Atom(s["adjective"], ("x",))),
-            )
-        case SentenceKind.UNIVERSAL_CONTRAPOSITIVE:
-            return Quant(
-                QuantKind.FORALL,
-                "x",
-                None,
-                Implies(
-                    Not(Atom(s["adjective"], ("x",))),
-                    Not(Atom(s["noun"], ("x",))),
-                ),
-            )
-    raise SentenceError(f"no pattern matches '{text.strip()}'")  # pragma: no cover
+    """Translate one sentence into an untyped logical form.
 
-
-def classify(text: str, ont: Ontology, lex: Lexicon) -> SentencePattern:
-    """Decide which of the four patterns a sentence instantiates.
-
-    Dispatch is deterministic: the leading tokens decide the pattern, and a
+    Dispatch is deterministic: the leading tokens decide the shape, and a
     sentence that fits none of the shapes raises :class:`SentenceError`.
     """
     words = _tokenize(text)
@@ -101,21 +38,21 @@ def classify(text: str, ont: Ontology, lex: Lexicon) -> SentencePattern:
         raise SentenceError("empty sentence")
     if words[0] == "all":
         if len(words) > 1 and words[1].startswith("non-"):
-            return _classify_contrapositive(words, ont, lex, text)
-        return _classify_affirmative(words, ont, lex, text)
+            return _contrapositive(words, ont, lex, text)
+        return _affirmative(words, ont, lex, text)
     if len(words) >= 2 and words[1] == "is":
-        return _classify_copular(words, ont, lex)
+        return _copular(words, ont, lex)
     if words[0] == "the":
-        return _classify_transitive(words, ont, lex)
+        return _transitive(words, ont, lex)
     raise SentenceError(f"no pattern matches '{text.strip()}'")
 
 
 # ----------------------------------------------------------------------
-# per-pattern matchers
+# per-shape readers
 # ----------------------------------------------------------------------
 
 
-def _classify_copular(words: list[str], ont: Ontology, lex: Lexicon) -> SentencePattern:
+def _copular(words: list[str], ont: Ontology, lex: Lexicon) -> Form:
     by_lower = {name.lower(): name for name in lex.names}
     name = by_lower.get(words[0])
     if name is None:
@@ -123,27 +60,23 @@ def _classify_copular(words: list[str], ont: Ontology, lex: Lexicon) -> Sentence
     rest = words[2:]
     if rest and rest[0] in _ARTICLES:
         rest = rest[1:]
-    adjectives: list[str] = []
-    noun: TypeName | None = None
+    parts: list[Form] = []  # the noun, if any, then the adjectives in order
     for i, word in enumerate(rest):
         if _is_adjective(word, lex):
-            adjectives.append(word)
+            parts.append(Atom(word, (name,)))
         elif word in ont:
             if i != len(rest) - 1:
                 raise SentenceError(f"noun '{word}' must come last")
-            noun = word
+            parts.insert(0, Atom(word, (name,)))
         else:
             raise SentenceError(f"unknown content word '{word}'")
-    if not adjectives and noun is None:
+    if not parts:
         raise SentenceError("copular sentence predicates nothing")
-    return SentencePattern(
-        SentenceKind.COPULAR, {"name": name, "adjectives": adjectives, "noun": noun}
-    )
+    return Quant(QuantKind.EXISTS_UNIQUE, name, None, conj(parts))
 
 
-def _classify_transitive(words: list[str], ont: Ontology, lex: Lexicon) -> SentencePattern:
-    i = 1
-    subject_adjectives, i = _take_adjectives(words, i, lex)
+def _transitive(words: list[str], ont: Ontology, lex: Lexicon) -> Form:
+    subject_adjectives, i = _take_adjectives(words, 1, lex)
     subject_noun, i = _take_noun(words, i, ont)
     if i >= len(words):
         raise SentenceError("transitive sentence is missing its verb")
@@ -155,35 +88,31 @@ def _classify_transitive(words: list[str], ont: Ontology, lex: Lexicon) -> Sente
     object_noun, i = _take_noun(words, i, ont)
     if i != len(words):
         raise SentenceError(f"unexpected trailing words: {' '.join(words[i:])}")
-    return SentencePattern(
-        SentenceKind.TRANSITIVE,
-        {
-            "subject_adjectives": subject_adjectives,
-            "subject_noun": subject_noun,
-            "verb": verb,
-            "object_adjectives": object_adjectives,
-            "object_noun": object_noun,
-        },
-    )
+    # Each referent is named by its noun's initial; the object's takes a 2
+    # when the two initials are the same.
+    v1, v2 = subject_noun[0], object_noun[0]
+    if v2 == v1:
+        v2 += "2"
+    parts: list[Form] = [Atom(subject_noun, (v1,)), Atom(object_noun, (v2,))]
+    parts.extend(Atom(adj, (v1,)) for adj in subject_adjectives)
+    parts.extend(Atom(adj, (v2,)) for adj in object_adjectives)
+    parts.append(Atom(verb, (v1, v2)))
+    return Quant(QuantKind.EXISTS, v1, None, Quant(QuantKind.EXISTS, v2, None, conj(parts)))
 
 
-def _classify_affirmative(
-    words: list[str], ont: Ontology, lex: Lexicon, text: str
-) -> SentencePattern:
+def _affirmative(words: list[str], ont: Ontology, lex: Lexicon, text: str) -> Form:
     if len(words) != 4 or words[2] != "are":
         raise SentenceError(f"no pattern matches '{text.strip()}'")
     noun = _singularize(words[1], ont)
     adjective = words[3]
     if not _is_adjective(adjective, lex):
         raise SentenceError(f"unknown content word '{adjective}'")
-    return SentencePattern(
-        SentenceKind.UNIVERSAL_AFFIRMATIVE, {"noun": noun, "adjective": adjective}
+    return Quant(
+        QuantKind.FORALL, "x", None, Implies(Atom(noun, ("x",)), Atom(adjective, ("x",)))
     )
 
 
-def _classify_contrapositive(
-    words: list[str], ont: Ontology, lex: Lexicon, text: str
-) -> SentencePattern:
+def _contrapositive(words: list[str], ont: Ontology, lex: Lexicon, text: str) -> Form:
     if (
         len(words) != 5
         or words[2] != "things"
@@ -195,8 +124,8 @@ def _classify_contrapositive(
     if not _is_adjective(adjective, lex):
         raise SentenceError(f"unknown content word '{adjective}'")
     noun = _singularize(words[4][4:], ont)
-    return SentencePattern(
-        SentenceKind.UNIVERSAL_CONTRAPOSITIVE, {"noun": noun, "adjective": adjective}
+    return Quant(
+        QuantKind.FORALL, "x", None, Implies(Not(Atom(adjective, ("x",))), Not(Atom(noun, ("x",))))
     )
 
 
@@ -237,11 +166,10 @@ def _take_noun(words: list[str], i: int, ont: Ontology) -> tuple[TypeName, int]:
 
 def _resolve_verb(word: str, lex: Lexicon) -> str:
     # third-person singular: strip the inflection to find the lexicon entry
-    for candidate in (word[:-1] if word.endswith("s") else None, word):
-        if candidate is not None:
-            sig = lex.signatures.get(candidate)
-            if sig is not None and sig.arity == 2:
-                return candidate
+    for candidate in (word[:-1], word) if word.endswith("s") else (word,):
+        sig = lex.signatures.get(candidate)
+        if sig is not None and sig.arity == 2:
+            return candidate
     raise SentenceError(f"unknown content word '{word}'")
 
 
@@ -251,13 +179,3 @@ def _singularize(word: str, ont: Ontology) -> TypeName:
     if word.endswith("s") and word[:-1] in ont:
         return word[:-1]
     raise SentenceError(f"cannot resolve plural '{word}'")
-
-
-def _variable_for(noun: str, taken: set[str]) -> str:
-    base = noun[0]
-    if base not in taken:
-        return base
-    n = 2
-    while f"{base}{n}" in taken:
-        n += 1
-    return f"{base}{n}"

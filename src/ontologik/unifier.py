@@ -17,10 +17,11 @@ second guess. The fold depends only on the declared type and the
 expectations, so each distinct pair of them is folded once per analysis, and
 binders that share a pair repeat its derivation lines under their own name.
 
-Each conjunct is printed once per analysis: the text canonicalization sorted
-it by is kept for the call and reused for the trace line and the typed form,
-whose unchanged subtrees are the canonical nodes themselves. Outcomes,
-traces and results are immutable slotted classes, not dataclasses.
+Analysis prints through the one printer of :mod:`ontologik.logform`, with
+the texts canonicalization sorted by kept for the call: each conjunct is
+printed once, as the typed form's unchanged subtrees are the canonical
+nodes themselves. Outcomes, traces and results are immutable slotted
+classes, not dataclasses.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .logform import (
     Not,
     Quant,
     QuantKind,
-    _memo_pretty,
+    _print,
     canonicalize,
     deeper,
     read_prefix,
@@ -236,7 +237,7 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
     trace = DerivationTrace()
     memo: dict = {}  # the texts printed for this call, see logform.sorted_conj
     cf = canonicalize(form, ont, lex, memo)
-    trace.add("canonicalize", None, _memo_pretty(form, memo), _memo_pretty(cf, memo))
+    trace.add("canonicalize", None, _print(form, memo, 0), _print(cf, memo, 0))
 
     binders, const_slots = _collect(cf, ont, lex)
 
@@ -281,7 +282,7 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
     glosses = [
         _gloss(b) for b in binders.values() if b.coercion is not None
     ]
-    return AnalyzedForm(typed, trace, glosses, _memo_pretty(typed, memo))
+    return AnalyzedForm(typed, trace, glosses, _print(typed, memo, 0))
 
 
 # -- collection --------------------------------------------------------

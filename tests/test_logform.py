@@ -15,6 +15,7 @@ from ontologik import (
     Quant,
     QuantKind,
     alpha_equal,
+    analyze,
     atoms,
     canonicalize,
     conj,
@@ -411,6 +412,24 @@ def test_membership_lifts_into_the_innermost_binder_of_its_variable(ont, lex):
 def test_unknown_predicate_rejected(ont, lex):
     with pytest.raises(CanonicalizationError, match="unknown predicate 'sings'"):
         canonicalize(parse_lf("(E x)(sings(x))"), ont, lex)
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        # shapes only the API can build; they printed as text parse_lf rejects
+        (And(()), "^empty conjunction$"),
+        (Quant(K.EXISTS, "x", None, And(())), "^empty conjunction$"),
+        (Quant(K.EXISTS, "x", None, "junk"), "^not a form: 'junk'$"),
+        (Not("junk"), "^not a form: 'junk'$"),
+        (And((Atom("loud", ("Julie",)), "junk")), "^not a form: 'junk'$"),
+    ],
+)
+def test_api_built_non_forms_are_canonicalization_errors(ont, lex, form, message):
+    with pytest.raises(CanonicalizationError, match=message):
+        canonicalize(form, ont, lex)
+    with pytest.raises(CanonicalizationError, match=message):
+        analyze(form, ont, lex)
 
 
 def _stuck(pred: str) -> str:

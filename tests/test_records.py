@@ -30,13 +30,11 @@ from ontologik import (
     Quant,
     QuantKind,
     SalientRelation,
-    SentenceKind,
     TraceStep,
     TypeFailure,
     Unified,
     Violation,
 )
-from ontologik.nlparser import SentencePattern
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,7 +71,6 @@ RECORDS = [
     (TypeFailure, ("at_index",), (0,), 1),
     (Observation, ("object_type", "literals"), ("raven", (("black", True),)), 2),
     (EquivalenceResult, ("equivalent", "canonical_first", "canonical_second"), (True, LOUD, BLACK), 3),
-    (SentencePattern, ("kind", "slots"), (SentenceKind.COPULAR, {"name": "Julie"}), 2),
 ]
 
 
@@ -120,7 +117,7 @@ def test_record_contract(cls, names, values, required):
 
 
 SUMMARY_HASHED = (Ontology, Lexicon)  # their fields are read-only mapping proxies
-UNHASHABLE = (DerivationTrace, AnalyzedForm, SentencePattern)  # their fields are mutable
+UNHASHABLE = (DerivationTrace, AnalyzedForm)  # their fields are mutable
 
 
 @pytest.mark.parametrize(
