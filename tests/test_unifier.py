@@ -16,20 +16,24 @@ from ontologik import (
     QuantKind,
     TypeCheckError,
     Unified,
+    UnknownTypeError,
     alpha_equal,
     analyze,
+    atoms,
     canonicalize,
     conj,
     fold_expectations,
+    load_lexicon,
     parse_lf,
     parse_sentence,
     pretty,
     unify_types,
 )
 from ontologik import cli, unifier
+from ontologik.fixtures import lexicon_path
 from ontologik.logform import MAX_NESTING
 
-from oracles import random_form, random_liftable_form
+from oracles import Model, ancestor_chain, holds, random_form, random_liftable_form
 
 
 def _steps_for(trace, subject):
@@ -511,3 +515,133 @@ def test_a_subtree_with_no_new_type_and_no_bridge_is_the_canonical_node(ont, lex
     assert pretty(typed[1]) == "(E o :: person)(E o2 :: omelet)(and (EATING(o, o2)) (loud(o)))"
     whole = analyze(parse_lf("(E p :: person)(loud(p))"), ont, lex).form
     assert whole is canonical[-1]
+
+
+# -- what the order of the analysis walk must not change -----------------
+
+
+def test_the_trace_lists_binders_in_binding_order_then_constants(ont, lex):
+    # b is bound inside o's matrix, and its Julie slot comes first in the
+    # canonical form; still o's lines come first and Julie's come last.
+    got = analyze(parse_lf(
+        "(E o :: omelet)(and (loud(o)) (want(o, Julie))"
+        " ((E b :: beer)(and (black(b)) (want(Julie, b)))))"
+    ), ont, lex)
+    assert got.text == (
+        "(E o :: person)(E o2 :: omelet)(and (E b :: beer)(and (black(b)) (want(Julie, b)))"
+        " (EATING(o, o2)) (loud(o)) (want(o, Julie)))"
+    )
+    assert _lines(got) == [
+        ("unify", "o", "(animal • person)", "person"),
+        ("unify", "o", "(omelet • person)", "coerced: person via EATING(person, omelet)"),
+        ("unify", "b", "(entity • physical)", "physical"),
+        ("unify", "b", "(beer • physical)", "beer"),
+        ("unify", "Julie", "(person • animal)", "person"),
+        ("unify", "Julie", "(person • entity)", "person"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def lex_with_bad_names(ont):
+    # Herbie is a car and Omi an omelet: neither is comparable with person.
+    source = lexicon_path().read_text() + "name Herbie :: car\nname Omi :: omelet\n"
+    return load_lexicon(source, ont)
+
+
+@pytest.mark.parametrize(
+    "source, error, message",
+    [
+        # b cannot be loud, but an error met while reading the form wins,
+        # wherever it stands: an arity mismatch, an unknown constant or an
+        # unknown restriction, after b's matrix atom or inside another prefix
+        ("(E b :: beer)(and (loud(b)) ((E c)(want(c))))",
+         LexiconError, "'want' expects 2 argument(s), got 1"),
+        ("(E b)(and ((E c :: beer)(loud(c))) (want(b)))",
+         LexiconError, "'want' expects 2 argument(s), got 1"),
+        ("(E b :: beer)(and (loud(b)) (loud(Zed)))", LexiconError, "unknown constant 'Zed'"),
+        ("(E b :: beer)(and (loud(b)) ((E c :: unicorn)(loud(c))))",
+         UnknownTypeError, "unknown type name 'unicorn'"),
+        # among failing binders the first in binding order wins, even when
+        # the other is bound inside its matrix or later in the same prefix
+        ("(E b :: beer)(and (loud(b)) ((E c :: car)(loud(c))))",
+         TypeCheckError, "'b' of type beer cannot satisfy expectation person"),
+        ("(E b :: beer)(E c :: car)(and (loud(b)) (loud(c)))",
+         TypeCheckError, "'b' of type beer cannot satisfy expectation person"),
+        ("(E c :: car)(and (red(c)) ((E b :: beer)(loud(b))) (want(c, c)))",
+         TypeCheckError, "'c' of type car cannot satisfy expectation animal"),
+        # constants are checked only after every binder, in occurrence order
+        ("(E b :: beer)(and (loud(Herbie)) (loud(b)))",
+         TypeCheckError, "'b' of type beer cannot satisfy expectation person"),
+        ("(E x :: person)(and (loud(x)) (red(Herbie)) (want(Omi, x)))",
+         TypeCheckError, "'Omi' of type omelet cannot satisfy expectation animal"),
+    ],
+)
+def test_analysis_errors_keep_their_precedence(ont, lex_with_bad_names, source, error, message):
+    with pytest.raises(error) as err:
+        analyze(parse_lf(source), ont, lex_with_bad_names)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_a_type_check_error_beats_a_bridge_that_would_nest_past_the_cap(ont, lex):
+    # Without the failing b, the omelet's bridge would raise NestingError.
+    form = Quant(QuantKind.EXISTS, "o", "omelet", Atom("loud", ("o",)))
+    for _ in range(MAX_NESTING - 2):
+        form = Implies(Atom("loud", ("Julie",)), form)
+    failing = Quant(QuantKind.EXISTS, "b", "beer", Atom("loud", ("b",)))
+    with pytest.raises(TypeCheckError, match="^'b' of type beer"):
+        analyze(Implies(failing, form), ont, lex)
+    with pytest.raises(NestingError):
+        analyze(Implies(Atom("loud", ("Julie",)), form), ont, lex)
+
+
+def test_a_relatum_name_avoids_a_name_bound_later_in_the_form(ont, lex):
+    got = analyze(parse_lf("(and (E x :: omelet)(loud(x)) (E x2 :: car)(red(x2)))"), ont, lex)
+    assert got.text == (
+        "(and (E x :: person)(E x3 :: omelet)(and (EATING(x, x3)) (loud(x)))"
+        " (E x2 :: car)(red(x2)))"
+    )
+
+
+def test_analyze_takes_an_api_built_1000_binder_prefix_of_loud_omelets(ont, lex):
+    form = conj([Atom("loud", (f"x{i}",)) for i in range(1000)])
+    for i in reversed(range(1000)):
+        form = Quant(QuantKind.EXISTS, f"x{i}", "omelet", form)
+    got = analyze(form, ont, lex)
+    assert got.missing_text == ["some loud person eating the omelet"] * 1000
+    assert sum(atom.pred == "EATING" for atom in atoms(got.form)) == 1000
+    assert parse_lf(pretty(got.form)) == got.form
+
+
+# -- ROADMAP item 1: a bridge must keep the quantifier's domain ----------
+
+
+def _model(ont, own, eats, loud):
+    # Element i has type own[i]; EATING holds of (eater, eaten) pairs.
+    members = {t: set() for t in ont.parent}
+    for element, t in enumerate(own):
+        for up in ancestor_chain(dict(ont.parent), t):
+            members[up].add(element)
+    extension = {"EATING": frozenset(eats), "loud": frozenset((e,) for e in loud)}
+    return Model(len(own), {t: frozenset(m) for t, m in members.items()}, extension, {})
+
+
+@pytest.mark.xfail(strict=True, reason="the bridge takes the coerced binder's quantifier (ROADMAP item 1)")
+@pytest.mark.parametrize(
+    "source, through_eater, own, eats, loud",
+    [
+        # one omelet, eaten by a loud person, and a quiet person who eats
+        # nothing: every omelet's eater is loud, but not every person eats
+        ("(A x :: omelet)(loud(x))",
+         "(A y :: omelet)(E x :: person)(and (EATING(x, y)) (loud(x)))",
+         ["omelet", "person", "person"], [(1, 0)], [1]),
+        # two omelets, both eaten by one loud person: two omelets have a
+        # loud eater, but one person eats an omelet and is loud
+        ("(E! x :: omelet)(loud(x))",
+         "(E! y :: omelet)(E x :: person)(and (EATING(x, y)) (loud(x)))",
+         ["omelet", "omelet", "person"], [(2, 0), (2, 1)], [2]),
+    ],
+)
+def test_a_bridge_keeps_the_meaning_read_through_the_eater(ont, lex, source, through_eater, own, eats, loud):
+    model = _model(ont, own, eats, loud)
+    typed = analyze(parse_lf(source), ont, lex).form
+    assert holds(typed, model) == holds(parse_lf(through_eater), model)
