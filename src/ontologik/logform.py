@@ -250,7 +250,9 @@ def pretty(form: Form) -> str:
     no binder of ``f`` shadows another in scope; such text ``parse_lf`` rejects.
 
     A form nested past :data:`MAX_NESTING` levels, counted as
-    :func:`canonicalize` counts them, raises :class:`NestingError`."""
+    :func:`canonicalize` counts them, raises :class:`NestingError`; an empty
+    conjunction, a non-form or a kind that is no :class:`QuantKind`,
+    :class:`CanonicalizationError`."""
     return _print(form, {}, 0)
 
 
@@ -269,7 +271,7 @@ def _print(form: Form, memo: dict, depth: int) -> str:
             return f"(! {_print(item, memo, depth)})"
         case Implies(antecedent, consequent):
             return f"({_print(antecedent, memo, depth)} -> {_print(consequent, memo, depth)})"
-        case And(items):
+        case And(items) if items:
             # An atom standing where a form is expected takes parentheses.
             return "(and " + " ".join([
                 f"({i.pred}({', '.join(i.args)}))" if isinstance(i, Atom) else _print(i, memo, depth)
@@ -277,13 +279,16 @@ def _print(form: Form, memo: dict, depth: int) -> str:
             ]) + ")"
         case Quant():
             text = ""
-            while isinstance(form, Quant):  # a whole prefix, without recursion
-                kind, var, vtype = form.kind._value_, form.var, form.vtype
-                text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
-                form = form.body
+            try:
+                while isinstance(form, Quant):  # a whole prefix, without recursion
+                    kind, var, vtype = form.kind._value_, form.var, form.vtype
+                    text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
+                    form = form.body
+            except AttributeError:  # a kind that is no QuantKind
+                raise CanonicalizationError(f"not a form: {form!r}") from None
             matrix = _print(form, memo, depth)
             return text + (f"({matrix})" if isinstance(form, Atom) else matrix)
-    raise TypeError(f"not a form: {form!r}")
+    raise CanonicalizationError("empty conjunction" if isinstance(form, And) else f"not a form: {form!r}")
 
 
 # ----------------------------------------------------------------------

@@ -17,18 +17,23 @@ second guess. The fold depends only on the declared type and the
 expectations, so each distinct pair of them is folded once per analysis, and
 binders that share a pair repeat its derivation lines under their own name.
 
-Analysis prints through the one printer of :mod:`ontologik.logform`, with
-the texts canonicalization sorted by kept for the call: each conjunct is
-printed once, as the typed form's unchanged subtrees are the canonical
-nodes themselves. Outcomes, traces and results are immutable slotted
-classes, not dataclasses.
+Analysis is one post-order walk over the canonical form. At each quantifier
+prefix it walks the matrix, which records what the prefix's variables are
+expected to be, then folds each binder and builds the typed prefix with its
+bridges; a binder's expectations all come from its own scope. Trace lines
+are held back so that binders come in binding order, then constants in
+occurrence order. A bridge can deepen a matrix only after it is walked, so
+levels are counted bottom up. Texts are printed through the one printer of
+:mod:`ontologik.logform` with the texts canonicalization sorted by, and an
+unchanged subtree is the canonical node itself, so each conjunct is printed
+once. Outcomes, traces and results are immutable slotted classes.
 """
 from __future__ import annotations
 
 from operator import is_
 
 from ._value import Value, _set
-from .errors import LexiconError, TypeCheckError
+from .errors import LexiconError, NestingError, TypeCheckError
 from .lexicon import Lexicon, SalientRelation
 from .logform import (
     And,
@@ -36,12 +41,12 @@ from .logform import (
     CanonicalForm,
     Form,
     Implies,
+    MAX_NESTING,
     Not,
     Quant,
     QuantKind,
     _print,
     canonicalize,
-    deeper,
     read_prefix,
     sorted_conj,
     with_prefix,
@@ -219,14 +224,6 @@ def fold_expectations(
 # ----------------------------------------------------------------------
 
 
-class _Binder:
-    __slots__ = ("var", "declared", "expectations", "adjectives", "final", "coercion")
-
-    def __init__(self, var: str, declared: TypeName):
-        self.var, self.declared, self.final = var, declared, ""
-        self.expectations, self.adjectives, self.coercion = [], [], None
-
-
 def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
     """Canonicalize, type every variable and constant, and surface missing text.
 
@@ -238,172 +235,161 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
     memo: dict = {}  # the texts printed for this call, see logform.sorted_conj
     cf = canonicalize(form, ont, lex, memo)
     trace.add("canonicalize", None, _print(form, memo, 0), _print(cf, memo, 0))
+    typed, height, binders, const_slots = _walk(cf, ont, lex, memo)
 
-    binders, const_slots = _collect(cf, ont, lex)
-
-    # Variables, in binding order; a binder whose declared type and
-    # expectations were folded already repeats those steps under its name.
-    folds: dict[tuple[TypeName, ...], tuple[UnificationOutcome, list[TraceStep]]] = {}
-    for b in binders.values():
-        if not b.expectations:
-            b.final = b.declared
-            trace.add("type", b.var, b.var, b.declared)
-            continue
-        key = (b.declared, *b.expectations)
-        hit = folds.get(key)
-        if hit is not None:
-            outcome, steps = hit
-            trace.steps.extend([TraceStep(s.op, b.var, s.detail, s.outcome) for s in steps])
-        else:
-            outcome, sub = fold_expectations(
-                ont, lex, b.declared, b.expectations[::-1], subject=b.var
-            )
-            folds[key] = outcome, sub.steps
-            trace.steps.extend(sub.steps)
-        match outcome:
-            case Unified(result):
-                b.final = result
-            case Coerced(result, _, _):
-                b.final = result
-                b.coercion = outcome
-            case Failed(left, right):
-                raise TypeCheckError(b.var, left, right)
-
-    # Constants, in occurrence order: plain comparability only.
+    # The first failing binder in binding order fails the form, and only
+    # then are constants checked: plain comparability, in occurrence order.
+    for var, steps, failure, _ in binders:
+        if failure is not None:
+            raise TypeCheckError(var, *failure)
+        trace.steps.extend(steps)
     for const, expectation in const_slots:
         declared = lex.names[const].declared_type
         outcome = unify_types(ont, lex, declared, expectation)
         trace.add("unify", const, _pair(declared, expectation), _describe(outcome))
         if not isinstance(outcome, Unified):
             raise TypeCheckError(const, declared, expectation)
-
-    used = {b.var for b in binders.values()} | {c for c, _ in const_slots}
-    typed = _rebuild(cf, binders, used, memo)
-    glosses = [
-        _gloss(b) for b in binders.values() if b.coercion is not None
-    ]
+    if height > MAX_NESTING:
+        raise NestingError()
+    glosses = [gloss for *_, gloss in binders if gloss is not None]
     return AnalyzedForm(typed, trace, glosses, _print(typed, memo, 0))
 
 
-# -- collection --------------------------------------------------------
-
-
-def _collect(
-    cf: Form, ont: Ontology, lex: Lexicon
-) -> tuple[dict[int, _Binder], list[tuple[str, TypeName]]]:
-    binders: dict[int, _Binder] = {}
+def _walk(cf: Form, ont: Ontology, lex: Lexicon, memo: dict) -> tuple[Form, int, list, list]:
+    # One post-order walk that types ``cf``. It returns the typed form, its
+    # height in levels counted as in _canon, each binder in binding order as
+    # (variable, trace steps, failed pair or None, gloss or None), and each
+    # constant slot in occurrence order as (constant, expectation). A read
+    # error is raised where it is met; a fold failure waits for analyze.
+    binders: list = []
     const_slots: list[tuple[str, TypeName]] = []
-    counter = iter(range(1 << 30))
+    arg_types: dict[str, tuple[TypeName, ...]] = {}  # by predicate
+    folds: dict[tuple[TypeName, ...], tuple] = {}
+    used: set[str] = set()  # every name in ``cf``, read at the first bridge
 
-    # ``positive`` is the polarity of ``f``: only a unary predicate asserted
-    # of a referent, not one denied of it, belongs in that referent's gloss.
-    def walk(f: Form, scope: dict[str, int], positive: bool):
-        match f:
-            case Quant():
-                prefix, body = read_prefix(f)
-                scope = dict(scope)
-                for _, var, vtype in prefix:
-                    declared = vtype
-                    if declared is None and var in lex.names:
-                        declared = lex.names[var].declared_type
-                    if declared is None:
-                        declared = ont.root
-                    ont.require(declared)
-                    scope[var] = ident = next(counter)
-                    binders[ident] = _Binder(var, declared)
-                walk(body, scope, positive)
-            case Atom(pred, args):
-                sig = lex.atom_signature(pred)  # canonicalize has already vetted preds
-                assert sig is not None
-                if sig.arity != len(args):
-                    raise LexiconError(
-                        f"'{pred}' expects {sig.arity} argument(s), got {len(args)}"
-                    )
-                for slot, arg in enumerate(args):
-                    expectation = sig.arg_types[slot]
-                    if arg in scope:
-                        b = binders[scope[arg]]
-                        b.expectations.append(expectation)
-                        if sig.arity == 1 and positive:
-                            b.adjectives.append(pred)
-                    else:
-                        if arg not in lex.names:
-                            raise LexiconError(f"unknown constant '{arg}'")
-                        const_slots.append((arg, expectation))
-            case And(items):
-                for i in items:
-                    walk(i, scope, positive)
-            case Not(item):
-                walk(item, scope, not positive)
-            case Implies(a, c):
-                walk(a, scope, not positive)
-                walk(c, scope, positive)
+    def fold(var: str, declared: TypeName, expectations: list[TypeName]) -> tuple:
+        # (final type, coercion or None, failed pair or None, trace steps),
+        # folded once per declared type and expectations: a later binder
+        # repeats the steps under its own name.
+        if not expectations:
+            return declared, None, None, [TraceStep("type", var, var, declared)]
+        key = (declared, *expectations)
+        hit = folds.get(key)
+        if hit is not None:
+            return *hit[:3], [TraceStep(s.op, var, s.detail, s.outcome) for s in hit[3]]
+        outcome, sub = fold_expectations(ont, lex, declared, expectations[::-1], subject=var)
+        match outcome:
+            case Unified(result):
+                hit = result, None, None, sub.steps
+            case Coerced(result, _, _):
+                hit = result, outcome, None, sub.steps
+            case Failed(left, right):
+                hit = declared, None, (left, right), sub.steps
+        folds[key] = hit
+        return hit
 
-    walk(cf, {}, True)
-    return binders, const_slots
+    # ``scope`` maps a variable to the expectations and the adjectives of its
+    # binder. ``positive`` is the polarity of ``f``: only a unary predicate
+    # asserted of a referent, not one denied of it, belongs in its gloss.
+    # A walk returns the typed ``f`` and raises ``reach[0]`` to the typed
+    # height of ``f`` in levels, counted as in _canon; an atom has none.
+    reach = [0]
 
-
-# -- reconstruction ----------------------------------------------------
-
-
-def _rebuild(cf: Form, binders: dict[int, _Binder], used: set[str], memo: dict) -> Form:
-    # Each binder takes its final type. A coerced binder gets a relatum
-    # binder, with a name not in ``used``, right below it, and the bridging
-    # atom joins the matrix of the prefix, next to the predications it explains.
-    # A subtree with no new type and no bridge is the canonical node itself,
-    # so the texts ``memo`` holds for it are printed again, not rebuilt.
-    counter = iter(range(1 << 30))
-
-    # A bridge can turn a matrix into a conjunction, one level deeper than
-    # the input had it, so the levels are counted again as in _canon.
-    def walk(f: Form, depth: int) -> Form:
+    def walk(f: Form, scope: dict[str, tuple[list, list]], positive: bool) -> Form:
+        if isinstance(f, Atom):
+            types = arg_types.get(f.pred)
+            if types is None:  # canonicalize has already vetted the predicate
+                types = arg_types[f.pred] = lex.atom_signature(f.pred).arg_types
+            if len(types) != len(f.args):
+                raise LexiconError(f"'{f.pred}' expects {len(types)} argument(s), got {len(f.args)}")
+            for expectation, arg in zip(types, f.args):
+                slots = scope.get(arg)
+                if slots is not None:
+                    slots[0].append(expectation)
+                    if positive and len(types) == 1:
+                        slots[1].append(f.pred)
+                elif arg in lex.names:
+                    const_slots.append((arg, expectation))
+                else:
+                    raise LexiconError(f"unknown constant '{arg}'")
+            return f
+        outer, reach[0] = reach[0], 0
         match f:
             case Quant():
                 prefix, matrix = read_prefix(f)
-                inner = deeper(depth)
-                typed, bridges = [], []
-                for kind, var, _ in prefix:
-                    b = binders[next(counter)]
-                    typed.append((kind, var, b.final))
-                    if b.coercion is not None:
-                        fresh = _fresh_name(var, used)
-                        used.add(fresh)
-                        typed.append((QuantKind.EXISTS, fresh, b.coercion.relatum_type))
-                        bridges.append(Atom(b.coercion.relation.name, (var, fresh)))
+                scope, own, at = dict(scope), [], len(binders)
+                for _, var, declared in prefix:
+                    if declared is None:
+                        declared = lex.names[var].declared_type if var in lex.names else ont.root
+                    ont.require(declared)
+                    scope[var] = slots = [], []
+                    own.append((declared, *slots))
+                binders.extend([None] * len(own))  # filled in below, so that they keep binding order
                 items = matrix.items if isinstance(matrix, And) else (matrix,)
-                if len(items) + len(bridges) > 1:
-                    inner = deeper(inner)
-                walked = [walk(i, inner) for i in items]
+                walked = [walk(i, scope, positive) for i in items]
+                # Each coerced binder gets a relatum binder right below it,
+                # named apart from every name in the form, and its bridge
+                # joins the matrix, next to the predications it explains.
+                typed, bridges = [], []
+                for (kind, var, _), (declared, expectations, adjectives) in zip(prefix, own):
+                    final, coercion, failure, steps = fold(var, declared, expectations)
+                    typed.append((kind, var, final))
+                    gloss = None
+                    if coercion is not None:
+                        if not used:
+                            used.update(_names(cf))
+                        n = 2
+                        while f"{var}{n}" in used:
+                            n += 1
+                        used.add(fresh := f"{var}{n}")
+                        rel, relatum = coercion.relation.name, coercion.relatum_type
+                        typed.append((QuantKind.EXISTS, fresh, relatum))
+                        bridges.append(Atom(rel, (var, fresh)))
+                        gloss = f"some {' '.join([*adjectives, final])} {rel.lower()} the {relatum}"
+                    binders[at] = var, steps, failure, gloss
+                    at += 1
+                # a bridge can turn the matrix into a conjunction, a level deeper
+                height = reach[0] + (2 if len(items) + len(bridges) > 1 else 1)
                 if not bridges and all(map(is_, walked, items)):
-                    return f if typed == prefix else with_prefix(typed, matrix)
-                return with_prefix(typed, sorted_conj(walked + bridges, memo))
+                    f = f if typed == prefix else with_prefix(typed, matrix)
+                elif height <= MAX_NESTING:  # past the cap analyze raises: print nothing to sort
+                    f = with_prefix(typed, sorted_conj(walked + bridges, memo))
             case And(items):
-                inner = deeper(depth)
-                walked = [walk(i, inner) for i in items]
-                return f if all(map(is_, walked, items)) else sorted_conj(walked, memo)
+                walked = [walk(i, scope, positive) for i in items]
+                height = reach[0] + 1
+                if height <= MAX_NESTING and not all(map(is_, walked, items)):
+                    f = sorted_conj(walked, memo)
             case Not(item):
-                inner = walk(item, deeper(depth))
-                return f if inner is item else Not(inner)
+                inner = walk(item, scope, not positive)
+                height = reach[0] + 1
+                if inner is not item:
+                    f = Not(inner)
             case Implies(a, c):
-                inner = deeper(depth)
-                a2, c2 = walk(a, inner), walk(c, inner)
-                return f if a2 is a and c2 is c else Implies(a2, c2)
+                a2, c2 = walk(a, scope, not positive), walk(c, scope, positive)
+                height = reach[0] + 1
+                if a2 is not a or c2 is not c:
+                    f = Implies(a2, c2)
+        reach[0] = height if height > outer else outer
         return f
 
-    return walk(cf, 0)
+    typed = walk(cf, {}, True)
+    return typed, reach[0], binders, const_slots
 
 
-def _fresh_name(base: str, used: set[str]) -> str:
-    n = 2
-    while f"{base}{n}" in used:
-        n += 1
-    return f"{base}{n}"
-
-
-def _gloss(b: _Binder) -> str:
-    assert b.coercion is not None
-    adjs = " ".join(b.adjectives)
-    noun = f"{adjs} {b.final}" if adjs else b.final
-    return (
-        f"some {noun} {b.coercion.relation.name.lower()} the {b.coercion.relatum_type}"
-    )
+def _names(cf: Form) -> set[str]:
+    # Every bound variable and every atom argument of ``cf``.
+    names, stack = set(), [cf]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            names.update(f.args)
+        elif isinstance(f, Quant):
+            names.add(f.var)
+            stack.append(f.body)
+        elif isinstance(f, And):
+            stack.extend(f.items)
+        elif isinstance(f, Not):
+            stack.append(f.item)
+        else:
+            stack += (f.antecedent, f.consequent)
+    return names

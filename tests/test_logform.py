@@ -430,6 +430,17 @@ def test_api_built_non_forms_are_canonicalization_errors(ont, lex, form, message
         canonicalize(form, ont, lex)
     with pytest.raises(CanonicalizationError, match=message):
         analyze(form, ont, lex)
+    with pytest.raises(CanonicalizationError, match=message):
+        pretty(form)
+
+
+def test_a_quantifier_kind_that_is_no_quant_kind_cannot_be_printed(ont, lex):
+    form = Quant("E", "x", None, Atom("loud", ("x",)))
+    message = "^not a form: " + re.escape(repr(form)) + "$"
+    with pytest.raises(CanonicalizationError, match=message):
+        pretty(form)
+    with pytest.raises(CanonicalizationError, match=message):
+        analyze(form, ont, lex)
 
 
 def _stuck(pred: str) -> str:

@@ -602,6 +602,19 @@ def test_a_relatum_name_avoids_a_name_bound_later_in_the_form(ont, lex):
     )
 
 
+def test_shadowed_relata_are_numbered_as_the_walk_builds_prefixes(ont, lex):
+    # Only the API can build a binder that shadows another. The walk builds
+    # the inner prefix first, so its relatum takes x2 and the outer one x3.
+    inner = Quant(QuantKind.EXISTS, "x", "omelet", Atom("loud", ("x",)))
+    form = Quant(QuantKind.EXISTS, "x", "omelet", conj([Atom("loud", ("x",)), inner]))
+    got = analyze(form, ont, lex)
+    assert got.text == (
+        "(E x :: person)(E x3 :: omelet)(and (E x :: person)(E x2 :: omelet)"
+        "(and (EATING(x, x2)) (loud(x))) (EATING(x, x3)) (loud(x)))"
+    )
+    assert got.missing_text == ["some loud person eating the omelet"] * 2
+
+
 def test_analyze_takes_an_api_built_1000_binder_prefix_of_loud_omelets(ont, lex):
     form = conj([Atom("loud", (f"x{i}",)) for i in range(1000)])
     for i in reversed(range(1000)):
