@@ -53,8 +53,8 @@ class Quant(Value):
         _set(self, "vtype", vtype)
         _set(self, "body", body)
 
-    # A prefix is read in a loop, as alpha_equal does, so comparing or
-    # hashing a prefix of any length takes no frame per binder.
+    # A prefix is read in a loop, as alpha_equal does, so comparing, hashing
+    # or printing a prefix of any length takes no frame per binder.
     def __eq__(self, other):
         if not isinstance(other, Quant):
             return NotImplemented
@@ -68,6 +68,11 @@ class Quant(Value):
     def __hash__(self):
         prefix, matrix = read_prefix(self)
         return hash((tuple(prefix), matrix))
+
+    def __repr__(self):
+        prefix, matrix = read_prefix(self)
+        heads = "".join(f"Quant(kind={k!r}, var={v!r}, vtype={t!r}, body=" for k, v, t in prefix)
+        return heads + repr(matrix) + ")" * len(prefix)
 
 
 Form = Atom | And | Not | Implies | Quant

@@ -16,6 +16,7 @@ from ontologik import (
     AnalyzedForm,
     And,
     Atom,
+    CanonicalizationError,
     Coerced,
     DerivationTrace,
     EquivalenceResult,
@@ -34,6 +35,7 @@ from ontologik import (
     TypeFailure,
     Unified,
     Violation,
+    pretty,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -150,6 +152,20 @@ def test_repr_keeps_the_dataclass_text():
     assert repr(Ontology("entity", {"entity": None, "person": "entity"})) == (
         "Ontology(root='entity', parent=mappingproxy({'entity': None, 'person': 'entity'}))"
     )
+    assert repr(Quant(QuantKind.EXISTS, "x", None, Quant(QuantKind.FORALL, "y", "person", Atom("loud", ("y",))))) == (
+        "Quant(kind=<QuantKind.EXISTS: 'E'>, var='x', vtype=None, body=Quant(kind=<QuantKind.FORALL: 'A'>, "
+        "var='y', vtype='person', body=Atom(pred='loud', args=('y',))))"
+    )
+
+
+def test_the_repr_of_a_long_prefix_takes_no_frame_per_binder():
+    form = Atom("loud", ("x0",))
+    for i in range(5000):
+        form = Quant(QuantKind.EXISTS, f"x{i}", None, form)
+    assert repr(form).startswith("Quant(kind=<QuantKind.EXISTS: 'E'>, var='x4999', vtype=None, body=Quant(")
+    # so the error for a kind that is no QuantKind can name the quantifier
+    with pytest.raises(CanonicalizationError, match="^not a form: Quant\\(kind='E', var='y'"):
+        pretty(Quant("E", "y", None, form))
 
 
 # Run in a fresh interpreter without site-packages, as the command line
