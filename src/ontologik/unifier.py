@@ -372,10 +372,8 @@ def _walk(cf: Form, ont: Ontology, lex: Lexicon, memo: dict) -> tuple[Form, int,
         reach[0] = height if height > outer else outer
         return f
 
-    try:
-        return walk(cf, {}, True), reach[0], binders, const_slots
-    finally:
-        del walk  # it refers to itself: break the cycle, so the call's state goes now, not at a GC
+    typed = walk(cf, {}, True)
+    return typed, reach[0], binders, const_slots
 
 
 def _names(cf: Form) -> set[str]:

@@ -1,4 +1,3 @@
-import gc
 import json
 import random
 
@@ -405,17 +404,6 @@ def test_a_repeated_failing_pair_fails_at_its_first_binder(ont, lex, calls):
         "b", "beer", "person"
     )
     assert calls["fold_expectations"] == 1
-
-
-def test_analysis_leaves_no_reference_cycle_behind(ont, lex):
-    # A cycle would keep each call's memo and forms alive until the cyclic
-    # collector runs, which costs a long-running caller time and memory.
-    form = parse_lf(SHARED_PAIR)
-    gc.collect()
-    analyze(form, ont, lex)
-    with pytest.raises(TypeCheckError):
-        analyze(parse_lf("(E b :: beer)(loud(b))"), ont, lex)
-    assert gc.collect() == 0
 
 
 def test_analyze_takes_an_api_built_500_binder_prefix(ont, lex):
