@@ -20,10 +20,11 @@ binders that share a pair repeat its derivation lines under their own name.
 Analysis is one post-order walk over the canonical form. At each quantifier
 prefix it walks the matrix, which records what the prefix's variables are
 expected to be, then folds each binder and builds the typed prefix with its
-bridges; a binder's expectations all come from its own scope. Trace lines
-are held back so that binders come in binding order, then constants in
-occurrence order. A bridge can deepen a matrix only after it is walked, so
-levels are counted bottom up. Texts are printed through the one printer of
+bridges, naming relata as it goes (an inner prefix first). Trace lines are
+held back so that binders come in binding order, then constants in
+occurrence order; a read error raises where it is met, a failed fold only
+after the walk. A bridge deepens a matrix only after it is walked, so levels
+are counted bottom up. Texts are printed through the one printer of
 :mod:`ontologik.logform` with the texts canonicalization sorted by, and an
 unchanged subtree is the canonical node itself, so each conjunct is printed
 once. Outcomes, traces and results are immutable slotted classes.
@@ -350,14 +351,15 @@ def _walk(cf: Form, ont: Ontology, lex: Lexicon, memo: dict) -> tuple[Form, int,
                     at += 1
                 # a bridge can turn the matrix into a conjunction, a level deeper
                 height = reach[0] + (2 if len(items) + len(bridges) > 1 else 1)
+                # sorting prints down to recorded texts only: past the cap, analyze raises
                 if not bridges and all(map(is_, walked, items)):
                     f = f if typed == prefix else with_prefix(typed, matrix)
-                elif height <= MAX_NESTING:  # past the cap analyze raises: print nothing to sort
+                else:
                     f = with_prefix(typed, sorted_conj(walked + bridges, memo))
             case And(items):
                 walked = [walk(i, scope, positive) for i in items]
                 height = reach[0] + 1
-                if height <= MAX_NESTING and not all(map(is_, walked, items)):
+                if not all(map(is_, walked, items)):
                     f = sorted_conj(walked, memo)
             case Not(item):
                 inner = walk(item, scope, not positive)

@@ -592,6 +592,16 @@ def test_a_type_check_error_beats_a_bridge_that_would_nest_past_the_cap(ont, lex
         analyze(Implies(failing, form), ont, lex)
     with pytest.raises(NestingError):
         analyze(Implies(Atom("loud", ("Julie",)), form), ont, lex)
+    # Two bridges deepen one conjunct past the cap; sorting the conjunction
+    # that holds it must not raise before the failing b is reported.
+    form = Quant(QuantKind.EXISTS, "p", "omelet", Atom("loud", ("p",)))
+    for _ in range(MAX_NESTING - 4):
+        form = Implies(Atom("loud", ("Julie",)), form)
+    form = Quant(QuantKind.EXISTS, "o", "omelet", Implies(Atom("loud", ("o",)), form))
+    with pytest.raises(TypeCheckError, match="^'b' of type beer"):
+        analyze(conj([failing, form]), ont, lex)
+    with pytest.raises(NestingError):
+        analyze(conj([Atom("loud", ("Julie",)), form]), ont, lex)
 
 
 def test_a_relatum_name_avoids_a_name_bound_later_in_the_form(ont, lex):
