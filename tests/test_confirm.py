@@ -115,7 +115,7 @@ def test_different_hypotheses_are_not_equivalent(ont, lex):
 def test_equivalent_hypotheses_agree_everywhere(ont, lex):
     result = equivalence_check(H1, H2, ont, lex)
     predicates = ("black", "red")
-    for object_type in ont.nodes:
+    for object_type in tuple(ont.parent):
         cases = [Observation(object_type, ())]
         cases += [
             Observation(object_type, ((pred, polarity),))

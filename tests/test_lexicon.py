@@ -169,5 +169,5 @@ def test_load_reports_line_numbers(ont):
 def test_load_against_custom_ontology():
     ont = load_ontology("type thing\ntype tool isa thing")
     lex = load_lexicon("pred sharp(tool)\nname Ax :: tool", ont)
-    assert lex.expectation("sharp", 1) == "tool"
+    assert lex.signatures["sharp"].arg_types == ("tool",)
     assert lex.names["Ax"].declared_type == "tool"

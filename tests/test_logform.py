@@ -303,7 +303,7 @@ def test_random_contrapositive_pairs_share_a_canonical_form(ont, lex):
     rng = random.Random(906)
     unary = ["articulate", "loud", "beautiful", "red", "black"]
     for _ in range(200):
-        vtype = rng.choice(ont.nodes)
+        vtype = rng.choice(tuple(ont.parent))
         literals = [Atom(p, ("x",)) for p in rng.sample(unary, rng.randint(1, 3))]
         if len(literals) > 1:
             # only inner literals may flip: a negated top node would cancel

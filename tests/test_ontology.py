@@ -32,7 +32,7 @@ def test_load_skips_comments_and_blanks():
         type person isa entity  # trailing comment
         """
     )
-    assert ont.nodes == ("entity", "person")
+    assert tuple(ont.parent) == ("entity", "person")
 
 
 def test_depths_and_ancestors(ont):
