@@ -6,7 +6,7 @@ type may always generalize (casting up the tree is free) but may never be
 forced back down: once "beautiful" has committed the phrase to entity, an
 outer "red" demanding physical has nothing sound to apply to. Incomparable
 expectations get one chance at a metonymic bridge before failing.
-Verdicts are immutable slotted classes, not dataclasses.
+Verdicts are immutable slotted classes.
 """
 from __future__ import annotations
 
@@ -59,10 +59,12 @@ def check_order(
     ont.require(noun)
     expectations = []
     for adj in adjectives:
-        expected = lex.expectation(adj, 1)  # raises for unknown adjectives
-        if lex.signatures[adj].arity != 1:
+        sig = lex.signatures.get(adj)
+        if sig is None:
+            raise LexiconError(f"unknown predicate '{adj}'")
+        if sig.arity != 1:
             raise LexiconError(f"'{adj}' is not unary and cannot modify a noun")
-        expectations.append(expected)
+        expectations.append(sig.arg_types[0])
 
     running = noun
     chain = [noun]

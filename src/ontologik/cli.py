@@ -20,7 +20,7 @@ from the statuses: 0 when every status is ``ok``, 3 when one is
 An error record's detail holds ``message``, ``error`` (the exception's
 class name) and whichever of the exception's fields ``line``, ``position``,
 ``name``, ``subject``, ``declared`` and ``expectation`` it has; human mode
-prints only ``error: <message>`` on stderr. Records are slotted, not dataclasses.
+prints only ``error: <message>`` on stderr. Records are slotted classes.
 """
 from __future__ import annotations
 
@@ -125,15 +125,14 @@ def _attempt(command: str, compute, failure: str = "parse_error"):
     """``compute()``'s value, or a list of one error record when it raises:
     ``type_error`` for a :class:`TypeCheckError`, ``failure`` for any other
     package or OS error."""
+    # The record is built in the handler, so the exception (its traceback holds this frame) dies with it.
     try:
         return compute()
-    except TypeCheckError as err:
-        status, error, message = "type_error", err, str(err)
     except (OntologikError, OSError) as err:
-        status, error, message = failure, err, str(err)
-    detail = {"message": message, "error": type(error).__name__}
-    detail.update((key, getattr(error, key)) for key in ERROR_FIELDS if hasattr(error, key))
-    return [Record(command, status, detail=detail)]
+        status = "type_error" if isinstance(err, TypeCheckError) else failure
+        detail = {"message": str(err), "error": type(err).__name__}
+        detail.update((key, getattr(err, key)) for key in ERROR_FIELDS if hasattr(err, key))
+        return [Record(command, status, detail=detail)]
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,16 @@ class OntologikError(Exception):
     """Base class for everything raised deliberately by this package."""
 
 
-class OntologyError(OntologikError):
-    """Ontology source rejected at load time."""
-
+class _SourceError(OntologikError):
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class OntologyError(_SourceError):
+    """Ontology source rejected at load time."""
 
 
 class UnknownTypeError(OntologikError):
@@ -28,14 +30,8 @@ class UnknownTypeError(OntologikError):
         self.name = name
 
 
-class LexiconError(OntologikError):
+class LexiconError(_SourceError):
     """Lexicon source rejected at load time, or a bad predicate lookup."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class LFSyntaxError(OntologikError):

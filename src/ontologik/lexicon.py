@@ -4,7 +4,7 @@ The lexicon is the second sort of the model: predicates carry per-argument
 type expectations but are not themselves types, and no identifier may live
 in both sorts at once. Salient relations are the bridges metonymic coercion
 may walk (who does what to what); proper names map constants to their
-declared types. All are immutable slotted classes, not dataclasses.
+declared types. All are immutable slotted classes.
 """
 from __future__ import annotations
 
@@ -111,18 +111,6 @@ class Lexicon(Value):
         if rel is not None:
             return PredicateSignature(rel.name, (rel.domain_type, rel.range_type))
         return None
-
-    def expectation(self, pred: str, arg_index: int) -> TypeName:
-        """The type expected at 1-based ``arg_index`` of ``pred``."""
-        sig = self.signatures.get(pred)
-        if sig is None:
-            raise LexiconError(f"unknown predicate '{pred}'")
-        if not 1 <= arg_index <= sig.arity:
-            raise LexiconError(
-                f"argument index {arg_index} out of range for '{pred}' "
-                f"(arity {sig.arity})"
-            )
-        return sig.arg_types[arg_index - 1]
 
     def coercion_candidates(
         self, ont: Ontology, target_type: TypeName, source_type: TypeName

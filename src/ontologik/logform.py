@@ -27,16 +27,15 @@ and sorting a quantifier's scope only after lifting. The walk also checks
 each atom it meets: a type name still in predicate position afterwards, or an
 unknown predicate, is an error, never silently kept, and only then does an
 ordered walk run, to name the first such atom. :func:`pretty` and analysis
-share one printer, which counts levels as the walk does; analysis hands it
-the memo of texts the walk sorted by, so each conjunct is printed once per
-call. The node classes come from :mod:`ontologik.forms` and are importable
-from here too.
+share one printer, which counts levels as the walk does and records each
+text it prints from level 0 in a memo; analysis hands it one memo per call,
+so each conjunct is printed once per call. The node classes come from
+:mod:`ontologik.forms` and are importable from here too.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from functools import partial
 
 from .errors import CanonicalizationError, LFSyntaxError, NestingError
 from .forms import And, Atom, Binder, Form, Implies, Not, Quant, QuantKind, read_prefix, with_prefix
@@ -258,8 +257,9 @@ def pretty(form: Form) -> str:
 
 def _print(form: Form, memo: dict, depth: int) -> str:
     # The one printer. ``depth`` is the level ``form`` stands at, counted as
-    # in _canon. A text recorded in ``memo`` (see sorted_conj) was printed by
-    # this function from level 0, so a hit is returned without a check.
+    # in _canon. Each text it prints from level 0, but an atom's, is recorded
+    # in ``memo`` as (form, text) under ``id(form)``, holding the form so that
+    # its id is not reused while the memo lives; a hit needs no check.
     if isinstance(form, Atom):
         return f"{form.pred}({', '.join(form.args)})"
     hit = memo.get(id(form))
@@ -268,27 +268,33 @@ def _print(form: Form, memo: dict, depth: int) -> str:
     depth = deeper(depth)
     match form:
         case Not(item):
-            return f"(! {_print(item, memo, depth)})"
+            text = f"(! {_print(item, memo, depth)})"
         case Implies(antecedent, consequent):
-            return f"({_print(antecedent, memo, depth)} -> {_print(consequent, memo, depth)})"
+            text = f"({_print(antecedent, memo, depth)} -> {_print(consequent, memo, depth)})"
         case And(items) if items:
             # An atom standing where a form is expected takes parentheses.
-            return "(and " + " ".join([
+            text = "(and " + " ".join([
                 f"({i.pred}({', '.join(i.args)}))" if isinstance(i, Atom) else _print(i, memo, depth)
                 for i in items
             ]) + ")"
         case Quant():
-            text = ""
+            text, f = "", form
             try:
-                while isinstance(form, Quant):  # a whole prefix, without recursion
-                    kind, var, vtype = form.kind._value_, form.var, form.vtype
+                while isinstance(f, Quant):  # a whole prefix, without recursion
+                    kind, var, vtype = f.kind._value_, f.var, f.vtype
                     text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
-                    form = form.body
+                    f = f.body
             except AttributeError:  # a kind that is no QuantKind
-                raise CanonicalizationError(f"not a form: {form!r}") from None
-            matrix = _print(form, memo, depth)
-            return text + (f"({matrix})" if isinstance(form, Atom) else matrix)
-    raise CanonicalizationError("empty conjunction" if isinstance(form, And) else f"not a form: {form!r}")
+                raise CanonicalizationError(f"not a form: {f!r}") from None
+            matrix = _print(f, memo, depth)
+            text += f"({matrix})" if isinstance(f, Atom) else matrix
+        case And():
+            raise CanonicalizationError("empty conjunction")
+        case _:
+            raise CanonicalizationError(f"not a form: {form!r}")
+    if depth == 1:  # printed from level 0
+        memo[id(form)] = form, text
+    return text
 
 
 # ----------------------------------------------------------------------
@@ -337,12 +343,12 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon, memo: dict | None = No
     :class:`CanonicalizationError`.
 
     ``memo``, an empty dict that :func:`~ontologik.unifier.analyze` keeps for
-    one call, collects the texts the sort printed (see :func:`sorted_conj`);
-    without one, the call makes its own.
+    one call, collects the texts the printer records as the sort prints from
+    level 0 (see :func:`sorted_conj`); without one, the call makes its own.
 
     A form nested deeper than :data:`MAX_NESTING` raises :class:`NestingError`;
-    an empty conjunction or an object that is no form, which only the API can
-    build, raises :class:`CanonicalizationError`.
+    an empty conjunction, a non-form or a kind that is no :class:`QuantKind`,
+    which only the API can build, raises :class:`CanonicalizationError`.
     """
     if memo is None:
         memo = {}
@@ -383,6 +389,11 @@ def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], dep
         case Quant():
             # The matrix's canonical conjuncts go to _lift unsorted.
             prefix, matrix = read_prefix(f)
+            for kind, _, _ in prefix:
+                if not isinstance(kind, QuantKind):  # named by its Quant, as _print names it
+                    while f.kind is not kind:
+                        f = f.body
+                    raise CanonicalizationError(f"not a form: {f!r}")
             items: tuple[Form, ...] = (matrix,)
             if isinstance(matrix, And) and matrix.items:  # an empty one is walked, and raises
                 depth, items = deeper(depth), matrix.items
@@ -397,25 +408,13 @@ def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], dep
 def sorted_conj(items: list[Form], memo: dict) -> Form:
     """Like :func:`conj`, but the conjuncts are sorted by printed form.
 
-    The text of each conjunct that is not an atom is read from ``memo`` or
-    recorded in it, under the conjunct's ``id``, as ``(conjunct, text)``:
-    holding the conjunct keeps its ``id`` from being reused while the memo
-    lives."""
+    Each conjunct is printed from level 0 with ``memo``, so the printer reads
+    its text from there or records it, unless the conjunct is an atom."""
     flat: list[Form] = []
     for item in items:
         flat.extend(item.items if isinstance(item, And) else (item,))
-    flat.sort(key=partial(_text, memo))
+    flat.sort(key=lambda item: _print(item, memo, 0))
     return flat[0] if len(flat) == 1 else And(tuple(flat))
-
-
-def _text(memo: dict, form: Form) -> str:
-    # The sort key of a conjunct: pretty(form), recorded unless it is an atom.
-    if isinstance(form, Atom):
-        return f"{form.pred}({', '.join(form.args)})"
-    hit = memo.get(id(form))
-    if hit is None:
-        hit = memo[id(form)] = form, _print(form, memo, 0)
-    return hit[1]
 
 
 def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, bad: list[int]) -> Form:

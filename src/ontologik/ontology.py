@@ -12,7 +12,7 @@ answered in constant time from labels the tree gets once, at construction
 SIGMOD 1989): each type's pre-order index, the last pre-order index in its
 subtree, and its depth. A subtree is then one contiguous pre-order range, so
 ``g`` subsumes ``s`` exactly when ``pre[g] <= pre[s] <= last[g]``. An
-``Ontology`` is an immutable slotted class; it needs no ``dataclasses``.
+``Ontology`` is an immutable slotted class.
 """
 from __future__ import annotations
 
@@ -103,10 +103,6 @@ class Ontology(Value):
 
     def __len__(self) -> int:
         return len(self.parent)
-
-    @property
-    def nodes(self) -> tuple[TypeName, ...]:
-        return tuple(self.parent)
 
     def require(self, name: str) -> TypeName:
         if name not in self._pre:

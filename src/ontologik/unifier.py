@@ -25,9 +25,10 @@ held back so that binders come in binding order, then constants in
 occurrence order; a read error raises where it is met, a failed fold only
 after the walk. A bridge deepens a matrix only after it is walked, so levels
 are counted bottom up. Texts are printed through the one printer of
-:mod:`ontologik.logform` with the texts canonicalization sorted by, and an
-unchanged subtree is the canonical node itself, so each conjunct is printed
-once. Outcomes, traces and results are immutable slotted classes.
+:mod:`ontologik.logform`, which records each level-0 text in the call's
+memo, canonicalization's sort included; an unchanged subtree is the
+canonical node itself, so each conjunct is printed once. Outcomes, traces
+and results are immutable slotted classes.
 """
 from __future__ import annotations
 
@@ -146,8 +147,6 @@ def unify_types(
     orientation is tried next so the operation stays commutative up to the
     roles in the outcome.
     """
-    ont.require(first)
-    ont.require(second)
     match ont.compare(first, second):
         case SubsumptionVerdict.EQUAL:
             return Unified(first)
@@ -178,7 +177,6 @@ def _describe(outcome: UnificationOutcome) -> str:
             return f"coerced: {result} via {rel.name}({result}, {relatum})"
         case Failed(left, right):
             return f"failed: {left} vs {right}"
-    raise TypeError(f"not an outcome: {outcome!r}")
 
 
 def fold_expectations(
@@ -233,16 +231,16 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
     or the typed form with its bridges, nests deeper than ``MAX_NESTING``.
     """
     trace = DerivationTrace()
-    memo: dict = {}  # the texts printed for this call, see logform.sorted_conj
+    memo: dict = {}  # the texts printed from level 0 for this call, see logform._print
     cf = canonicalize(form, ont, lex, memo)
     trace.add("canonicalize", None, _print(form, memo, 0), _print(cf, memo, 0))
     typed, height, binders, const_slots = _walk(cf, ont, lex, memo)
 
     # The first failing binder in binding order fails the form, and only
     # then are constants checked: plain comparability, in occurrence order.
-    for var, steps, failure, _ in binders:
-        if failure is not None:
-            raise TypeCheckError(var, *failure)
+    for var, outcome, steps, _ in binders:
+        if isinstance(outcome, Failed):
+            raise TypeCheckError(var, outcome.left, outcome.right)
         trace.steps.extend(steps)
     for const, expectation in const_slots:
         declared = lex.names[const].declared_type
@@ -259,34 +257,26 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
 def _walk(cf: Form, ont: Ontology, lex: Lexicon, memo: dict) -> tuple[Form, int, list, list]:
     # One post-order walk that types ``cf``. It returns the typed form, its
     # height in levels counted as in _canon, each binder in binding order as
-    # (variable, trace steps, failed pair or None, gloss or None), and each
-    # constant slot in occurrence order as (constant, expectation). A read
-    # error is raised where it is met; a fold failure waits for analyze.
+    # (variable, outcome, trace steps, gloss or None), and each constant slot
+    # in occurrence order as (constant, expectation). A read error is raised
+    # where it is met; a fold failure waits for analyze.
     binders: list = []
     const_slots: list[tuple[str, TypeName]] = []
     arg_types: dict[str, tuple[TypeName, ...]] = {}  # by predicate
-    folds: dict[tuple[TypeName, ...], tuple] = {}
+    folds: dict[tuple[TypeName, ...], tuple[UnificationOutcome, list[TraceStep]]] = {}
     used: set[str] = set()  # every name in ``cf``, read at the first bridge
 
     def fold(var: str, declared: TypeName, expectations: list[TypeName]) -> tuple:
-        # (final type, coercion or None, failed pair or None, trace steps),
-        # folded once per declared type and expectations: a later binder
-        # repeats the steps under its own name.
+        # (outcome, trace steps), folded once per declared type and
+        # expectations: a later binder repeats the steps under its own name.
         if not expectations:
-            return declared, None, None, [TraceStep("type", var, var, declared)]
+            return Unified(declared), [TraceStep("type", var, var, declared)]
         key = (declared, *expectations)
         hit = folds.get(key)
         if hit is not None:
-            return *hit[:3], [TraceStep(s.op, var, s.detail, s.outcome) for s in hit[3]]
+            return hit[0], [TraceStep(s.op, var, s.detail, s.outcome) for s in hit[1]]
         outcome, sub = fold_expectations(ont, lex, declared, expectations[::-1], subject=var)
-        match outcome:
-            case Unified(result):
-                hit = result, None, None, sub.steps
-            case Coerced(result, _, _):
-                hit = result, outcome, None, sub.steps
-            case Failed(left, right):
-                hit = declared, None, (left, right), sub.steps
-        folds[key] = hit
+        hit = folds[key] = outcome, sub.steps
         return hit
 
     # ``scope`` maps a variable to the expectations and the adjectives of its
@@ -333,21 +323,22 @@ def _walk(cf: Form, ont: Ontology, lex: Lexicon, memo: dict) -> tuple[Form, int,
                 # joins the matrix, next to the predications it explains.
                 typed, bridges = [], []
                 for (kind, var, _), (declared, expectations, adjectives) in zip(prefix, own):
-                    final, coercion, failure, steps = fold(var, declared, expectations)
+                    outcome, steps = fold(var, declared, expectations)
+                    final = declared if isinstance(outcome, Failed) else outcome.result
                     typed.append((kind, var, final))
                     gloss = None
-                    if coercion is not None:
+                    if isinstance(outcome, Coerced):
                         if not used:
                             used.update(_names(cf))
                         n = 2
                         while f"{var}{n}" in used:
                             n += 1
                         used.add(fresh := f"{var}{n}")
-                        rel, relatum = coercion.relation.name, coercion.relatum_type
+                        rel, relatum = outcome.relation.name, outcome.relatum_type
                         typed.append((QuantKind.EXISTS, fresh, relatum))
                         bridges.append(Atom(rel, (var, fresh)))
                         gloss = f"some {' '.join([*adjectives, final])} {rel.lower()} the {relatum}"
-                    binders[at] = var, steps, failure, gloss
+                    binders[at] = var, outcome, steps, gloss
                     at += 1
                 # a bridge can turn the matrix into a conjunction, a level deeper
                 height = reach[0] + (2 if len(items) + len(bridges) > 1 else 1)

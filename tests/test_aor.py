@@ -68,6 +68,9 @@ def test_unknown_adjective_and_noun_are_loud_errors(ont, lex):
         check_order(ont, lex, ["red"], "unicorn")
     with pytest.raises(LexiconError, match="not unary"):
         check_order(ont, lex, ["want"], "car")
+    nullary = Lexicon({"z": PredicateSignature("z", ())})
+    with pytest.raises(LexiconError, match="^'z' is not unary and cannot modify a noun$"):
+        check_order(ont, nullary, ["z"], "car")
 
 
 # ----------------------------------------------------------------------

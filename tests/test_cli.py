@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ontologik.cli import main
+from ontologik.cli import Reporter, cmd_unify, main
 from ontologik.fixtures import FIXTURES_ENV, lexicon_path, ontology_path
 
 
@@ -465,6 +466,19 @@ def test_unknown_type_record_names_the_type(capsys):
         "error": "UnknownTypeError",
         "name": "unicorn",
     }
+
+
+def test_a_rejected_command_leaves_no_cycle_for_the_collector(ont, lex, capsys):
+    # The error record must not keep the exception, whose traceback holds
+    # the frame that caught it.
+    gc.collect()
+    gc.disable()
+    try:
+        assert cmd_unify(ont, lex, Reporter("human"), "unicorn", "person") == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().err == "error: unknown type name 'unicorn'\n"
 
 
 def test_type_error_record_carries_subject_declared_and_expectation(capsys):

@@ -24,21 +24,6 @@ def test_reference_lexicon_contents(lex):
     assert lex.names["Julie"].declared_type == "person"
 
 
-def test_expectation_lookup(lex):
-    assert lex.expectation("loud", 1) == "person"
-    assert lex.expectation("want", 1) == "animal"
-    assert lex.expectation("want", 2) == "entity"
-
-
-def test_expectation_errors(lex):
-    with pytest.raises(LexiconError, match="unknown predicate 'sings'"):
-        lex.expectation("sings", 1)
-    with pytest.raises(LexiconError, match="out of range"):
-        lex.expectation("loud", 2)
-    with pytest.raises(LexiconError, match="out of range"):
-        lex.expectation("want", 0)
-
-
 def test_atom_signature_covers_relations(lex):
     assert lex.atom_signature("loud") == lex.signatures["loud"]
     assert lex.atom_signature("EATING") == PredicateSignature("EATING", ("person", "food"))

@@ -435,12 +435,16 @@ def test_api_built_non_forms_are_canonicalization_errors(ont, lex, form, message
 
 
 def test_a_quantifier_kind_that_is_no_quant_kind_cannot_be_printed(ont, lex):
-    form = Quant("E", "x", None, Atom("loud", ("x",)))
-    message = "^not a form: " + re.escape(repr(form)) + "$"
-    with pytest.raises(CanonicalizationError, match=message):
-        pretty(form)
-    with pytest.raises(CanonicalizationError, match=message):
-        analyze(form, ont, lex)
+    x = ("x",)
+    # read as existential, "A" would lift omelet(x): "all omelets are loud"
+    lifted = Quant("A", "x", None, And((Atom("omelet", x), Atom("loud", x))))
+    inner = Quant("E", "x", None, Atom("loud", x))
+    nested = Quant(QuantKind.EXISTS, "y", "person", inner)
+    for form, bad in ((inner, inner), (lifted, lifted), (nested, inner)):
+        message = "^not a form: " + re.escape(repr(bad)) + "$"
+        for call in (pretty, lambda f: canonicalize(f, ont, lex), lambda f: analyze(f, ont, lex)):
+            with pytest.raises(CanonicalizationError, match=message):
+                call(form)
 
 
 def _stuck(pred: str) -> str:
