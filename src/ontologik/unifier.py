@@ -233,7 +233,8 @@ def analyze(form: Form, ont: Ontology, lex: Lexicon) -> AnalyzedForm:
     trace = DerivationTrace()
     memo: dict = {}  # the texts printed from level 0 for this call, see logform._print
     cf = canonicalize(form, ont, lex, memo)
-    trace.add("canonicalize", None, _print(form, memo, 0), _print(cf, memo, 0))
+    # The input shares no node with cf: with a memo of its own, it is freed on return.
+    trace.add("canonicalize", None, _print(form, {}, 0), _print(cf, memo, 0))
     typed, height, binders, const_slots = _walk(cf, ont, lex, memo)
 
     # The first failing binder in binding order fails the form, and only
