@@ -390,7 +390,7 @@ def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], dep
             # The matrix's canonical conjuncts go to _lift unsorted.
             prefix, matrix = read_prefix(f)
             for kind, _, _ in prefix:
-                if not isinstance(kind, QuantKind):  # named by its Quant, as _print names it
+                if not isinstance(kind, QuantKind):  # API-built; named by its Quant, as in _print
                     while f.kind is not kind:
                         f = f.body
                     raise CanonicalizationError(f"not a form: {f!r}")
