@@ -114,6 +114,63 @@ def oracle_candidates(
 
 
 # ----------------------------------------------------------------------
+# expectation-fold oracle: pairwise unification from the oracles above
+# ----------------------------------------------------------------------
+
+
+def oracle_unify(
+    parent: dict[str, str | None], relations: list[Relation], first: str, second: str
+) -> tuple:
+    """``("unified", result)``, ``("coerced", result, relation, relatum)`` or
+    ``("failed", first, second)``: the more specific of two comparable types,
+    else the first candidate bridging ``first`` to the expectation
+    ``second``, else one bridging ``second`` to ``first``. A coerced result
+    is the more specific of the target and the relation's domain."""
+    verdict = oracle_compare(parent, first, second)
+    if verdict != "incomparable":
+        return ("unified", second if verdict == "first" else first)
+    domains = {rel[0]: rel[1] for rel in relations}
+    for target, source in ((second, first), (first, second)):
+        names = oracle_candidates(parent, relations, target, source)
+        if names:
+            domain = domains[names[0]]
+            refined = target if oracle_subsumes(parent, domain, target) else domain
+            return ("coerced", refined, names[0], source)
+    return ("failed", first, second)
+
+
+def oracle_fold(
+    parent: dict[str, str | None], relations: list[Relation], declared: str, expectations: list[str]
+) -> tuple[tuple, list[tuple[str, str]]]:
+    """The outcome of folding ``declared`` with ``expectations``, as
+    :func:`oracle_unify` writes outcomes, and one ``(detail, outcome)`` line
+    per pair unified. The last expectation is the innermost and starts the
+    fold; each earlier one joins it in turn, and ``declared`` joins last. A
+    second coercion fails on the pair that would make it."""
+    acc, coercion, lines = expectations[-1], None, []
+    for left in [*expectations[-2::-1], declared]:
+        outcome = oracle_unify(parent, relations, left, acc)
+        if outcome[0] == "coerced" and coercion is not None:
+            outcome = ("failed", left, acc)
+        if outcome[0] == "unified":
+            text = outcome[1]
+        elif outcome[0] == "coerced":
+            _, result, name, relatum = outcome
+            text = f"coerced: {result} via {name}({result}, {relatum})"
+        else:
+            text = f"failed: {outcome[1]} vs {outcome[2]}"
+        lines.append((f"({left} • {acc})", text))
+        if outcome[0] == "failed":
+            return outcome, lines
+        if outcome[0] == "coerced":
+            coercion = outcome
+        acc = outcome[1]
+    if coercion is None:
+        return ("unified", acc), lines
+    return ("coerced", acc, coercion[2], coercion[3]), lines
+
+
+# ----------------------------------------------------------------------
 # random logical forms over the reference lexicon vocabulary
 # ----------------------------------------------------------------------
 

@@ -343,6 +343,34 @@ def test_hempel_malformed_observation_exits_3(capsys):
 
 
 # ----------------------------------------------------------------------
+# usage errors
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [
+        (["frobnicate", "x"], "invalid choice: 'frobnicate'"),
+        (["analyze"], "the following arguments are required: text"),
+        (["unify", "beer"], "the following arguments are required: second"),
+        (["aor", "loud"], "the following arguments are required: --noun"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+@pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
+def test_a_usage_error_exits_2_from_argparse_with_no_record(capsys, fmt, argv, complaint):
+    # Pinned as it stands: argparse exits 2, the code README gives to a
+    # semantic failure, and prints usage to stderr, but no record to stdout.
+    with pytest.raises(SystemExit) as done:
+        main(fmt + argv)
+    out, err = capsys.readouterr()
+    assert done.value.code == 2
+    assert out == ""
+    assert err.startswith("usage: ontologik")
+    assert complaint in err
+
+
+# ----------------------------------------------------------------------
 # resource wiring
 # ----------------------------------------------------------------------
 

@@ -8,8 +8,11 @@ from ontologik import (
     LexiconError,
     PredicateSignature,
     SalientRelation,
+    analyze,
     load_lexicon,
     load_ontology,
+    parse_lf,
+    pretty,
 )
 
 from oracles import oracle_candidates, random_relations, random_tree, tree_source
@@ -28,6 +31,15 @@ def test_atom_signature_covers_relations(lex):
     assert lex.atom_signature("loud") == lex.signatures["loud"]
     assert lex.atom_signature("EATING") == PredicateSignature("EATING", ("person", "food"))
     assert lex.atom_signature("unheard_of") is None
+
+
+def test_a_declared_predicate_wins_over_a_relation_of_the_same_name(ont):
+    lex = load_lexicon("pred eats(person)\nrel eats(person, food)", ont)
+    assert lex.atom_signature("eats") == PredicateSignature("eats", ("person",))
+    typed = analyze(parse_lf("(E x)(eats(x))"), ont, lex)
+    assert pretty(typed.form) == "(E x :: person)(eats(x))"
+    with pytest.raises(LexiconError, match=r"'eats' expects 1 argument\(s\), got 2"):
+        analyze(parse_lf("(E x)(E y)(eats(x, y))"), ont, lex)
 
 
 # ----------------------------------------------------------------------

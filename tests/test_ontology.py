@@ -100,6 +100,29 @@ def test_unknown_type_queries(ont):
 
 
 @pytest.mark.parametrize(
+    "query, args, unknown",
+    [
+        ("require", ("unicorn",), "unicorn"),
+        ("ancestors", ("unicorn",), "unicorn"),
+        ("depth", ("unicorn",), "unicorn"),
+        ("comparable_count", ("unicorn",), "unicorn"),
+        ("comparable_types", ("unicorn",), "unicorn"),
+        ("subsumes", ("unicorn", "griffin"), "unicorn"),
+        ("subsumes", ("entity", "griffin"), "griffin"),
+        ("subsumes", ("griffin", "entity"), "griffin"),
+        ("compare", ("unicorn", "griffin"), "unicorn"),
+        ("compare", ("person", "griffin"), "griffin"),
+        ("compare", ("griffin", "person"), "griffin"),
+    ],
+)
+def test_every_query_names_the_first_unknown_type(ont, query, args, unknown):
+    with pytest.raises(UnknownTypeError) as err:
+        getattr(ont, query)(*args)
+    assert err.value.name == unknown
+    assert str(err.value) == f"unknown type name '{unknown}'"
+
+
+@pytest.mark.parametrize(
     "root, parent, fragment",
     [
         ("a", {"a": None, "b": "missing"}, "unknown parent 'missing' for 'b'"),

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,12 +9,14 @@ from ontologik import (
     Coerced,
     Failed,
     Implies,
+    Lexicon,
     LexiconError,
     NestingError,
     Not,
     OntologikError,
     Quant,
     QuantKind,
+    SalientRelation,
     TypeCheckError,
     Unified,
     UnknownTypeError,
@@ -24,6 +27,7 @@ from ontologik import (
     conj,
     fold_expectations,
     load_lexicon,
+    load_ontology,
     parse_lf,
     parse_sentence,
     pretty,
@@ -33,7 +37,17 @@ from ontologik import cli, unifier
 from ontologik.fixtures import lexicon_path
 from ontologik.logform import MAX_NESTING
 
-from oracles import Model, ancestor_chain, holds, random_form, random_liftable_form
+from oracles import (
+    Model,
+    ancestor_chain,
+    holds,
+    oracle_fold,
+    random_form,
+    random_liftable_form,
+    random_relations,
+    random_tree,
+    tree_source,
+)
 
 
 def _steps_for(trace, subject):
@@ -178,6 +192,39 @@ def test_fold_allows_at_most_one_coercion(ont, lex):
 def test_fold_requires_expectations(ont, lex):
     with pytest.raises(ValueError):
         fold_expectations(ont, lex, "beer", [])
+
+
+def _as_oracle_outcome(outcome):
+    if isinstance(outcome, Unified):
+        return ("unified", outcome.result)
+    if isinstance(outcome, Coerced):
+        return ("coerced", outcome.result, outcome.relation.name, outcome.relatum_type)
+    return ("failed", outcome.left, outcome.right)
+
+
+def test_fold_matches_the_brute_force_oracle_on_random_trees():
+    rng = random.Random(1313)
+    seen = Counter()
+    for _ in range(100):
+        parent = random_tree(rng, max_nodes=14)
+        ont = load_ontology(tree_source(parent))
+        rels = random_relations(rng, parent)
+        lex = Lexicon(relations=[SalientRelation(*rel) for rel in rels])
+        nodes = list(parent)
+        for _ in range(25):
+            declared = rng.choice(nodes)
+            expectations = [rng.choice(nodes) for _ in range(rng.randint(1, 4))]
+            outcome, trace = fold_expectations(ont, lex, declared, expectations, subject="v")
+            want, lines = oracle_fold(parent, rels, declared, expectations)
+            assert _as_oracle_outcome(outcome) == want, (parent, rels, declared, expectations)
+            assert [(s.op, s.subject, s.detail, s.outcome) for s in trace.steps] == [
+                ("unify", "v", detail, text) for detail, text in lines
+            ]
+            coerced_before = any(text.startswith("coerced") for _, text in lines[:-1])
+            seen[want[0] + (" after a coercion" if want[0] == "failed" and coerced_before else "")] += 1
+    # every way a fold can end is reached, a second coercion included
+    assert set(seen) == {"unified", "coerced", "failed", "failed after a coercion"}, seen
+    assert min(seen.values()) >= 50, seen
 
 
 # ----------------------------------------------------------------------
