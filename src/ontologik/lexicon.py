@@ -3,7 +3,8 @@
 The lexicon is the second sort of the model: predicates carry per-argument
 type expectations but are not themselves types, and no identifier may live
 in both sorts at once. Salient relations are the bridges metonymic coercion
-may walk (who does what to what); proper names map constants to their
+may walk (who does what to what), and a coercion search compares only
+the far side of each relation it reads; proper names map constants to their
 declared types. All are immutable slotted classes.
 """
 from __future__ import annotations
@@ -60,10 +61,13 @@ class NameDecl(Value):
 class Lexicon(Value):
     """Predicate signatures, salient relations, and names. Load-once.
 
-    Relations are also kept in buckets by name, by domain type and by range
-    type, built at construction, so a lookup reads only the relations near
-    the names or types it is asked about. ``signatures`` and ``names`` are
-    kept as read-only copies, so a loaded lexicon cannot be changed.
+    Built at construction, ``arg_types`` maps each name that may head an
+    atom to the types its arguments expect: a declared predicate's, else the
+    domain and range of the first relation of that name. Relations are also
+    kept in buckets by domain type and by range type, so a lookup reads only
+    the relations near the types it is asked about. ``signatures``,
+    ``names`` and ``arg_types`` are read-only, so a loaded lexicon cannot be
+    changed.
 
     Every type a signature, relation or name mentions must be a type of the
     ontology the lexicon is used with. :func:`load_lexicon` checks this; a
@@ -73,8 +77,8 @@ class Lexicon(Value):
     """
 
     __match_args__ = ("signatures", "relations", "names")  # the fields
-    # _by_name maps a name to its relation, _by_domain and _by_range a type to relation positions.
-    __slots__ = (*__match_args__, "_by_name", "_by_domain", "_by_range")
+    # _by_domain and _by_range map a type to relation positions.
+    __slots__ = (*__match_args__, "arg_types", "_by_domain", "_by_range")
 
     def __init__(
         self, signatures: Mapping[str, PredicateSignature] | None = None,
@@ -83,14 +87,15 @@ class Lexicon(Value):
         _set(self, "signatures", MappingProxyType(dict(signatures or {})))
         _set(self, "names", MappingProxyType(dict(names or {})))
         _set(self, "relations", tuple(relations))
-        by_name: dict[str, SalientRelation] = {}
+        arg_types: dict[str, tuple[TypeName, ...]] = {}
         by_domain: dict[TypeName, list[int]] = {}
         by_range: dict[TypeName, list[int]] = {}
         for i, rel in enumerate(self.relations):
-            by_name.setdefault(rel.name, rel)
+            arg_types.setdefault(rel.name, (rel.domain_type, rel.range_type))
             by_domain.setdefault(rel.domain_type, []).append(i)
             by_range.setdefault(rel.range_type, []).append(i)
-        _set(self, "_by_name", by_name)
+        arg_types.update({name: sig.arg_types for name, sig in self.signatures.items()})
+        _set(self, "arg_types", MappingProxyType(arg_types))
         _set(self, "_by_domain", by_domain)
         _set(self, "_by_range", by_range)
 
@@ -105,12 +110,9 @@ class Lexicon(Value):
         or a salient relation standing as its own two-place predicate (the
         shape analysis emits when it surfaces missing text)."""
         sig = self.signatures.get(pred)
-        if sig is not None:
-            return sig
-        rel = self._by_name.get(pred)
-        if rel is not None:
-            return PredicateSignature(rel.name, (rel.domain_type, rel.range_type))
-        return None
+        if sig is None and pred in self.arg_types:
+            return PredicateSignature(pred, self.arg_types[pred])
+        return sig
 
     def coercion_candidates(
         self, ont: Ontology, target_type: TypeName, source_type: TypeName
@@ -127,21 +129,19 @@ class Lexicon(Value):
         the one with fewer comparable types (subtree size plus depth) looks up
         its side's buckets (domain for the target, range for the source) over
         its subtree, one pre-order range, and its proper ancestors. A
-        qualifying relation is in one of those buckets, so none is missed.
-        Relations must name types of ``ont``, as :func:`load_lexicon` checks.
+        qualifying relation is in one of those buckets, so none is missed,
+        and every relation in them is comparable on that side, so only the
+        far side of each is compared. Relations must name types of ``ont``,
+        as :func:`load_lexicon` checks.
         """
         if ont.comparable_count(target_type) <= ont.comparable_count(source_type):
-            near, buckets = target_type, self._by_domain
+            near, buckets, far, side = target_type, self._by_domain, source_type, "range_type"
         else:
-            near, buckets = source_type, self._by_range
+            near, buckets, far, side = source_type, self._by_range, target_type, "domain_type"
         nearby = sorted(i for t in ont.comparable_types(near) for i in buckets.get(t, ()))
         rels = [self.relations[i] for i in nearby]
-        found = [
-            rel
-            for rel in rels
-            if ont.compare(rel.domain_type, target_type) is not SubsumptionVerdict.INCOMPARABLE
-            and ont.compare(rel.range_type, source_type) is not SubsumptionVerdict.INCOMPARABLE
-        ]
+        apart = SubsumptionVerdict.INCOMPARABLE
+        found = [rel for rel in rels if ont.compare(getattr(rel, side), far) is not apart]
         found.sort(
             key=lambda rel: (
                 rel.range_type != source_type,

@@ -279,13 +279,12 @@ def _print(form: Form, memo: dict, depth: int) -> str:
             ]) + ")"
         case Quant():
             text, f = "", form
-            try:
-                while isinstance(f, Quant):  # a whole prefix, without recursion
-                    kind, var, vtype = f.kind._value_, f.var, f.vtype
-                    text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
-                    f = f.body
-            except AttributeError:  # a kind that is no QuantKind
-                raise CanonicalizationError(f"not a form: {f!r}") from None
+            while isinstance(f, Quant):  # a whole prefix, without recursion
+                if not isinstance(f.kind, QuantKind):
+                    raise CanonicalizationError(f"not a form: {f!r}")
+                kind, var, vtype = f.kind._value_, f.var, f.vtype
+                text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
+                f = f.body
             matrix = _print(f, memo, depth)
             text += f"({matrix})" if isinstance(f, Atom) else matrix
         case And():
@@ -303,7 +302,7 @@ def _print(form: Form, memo: dict, depth: int) -> str:
 
 
 def atoms(form: Form) -> Iterator[Atom]:
-    """All atoms, left to right."""
+    """All atoms, left to right; :class:`CanonicalizationError` at a non-form."""
     stack = [form]
     while stack:
         match stack.pop():
@@ -315,6 +314,8 @@ def atoms(form: Form) -> Iterator[Atom]:
                 stack.append(item)
             case Implies(a, c):
                 stack += (c, a)
+            case junk:
+                raise CanonicalizationError(f"not a form: {junk!r}")
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +362,7 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon, memo: dict | None = No
                     f"type name '{atom.pred}' used as a predicate where no rewrite can lift it: "
                     f"{pretty(atom)}"
                 )
-            if lex.atom_signature(atom.pred) is None:
+            if atom.pred not in lex.arg_types:
                 raise CanonicalizationError(f"unknown predicate '{atom.pred}'")
     return cf
 
@@ -369,7 +370,7 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon, memo: dict | None = No
 def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], depth: int = 0) -> Form:
     # ``bad[0]`` counts the atoms met whose predicate is a type name or unknown.
     if isinstance(f, Atom):
-        if f.pred in ont or lex.atom_signature(f.pred) is None:
+        if f.pred in ont or f.pred not in lex.arg_types:
             bad[0] += 1
         return f
     depth = deeper(depth)
@@ -468,7 +469,8 @@ def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, ba
 
 
 def alpha_equal(a: Form, b: Form) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
+    """Structural equality up to consistent renaming of bound variables.
+    A non-form met where the walk compares shapes raises :class:`CanonicalizationError`."""
     return _alpha(a, b, {}, {})
 
 
@@ -503,4 +505,7 @@ def _alpha(a: Form, b: Form, env_a: dict[str, int], env_b: dict[str, int]) -> bo
                 env_a[a.var] = env_b[b.var] = serial
                 a, b = a.body, b.body
             return _alpha(a, b, env_a, env_b)
+    for f in (a, b):  # forms of different shapes differ; anything else is no form
+        if not isinstance(f, Form):
+            raise CanonicalizationError(f"not a form: {f!r}")
     return False

@@ -11,8 +11,10 @@ answered in constant time from labels the tree gets once, at construction
 (Aït-Kaci, Boyer, Lincoln & Nasr, TOPLAS 1989; Agrawal, Borgida & Jagadish,
 SIGMOD 1989): each type's pre-order index, the last pre-order index in its
 subtree, and its depth. A subtree is then one contiguous pre-order range, so
-``g`` subsumes ``s`` exactly when ``pre[g] <= pre[s] <= last[g]``. An
-``Ontology`` is an immutable slotted class.
+``g`` subsumes ``s`` exactly when ``pre[g] <= pre[s] <= last[g]``. A
+comparison reads each name's label once; an unknown name raises
+:class:`UnknownTypeError` for the first in argument order. An ``Ontology``
+is an immutable slotted class.
 """
 from __future__ import annotations
 
@@ -110,7 +112,10 @@ class Ontology(Value):
         return name
 
     def _index(self, name: str) -> int:
-        return self._pre[self.require(name)]
+        try:
+            return self._pre[name]
+        except KeyError:
+            raise UnknownTypeError(name) from None
 
     # ------------------------------------------------------------------
     # queries
@@ -129,11 +134,19 @@ class Ontology(Value):
 
     def subsumes(self, general: TypeName, specific: TypeName) -> bool:
         """True when ``general`` is ``specific`` or one of its ancestors."""
-        g = self._index(general)
-        return g <= self._index(specific) <= self._last[g]
+        pre = self._pre
+        try:
+            g, s = pre[general], pre[specific]
+        except KeyError:
+            raise UnknownTypeError(specific if general in pre else general) from None
+        return g <= s <= self._last[g]
 
     def compare(self, first: TypeName, second: TypeName) -> SubsumptionVerdict:
-        a, b = self._index(first), self._index(second)
+        pre = self._pre
+        try:
+            a, b = pre[first], pre[second]
+        except KeyError:
+            raise UnknownTypeError(second if first in pre else first) from None
         if a == b:
             return SubsumptionVerdict.EQUAL
         if a < b <= self._last[a]:
@@ -152,7 +165,10 @@ class Ontology(Value):
         """The types comparable with ``name``: its subtree in pre-order,
         itself first, then its proper ancestors from the parent up."""
         i = self._index(name)
-        return [*self._order[i : self._last[i] + 1], *self.ancestors(name)[1:]]
+        types = list(self._order[i : self._last[i] + 1])
+        while (name := self.parent[name]) is not None:
+            types.append(name)
+        return types
 
 
 # ----------------------------------------------------------------------

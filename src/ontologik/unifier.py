@@ -19,9 +19,10 @@ binders that share a pair repeat its derivation lines under their own name.
 
 Analysis is one post-order walk over the canonical form. At each quantifier
 prefix it walks the matrix, which records what the prefix's variables are
-expected to be, then folds each binder and builds the typed prefix with its
-bridges, naming relata as it goes (an inner prefix first). Trace lines are
-held back so that binders come in binding order, then constants in
+expected to be (an atom's argument types are one read of
+``Lexicon.arg_types``), then folds each binder and builds the typed prefix
+with its bridges, naming relata as it goes (an inner prefix first). Trace
+lines are held back so that binders come in binding order, then constants in
 occurrence order; a read error raises where it is met, a failed fold only
 after the walk. A bridge deepens a matrix only after it is walked, so levels
 are counted bottom up. Texts are printed through the one printer of
@@ -32,6 +33,7 @@ and results are immutable slotted classes.
 """
 from __future__ import annotations
 
+from itertools import chain
 from operator import is_
 
 from ._value import Value, _set
@@ -147,13 +149,9 @@ def unify_types(
     orientation is tried next so the operation stays commutative up to the
     roles in the outcome.
     """
-    match ont.compare(first, second):
-        case SubsumptionVerdict.EQUAL:
-            return Unified(first)
-        case SubsumptionVerdict.FIRST_SUBSUMES_SECOND:
-            return Unified(second)
-        case SubsumptionVerdict.SECOND_SUBSUMES_FIRST:
-            return Unified(first)
+    verdict = ont.compare(first, second)
+    if verdict is not SubsumptionVerdict.INCOMPARABLE:
+        return Unified(second if verdict is SubsumptionVerdict.FIRST_SUBSUMES_SECOND else first)
     for target, source in ((second, first), (first, second)):
         candidates = lex.coercion_candidates(ont, target, source)
         if candidates:
@@ -170,13 +168,13 @@ def _pair(left: TypeName, right: TypeName) -> str:
 
 
 def _describe(outcome: UnificationOutcome) -> str:
-    match outcome:
-        case Unified(result):
-            return result
-        case Coerced(result, rel, relatum):
-            return f"coerced: {result} via {rel.name}({result}, {relatum})"
-        case Failed(left, right):
-            return f"failed: {left} vs {right}"
+    kind = type(outcome)
+    if kind is Unified:
+        return outcome.result
+    if kind is Coerced:
+        result = outcome.result
+        return f"coerced: {result} via {outcome.relation.name}({result}, {outcome.relatum_type})"
+    return f"failed: {outcome.left} vs {outcome.right}"
 
 
 def fold_expectations(
@@ -196,23 +194,20 @@ def fold_expectations(
     if not expectations:
         raise ValueError("fold_expectations needs at least one expectation")
     trace = DerivationTrace()
-    coercion: Coerced | None = None
-    acc = expectations[-1]
-    pending = list(expectations[:-1])
-    # the declared type is the outermost combination of all
-    for left in reversed([declared] + pending):
+    steps, coercion = trace.steps, None
+    lefts = reversed(expectations)
+    acc = next(lefts)
+    for left in chain(lefts, (declared,)):  # the declared type is the outermost combination of all
         outcome = unify_types(ont, lex, left, acc)
-        if isinstance(outcome, Coerced) and coercion is not None:
-            outcome = Failed(left, acc)  # one coercion per variable, no more
-        trace.add("unify", subject, _pair(left, acc), _describe(outcome))
-        match outcome:
-            case Unified(result):
-                acc = result
-            case Coerced(result, _, _):
-                coercion = outcome
-                acc = result
-            case Failed(_, _):
-                return outcome, trace
+        kind = type(outcome)
+        if kind is Coerced and coercion is not None:
+            outcome, kind = Failed(left, acc), Failed  # one coercion per variable, no more
+        steps.append(TraceStep("unify", subject, _pair(left, acc), _describe(outcome)))
+        if kind is Failed:
+            return outcome, trace
+        if kind is Coerced:
+            coercion = outcome
+        acc = outcome.result
     if coercion is not None:
         return Coerced(acc, coercion.relation, coercion.relatum_type), trace
     return Unified(acc), trace
@@ -263,7 +258,6 @@ def _walk(cf: Form, ont: Ontology, lex: Lexicon, memo: dict) -> tuple[Form, int,
     # where it is met; a fold failure waits for analyze.
     binders: list = []
     const_slots: list[tuple[str, TypeName]] = []
-    arg_types: dict[str, tuple[TypeName, ...]] = {}  # by predicate
     folds: dict[tuple[TypeName, ...], tuple[UnificationOutcome, list[TraceStep]]] = {}
     used: set[str] = set()  # every name in ``cf``, read at the first bridge
 
@@ -289,9 +283,7 @@ def _walk(cf: Form, ont: Ontology, lex: Lexicon, memo: dict) -> tuple[Form, int,
 
     def walk(f: Form, scope: dict[str, tuple[list, list]], positive: bool) -> Form:
         if isinstance(f, Atom):
-            types = arg_types.get(f.pred)
-            if types is None:  # canonicalize has already vetted the predicate
-                types = arg_types[f.pred] = lex.atom_signature(f.pred).arg_types
+            types = lex.arg_types[f.pred]  # canonicalize has already vetted the predicate
             if len(types) != len(f.args):
                 raise LexiconError(f"'{f.pred}' expects {len(types)} argument(s), got {len(f.args)}")
             for expectation, arg in zip(types, f.args):

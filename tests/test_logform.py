@@ -1,6 +1,7 @@
 import inspect
 import random
 import re
+from enum import Enum
 
 import pytest
 
@@ -440,7 +441,9 @@ def test_a_quantifier_kind_that_is_no_quant_kind_cannot_be_printed(ont, lex):
     lifted = Quant("A", "x", None, And((Atom("omelet", x), Atom("loud", x))))
     inner = Quant("E", "x", None, Atom("loud", x))
     nested = Quant(QuantKind.EXISTS, "y", "person", inner)
-    for form, bad in ((inner, inner), (lifted, lifted), (nested, inner)):
+    # a member of another Enum has the _value_ a QuantKind has
+    foreign = Quant(Enum("Kind", {"E": "E"}).E, "x", None, Atom("loud", x))
+    for form, bad in ((inner, inner), (lifted, lifted), (nested, inner), (foreign, foreign)):
         message = "^not a form: " + re.escape(repr(bad)) + "$"
         for call in (pretty, lambda f: canonicalize(f, ont, lex), lambda f: analyze(f, ont, lex)):
             with pytest.raises(CanonicalizationError, match=message):
@@ -588,6 +591,32 @@ def test_alpha_equal_tracks_bindings_not_spellings():
 def test_alpha_equal_constants_compare_literally():
     assert alpha_equal(parse_lf("beautiful(Julie)"), parse_lf("beautiful(Julie)"))
     assert not alpha_equal(parse_lf("beautiful(Julie)"), parse_lf("beautiful(Jules)"))
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        Not("junk"),
+        Quant(K.EXISTS, "x", None, "junk"),
+        And((Atom("loud", ("Julie",)), "junk")),
+        Implies(Atom("loud", ("Julie",)), "junk"),
+    ],
+)
+def test_alpha_equal_and_atoms_refuse_a_non_form(form):
+    with pytest.raises(CanonicalizationError, match="^not a form: 'junk'$"):
+        alpha_equal(form, form)
+    with pytest.raises(CanonicalizationError, match="^not a form: 'junk'$"):
+        list(atoms(form))
+
+
+def test_alpha_equal_forms_of_different_shapes_differ():
+    shapes = [parse_lf(source) for source in (
+        "loud(Julie)", "(! loud(Julie))", "(and (loud(Julie)) (red(Julie)))",
+        "(loud(Julie) -> red(Julie))", "(E x)(loud(x))",
+    )]
+    for a in shapes:
+        for b in shapes:
+            assert alpha_equal(a, b) is (a is b)
 
 
 def test_alpha_equal_on_random_forms_is_reflexive():
