@@ -21,23 +21,28 @@ An error record's detail holds ``message``, ``error`` (the exception's
 class name) and whichever of the exception's fields ``line``, ``position``,
 ``name``, ``subject``, ``declared`` and ``expectation`` it has; human mode
 prints only ``error: <message>`` on stderr. Records are slotted classes.
+
+Importing this module loads what every subcommand needs (argument parsing,
+the ontology and lexicon loaders, the fixtures and the errors); a
+subcommand loads the rest of the package on first use, so ``aor`` never
+loads the LF engine and ``unify`` never loads the sentence reader. ``json``
+loads only for ``--format structured``.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import fixtures
-from .aor import Accepted, TypeFailure, Violation, check_order
-from .confirm import equivalence_check, evaluate, parse_observation
 from .errors import LexiconError, OntologikError, OntologyError, TypeCheckError
 from .lexicon import Lexicon, load_lexicon
-from .logform import parse_lf, pretty
-from .nlparser import parse_sentence
 from .ontology import Ontology, load_ontology
-from .unifier import Coerced, Failed, TraceStep, Unified, analyze, unify_types
+
+# The package namespace. A subcommand reaches the modules only some
+# subcommands use (aor, confirm, nlparser, logform, unifier) through it, so
+# each loads on its first use and is one attribute lookup after that.
+pkg = sys.modules[__package__]
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 2  # the exit code of every status not in EXIT_CODES
@@ -57,7 +62,7 @@ class Record:
 
     def __init__(
         self, command: str, status: str, canonical: str | None = None,
-        trace: list[TraceStep] | None = None, glosses: list[str] | None = None,
+        trace: list | None = None, glosses: list[str] | None = None,
         detail: dict | None = None,
     ):
         self.command, self.status, self.canonical = command, status, canonical
@@ -104,15 +109,19 @@ class Reporter:
 
     def __init__(self, output_format: str):
         self.structured = output_format == "structured"
+        if self.structured:  # only a structured record needs json
+            import json
+
+            self.dumps = json.dumps
 
     def emit(self, records: list[Record]) -> int:
         """Print ``records`` and return the highest exit code of their statuses."""
         code = EXIT_OK
         for record in records:
             if self.structured:
-                trace = [{k: getattr(s, k) for k in TraceStep.__slots__} for s in record.trace]
+                trace = [{k: getattr(s, k) for k in s.__slots__} for s in record.trace]
                 line = {k: getattr(record, k) for k in Record.__slots__} | {"trace": trace}
-                print(json.dumps(line))
+                print(self.dumps(line))
             elif record.status in ERROR_STATUSES:
                 print(f"error: {record.detail['message']}", file=sys.stderr)
             else:
@@ -157,8 +166,8 @@ def _load_session(args: argparse.Namespace) -> tuple[Ontology, Lexicon]:
 
 def _read_form(text: str, ont: Ontology, lex: Lexicon):
     if text.startswith(LF_PREFIX):
-        return parse_lf(text[len(LF_PREFIX):].strip())
-    return parse_sentence(text, ont, lex)
+        return pkg.parse_lf(text[len(LF_PREFIX):].strip())
+    return pkg.parse_sentence(text, ont, lex)
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +177,7 @@ def _read_form(text: str, ont: Ontology, lex: Lexicon):
 
 def cmd_analyze(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
     def records():
-        result = analyze(_read_form(text, ont, lex), ont, lex)
+        result = pkg.analyze(_read_form(text, ont, lex), ont, lex)
         return [Record("analyze", "ok", result.text, result.trace.steps, result.missing_text)]
 
     return rep.emit(_attempt("analyze", records))
@@ -176,18 +185,18 @@ def cmd_analyze(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
 
 def cmd_parse(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
     def records():
-        return [Record("parse", "ok", pretty(_read_form(text, ont, lex)))]
+        return [Record("parse", "ok", pkg.pretty(_read_form(text, ont, lex)))]
 
     return rep.emit(_attempt("parse", records))
 
 
 def cmd_aor(ont: Ontology, lex: Lexicon, rep: Reporter, adjectives: list[str], noun: str) -> int:
     def records():
-        match check_order(ont, lex, adjectives, noun):
-            case Accepted(chain, coercions):
+        match pkg.check_order(ont, lex, adjectives, noun):
+            case pkg.Accepted(chain, coercions):
                 coerced = [{"adjective": adjectives[i], "relation": r} for i, r in coercions]
                 detail = {"verdict": "accepted", "running_types": list(chain), "coercions": coerced}
-            case Violation(i, expected, running):
+            case pkg.Violation(i, expected, running):
                 detail = {
                     "verdict": "violation",
                     "adjective": adjectives[i],
@@ -195,7 +204,7 @@ def cmd_aor(ont: Ontology, lex: Lexicon, rep: Reporter, adjectives: list[str], n
                     "expected": expected,
                     "running": running,
                 }
-            case TypeFailure(i):
+            case pkg.TypeFailure(i):
                 detail = {"verdict": "type_failure", "adjective": adjectives[i], "at_index": i}
         status = "ok" if detail["verdict"] == "accepted" else detail["verdict"]
         return [Record("aor", status, detail=detail)]
@@ -205,17 +214,17 @@ def cmd_aor(ont: Ontology, lex: Lexicon, rep: Reporter, adjectives: list[str], n
 
 def cmd_unify(ont: Ontology, lex: Lexicon, rep: Reporter, first: str, second: str) -> int:
     def records():
-        match unify_types(ont, lex, first, second):
-            case Unified(result):
+        match pkg.unify_types(ont, lex, first, second):
+            case pkg.Unified(result):
                 status, detail = "ok", {"outcome": "unified", "result": result}
-            case Coerced(result, relation, relatum):
+            case pkg.Coerced(result, relation, relatum):
                 status, detail = "ok", {
                     "outcome": "coerced",
                     "result": result,
                     "relation": relation.name,
                     "relatum": relatum,
                 }
-            case Failed(left, right):
+            case pkg.Failed(left, right):
                 status, detail = "failed", {"outcome": "failed", "left": left, "right": right}
         return [Record("unify", status, detail=detail)]
 
@@ -229,18 +238,18 @@ def cmd_hempel(
         sources = [
             text[len(LF_PREFIX):].strip()
             if text.startswith(LF_PREFIX)
-            else pretty(parse_sentence(text, ont, lex))
+            else pkg.pretty(pkg.parse_sentence(text, ont, lex))
             for text in (h1, h2)
         ]
-        result = equivalence_check(sources[0], sources[1], ont, lex)
-        c1, c2 = pretty(result.canonical_first), pretty(result.canonical_second)
+        result = pkg.equivalence_check(sources[0], sources[1], ont, lex)
+        c1, c2 = pkg.pretty(result.canonical_first), pkg.pretty(result.canonical_second)
         status = "ok" if result.equivalent else "not_equivalent"
         detail = {"equivalent": result.equivalent, "h1": c1, "h2": c2}
         out = [Record("hempel", status, c1 if result.equivalent else None, detail=detail)]
         for obs_text in observations:
-            obs = parse_observation(obs_text, ont, lex)
-            v1 = evaluate(result.canonical_first, obs, ont).name.capitalize()
-            v2 = evaluate(result.canonical_second, obs, ont).name.capitalize()
+            obs = pkg.parse_observation(obs_text, ont, lex)
+            v1 = pkg.evaluate(result.canonical_first, obs, ont).name.capitalize()
+            v2 = pkg.evaluate(result.canonical_second, obs, ont).name.capitalize()
             detail = {"observation": obs_text.strip(), "h1": v1, "h2": v2, "agree": v1 == v2}
             out.append(Record("hempel.observe", "ok" if v1 == v2 else "disagree", detail=detail))
         return out

@@ -63,7 +63,9 @@ class Lexicon(Value):
 
     Built at construction, ``arg_types`` maps each name that may head an
     atom to the types its arguments expect: a declared predicate's, else the
-    domain and range of the first relation of that name. Relations are also
+    domain and range of the first relation of that name (only a lexicon built
+    through the API can give a predicate and a relation one name;
+    :func:`load_lexicon` rejects it). Relations are also
     kept in buckets by domain type and by range type, so a lookup reads only
     the relations near the types it is asked about. ``signatures``,
     ``names`` and ``arg_types`` are read-only, so a loaded lexicon cannot be
@@ -167,7 +169,9 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
         name <Name> :: <type>
 
     Comments (``#``) and blank lines are ignored. All types mentioned must
-    exist in the ontology, and no predicate may reuse a type name.
+    exist in the ontology, no predicate may reuse a type name, and no
+    predicate and relation may share a name: the later declaration of the
+    two raises :class:`LexiconError` at its line.
     """
     signatures: dict[str, PredicateSignature] = {}
     relations: dict[str, SalientRelation] = {}
@@ -189,6 +193,8 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
                 )
             if name in signatures:
                 raise LexiconError(f"duplicate predicate '{name}'", lineno)
+            if name in relations:
+                raise LexiconError(f"predicate '{name}' clashes with a relation", lineno)
             for a in args:
                 _require_type(ont, a, lineno)
             signatures[name] = PredicateSignature(name, tuple(args))
@@ -199,6 +205,8 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
             name, dom, rng = m.groups()
             if name in relations:
                 raise LexiconError(f"duplicate relation '{name}'", lineno)
+            if name in signatures:
+                raise LexiconError(f"relation '{name}' clashes with a predicate", lineno)
             _require_type(ont, dom, lineno)
             _require_type(ont, rng, lineno)
             relations[name] = SalientRelation(name, dom, rng, priority=len(relations))

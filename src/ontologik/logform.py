@@ -470,7 +470,9 @@ def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, ba
 
 def alpha_equal(a: Form, b: Form) -> bool:
     """Structural equality up to consistent renaming of bound variables.
-    A non-form met where the walk compares shapes raises :class:`CanonicalizationError`."""
+    A non-form met where the walk compares shapes, or a quantifier kind that
+    is no :class:`QuantKind` in a prefix it compares, raises
+    :class:`CanonicalizationError`."""
     return _alpha(a, b, {}, {})
 
 
@@ -499,6 +501,9 @@ def _alpha(a: Form, b: Form, env_a: dict[str, int], env_b: dict[str, int]) -> bo
         case Quant(), Quant():
             env_a, env_b = dict(env_a), dict(env_b)
             while isinstance(a, Quant) and isinstance(b, Quant):  # a whole prefix
+                for q in (a, b):
+                    if not isinstance(q.kind, QuantKind):  # API-built; named by its Quant, as in _print
+                        raise CanonicalizationError(f"not a form: {q!r}")
                 if a.kind is not b.kind or a.vtype != b.vtype:
                     return False
                 serial = len(env_a)

@@ -34,7 +34,11 @@ def test_atom_signature_covers_relations(lex):
 
 
 def test_a_declared_predicate_wins_over_a_relation_of_the_same_name(ont):
-    lex = load_lexicon("pred eats(person)\nrel eats(person, food)", ont)
+    # load_lexicon rejects the clash; a Lexicon built through the API is unchecked
+    lex = Lexicon(
+        {"eats": PredicateSignature("eats", ("person",))},
+        (SalientRelation("eats", "person", "food", priority=0),),
+    )
     assert lex.atom_signature("eats") == PredicateSignature("eats", ("person",))
     typed = analyze(parse_lf("(E x)(eats(x))"), ont, lex)
     assert pretty(typed.form) == "(E x :: person)(eats(x))"
@@ -150,11 +154,14 @@ def test_load_rejections(ont, line, fragment):
         ("pred happy(person)\npred happy(animal)", "duplicate predicate"),
         ("rel R(person, food)\nrel R(animal, food)", "duplicate relation"),
         ("name Julie :: person\nname Julie :: animal", "duplicate name"),
+        ("pred eats(person)\n# a comment\nrel eats(person, food)", "relation 'eats' clashes with a predicate"),
+        ("rel eats(person, food)\n\npred eats(person)", "predicate 'eats' clashes with a relation"),
     ],
 )
 def test_load_duplicate_rejections(ont, source, fragment):
-    with pytest.raises(LexiconError, match=fragment):
+    with pytest.raises(LexiconError, match=fragment) as err:
         load_lexicon(source, ont)
+    assert err.value.line == source.count("\n") + 1  # the later declaration's line
 
 
 def test_load_reports_line_numbers(ont):
