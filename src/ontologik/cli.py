@@ -22,11 +22,9 @@ class name) and whichever of the exception's fields ``line``, ``position``,
 ``name``, ``subject``, ``declared`` and ``expectation`` it has; human mode
 prints only ``error: <message>`` on stderr. Records are slotted classes.
 
-Importing this module loads what every subcommand needs (argument parsing,
-the ontology and lexicon loaders, the fixtures and the errors); a
-subcommand loads the rest of the package on first use, so ``aor`` never
-loads the LF engine and ``unify`` never loads the sentence reader. ``json``
-loads only for ``--format structured``.
+A subcommand reads what only some subcommands use (``aor``, ``confirm``,
+``nlparser``, ``logform``, ``unifier``) from the package namespace, which
+imports each module on first use; ``json`` loads only for structured output.
 """
 from __future__ import annotations
 
@@ -39,10 +37,7 @@ from .errors import LexiconError, OntologikError, OntologyError, TypeCheckError
 from .lexicon import Lexicon, load_lexicon
 from .ontology import Ontology, load_ontology
 
-# The package namespace. A subcommand reaches the modules only some
-# subcommands use (aor, confirm, nlparser, logform, unifier) through it, so
-# each loads on its first use and is one attribute lookup after that.
-pkg = sys.modules[__package__]
+pkg = sys.modules[__package__]  # a name read here loads its module once (see __init__)
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 2  # the exit code of every status not in EXIT_CODES
@@ -109,10 +104,9 @@ class Reporter:
 
     def __init__(self, output_format: str):
         self.structured = output_format == "structured"
-        if self.structured:  # only a structured record needs json
-            import json
-
-            self.dumps = json.dumps
+        if self.structured:
+            from json import dumps  # only a structured record needs it
+            self.dumps = dumps
 
     def emit(self, records: list[Record]) -> int:
         """Print ``records`` and return the highest exit code of their statuses."""

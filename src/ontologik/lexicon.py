@@ -63,9 +63,8 @@ class Lexicon(Value):
 
     Built at construction, ``arg_types`` maps each name that may head an
     atom to the types its arguments expect: a declared predicate's, else the
-    domain and range of the first relation of that name (only a lexicon built
-    through the API can give a predicate and a relation one name;
-    :func:`load_lexicon` rejects it). Relations are also
+    domain and range of the first relation of that name (:func:`load_lexicon`
+    rejects a predicate and a relation of one name). Relations are also
     kept in buckets by domain type and by range type, so a lookup reads only
     the relations near the types it is asked about. ``signatures``,
     ``names`` and ``arg_types`` are read-only, so a loaded lexicon cannot be

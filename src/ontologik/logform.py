@@ -469,10 +469,9 @@ def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, ba
 
 
 def alpha_equal(a: Form, b: Form) -> bool:
-    """Structural equality up to consistent renaming of bound variables.
-    A non-form met where the walk compares shapes, or a quantifier kind that
-    is no :class:`QuantKind` in a prefix it compares, raises
-    :class:`CanonicalizationError`."""
+    """Structural equality up to consistent renaming of bound variables. A non-form
+    or a kind that is no :class:`QuantKind`, met where the walk compares shapes,
+    raises :class:`CanonicalizationError`."""
     return _alpha(a, b, {}, {})
 
 

@@ -1,3 +1,4 @@
+import dis
 import gc
 import json
 import os
@@ -587,3 +588,71 @@ def test_both_formats_exit_alike(capsys, status, argv):
     got = records(out)
     assert status in [record["status"] for record in got]
     assert all(list(record) == FIELDS for record in got)
+
+
+# ----------------------------------------------------------------------
+# what each subcommand loads
+# ----------------------------------------------------------------------
+
+# One call in a fresh interpreter without site-packages, as the command
+# line starts; the last line lists the package modules and json loaded.
+LOADS_CHILD = """\
+import sys
+from ontologik import cli
+cli.main(sys.argv[1:])
+print(*sorted(m.split(".")[-1] for m in sys.modules if m.startswith("ontologik.") or m == "json"))
+"""
+
+
+def loaded_by(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("ONTOLOGIK_FIXTURES", None)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", LOADS_CHILD, *argv],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        (["aor", "loud", "--noun", "omelet"], {"aor"}, {"logform", "forms", "unifier", "nlparser", "confirm"}),
+        (["unify", "person", "omelet"], {"unifier", "logform"}, {"aor", "confirm", "nlparser"}),
+        (["analyze", "@lf: (E x :: omelet)(loud(x))"], {"unifier"}, {"nlparser", "aor", "confirm"}),
+        (["parse", "@lf: (E x)(loud(x))"], {"logform"}, {"unifier", "nlparser", "aor", "confirm"}),
+        (["analyze", "Julie is an articulate person"], {"unifier", "nlparser"}, {"aor", "confirm"}),
+        (["hempel", "--h1", "@lf: (A x :: raven)(black(x))", "--h2", "@lf: (A x :: raven)(black(x))"],
+         {"confirm"}, {"unifier", "nlparser", "aor"}),
+    ],
+    ids=["aor", "unify", "analyze-lf", "parse-lf", "analyze-sentence", "hempel-lf"],
+)
+def test_a_subcommand_loads_only_the_modules_it_uses(argv, loads, skips):
+    modules = loaded_by(*argv)
+    assert {"cli", "errors", "fixtures", "lexicon", "ontology"} | loads <= modules
+    assert not modules & skips
+    assert "json" not in modules  # human output
+
+
+def test_only_structured_output_loads_json():
+    assert "json" in loaded_by("unify", "person", "omelet", "--format", "structured")
+    assert "json" not in loaded_by("unify", "unicorn", "omelet")  # an error record, printed as text
+
+
+def test_no_subcommand_runs_an_import_statement():
+    # the modules a subcommand uses load once, through the package namespace
+    from types import CodeType
+
+    from ontologik import cli
+
+    def codes(code):
+        yield code
+        for const in code.co_consts:
+            if isinstance(const, CodeType):
+                yield from codes(const)
+
+    callers = [f for name, f in vars(cli).items() if name.startswith("cmd_")]
+    callers += [cli._read_form, cli._attempt, cli.Reporter.emit, cli._render]
+    for caller in callers:
+        for code in codes(caller.__code__):
+            assert "IMPORT_NAME" not in {i.opname for i in dis.get_instructions(code)}, caller.__name__

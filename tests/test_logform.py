@@ -609,6 +609,19 @@ def test_alpha_equal_and_atoms_refuse_a_non_form(form):
         list(atoms(form))
 
 
+def test_alpha_equal_refuses_a_kind_that_is_no_quant_kind():
+    x = ("x",)
+    inner = Quant("E", "x", None, Atom("loud", x))
+    nested = Quant(QuantKind.EXISTS, "y", "person", inner)
+    foreign = Quant(Enum("Kind", {"E": "E"}).E, "x", None, Atom("loud", x))
+    real = Quant(QuantKind.EXISTS, "x", None, Atom("loud", x))
+    # the same string kind on both sides compared equal, where pretty and canonicalize raise
+    for a, b, bad in ((inner, inner, inner), (nested, nested, inner), (foreign, foreign, foreign),
+                      (real, inner, inner), (inner, real, inner)):
+        with pytest.raises(CanonicalizationError, match="^not a form: " + re.escape(repr(bad)) + "$"):
+            alpha_equal(a, b)
+
+
 def test_alpha_equal_forms_of_different_shapes_differ():
     shapes = [parse_lf(source) for source in (
         "loud(Julie)", "(! loud(Julie))", "(and (loud(Julie)) (red(Julie)))",

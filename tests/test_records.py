@@ -189,3 +189,115 @@ def test_importing_the_package_loads_no_dataclasses_or_typing():
     after_package, after_cli = json.loads(done.stdout)
     assert after_package == []
     assert after_cli == []
+
+
+# ----------------------------------------------------------------------
+# the import surface: each public name loads its module on first use
+# ----------------------------------------------------------------------
+
+# Every public name of the package, under the module that defines it.
+SURFACE = {
+    "aor": ["Accepted", "AORVerdict", "TypeFailure", "Violation", "check_order"],
+    "confirm": [
+        "ConfirmationVerdict", "EquivalenceResult", "Observation",
+        "equivalence_check", "evaluate", "parse_observation",
+    ],
+    "errors": [
+        "CanonicalizationError", "HypothesisShapeError", "LexiconError", "LFSyntaxError",
+        "NestingError", "OntologikError", "OntologyError", "SentenceError",
+        "TypeCheckError", "UnknownTypeError",
+    ],
+    "lexicon": ["Lexicon", "NameDecl", "PredicateSignature", "SalientRelation", "load_lexicon"],
+    "logform": [
+        "And", "Atom", "CanonicalForm", "Form", "Implies", "Not", "Quant", "QuantKind",
+        "alpha_equal", "atoms", "canonicalize", "conj", "parse_lf", "pretty",
+    ],
+    "nlparser": ["parse_sentence"],
+    "ontology": ["Ontology", "SubsumptionVerdict", "load_ontology"],
+    "unifier": [
+        "AnalyzedForm", "Coerced", "DerivationTrace", "Failed", "TraceStep", "Unified",
+        "UnificationOutcome", "analyze", "fold_expectations", "unify_types",
+    ],
+}
+PUBLIC = sorted(name for names in SURFACE.values() for name in names)
+
+# The resource text comes on stdin, so nothing but the package is imported
+# before the loaded modules are listed.
+SURFACE_CHILD = """\
+import sys
+ontology, lexicon = sys.stdin.read().split("\\0")
+import ontologik
+ontologik.load_lexicon(lexicon, ontologik.load_ontology(ontology))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "ontologik")
+surface = {surface!r}
+differ = [
+    name for module, names in surface.items() for name in names
+    if getattr(ontologik, name) is not getattr(sys.modules["ontologik." + module], name)
+]
+star = {{}}
+exec("from ontologik import *", star)
+try:
+    ontologik.no_such_name
+except AttributeError as err:
+    unknown = str(err)
+import json
+print(json.dumps({{
+    "loaded": loaded, "differ": differ, "star": sorted(set(star) - {{"__builtins__"}}),
+    "dir": dir(ontologik), "all": sorted(ontologik.__all__), "unknown": unknown,
+    "same": ontologik.analyze is ontologik.unifier.analyze,
+}}))
+"""
+
+
+def test_the_package_loads_each_module_on_first_use():
+    from ontologik.fixtures import lexicon_path, ontology_path
+
+    resources = ontology_path().read_text() + "\0" + lexicon_path().read_text()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", SURFACE_CHILD.format(surface=SURFACE)],
+        input=resources, capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    seen = json.loads(done.stdout)
+    assert seen["loaded"] == [
+        "ontologik", "ontologik._value", "ontologik.errors", "ontologik.lexicon", "ontologik.ontology",
+    ]
+    assert seen["differ"] == [] and seen["same"]
+    assert seen["all"] == PUBLIC
+    assert seen["star"] == PUBLIC
+    assert set(PUBLIC) | set(SURFACE) <= set(seen["dir"])
+    assert seen["unknown"] == "module 'ontologik' has no attribute 'no_such_name'"
+
+
+# The source tree loaded as a package of another name, with no `ontologik`
+# on the path: a module that imported `ontologik` by name would fail here.
+RENAMED_CHILD = """\
+import importlib.util, sys
+root = {root!r}
+spec = importlib.util.spec_from_file_location(
+    "renamed", root + "/__init__.py", submodule_search_locations=[root]
+)
+package = sys.modules["renamed"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(package)
+from renamed import cli
+from renamed.fixtures import load_reference
+ont, lex = load_reference()
+form = package.parse_sentence("The loud omelet wants another beer", ont, lex)
+print(package.pretty(package.analyze(form, ont, lex).form))
+print(package.analyze is sys.modules["renamed.unifier"].analyze)
+cli.main(["hempel", "--h1", "All ravens are black", "--h2", "All non-black things are non-ravens"])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "ontologik"))
+"""
+
+
+def test_the_source_tree_loads_under_another_name():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", RENAMED_CHILD.format(root=str(SRC / "ontologik"))],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    lines = done.stdout.splitlines()
+    assert lines[0] == "(E o :: person)(E o2 :: omelet)(E b :: beer)(and (EATING(o, o2)) (loud(o)) (want(o, b)))"
+    assert lines[1] == "True"
+    assert lines[-2] == "equivalent: yes"
+    assert lines[-1] == "[]"
