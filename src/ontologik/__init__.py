@@ -18,8 +18,6 @@ resources, ``load_lexicon(source, load_ontology(text))``, imports only
 ``confirm`` load when first used. ``from ontologik import *`` imports every
 module.
 """
-import sys
-
 _EXPORTS = {
     "aor": ("Accepted", "AORVerdict", "TypeFailure", "Violation", "check_order"),
     "confirm": (
@@ -54,12 +52,14 @@ def __getattr__(name: str):
     module = _HOME.get(name, name)
     if module not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    __import__(f"{__name__}.{module}")  # by this package's own name, whatever it is
-    source = sys.modules[f"{__name__}.{module}"]
+    __import__(f"{__name__}.{module}")  # by this package's own name; it binds the module here
     namespace = globals()
+    source = namespace[module]
     namespace.update((public, getattr(source, public)) for public in _EXPORTS[module])
     return namespace[name]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_HOME, *_EXPORTS})
+    """The public names, the table's modules, any other loaded submodule and the dunders."""
+    names = {*globals(), *_HOME, *_EXPORTS}
+    return sorted(name for name in names if name.startswith("__") or not name.startswith("_"))

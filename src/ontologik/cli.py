@@ -22,9 +22,11 @@ class name) and whichever of the exception's fields ``line``, ``position``,
 ``name``, ``subject``, ``declared`` and ``expectation`` it has; human mode
 prints only ``error: <message>`` on stderr. Records are slotted classes.
 
-A subcommand reads what only some subcommands use (``aor``, ``confirm``,
-``nlparser``, ``logform``, ``unifier``) from the package namespace, which
-imports each module on first use; ``json`` loads only for structured output.
+A subcommand reads what only some subcommands use through the module that
+defines it, as ``pkg.unifier.analyze``: the package imports ``aor``,
+``confirm``, ``nlparser``, ``logform`` and ``unifier`` the first time each
+is read, and every later read finds the module bound in the package.
+``json`` loads only for structured output.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .errors import LexiconError, OntologikError, OntologyError, TypeCheckError
 from .lexicon import Lexicon, load_lexicon
 from .ontology import Ontology, load_ontology
 
-pkg = sys.modules[__package__]  # a name read here loads its module once (see __init__)
+pkg = sys.modules[__package__]  # pkg.<module> imports that module on first read (see __init__)
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 2  # the exit code of every status not in EXIT_CODES
@@ -160,8 +162,8 @@ def _load_session(args: argparse.Namespace) -> tuple[Ontology, Lexicon]:
 
 def _read_form(text: str, ont: Ontology, lex: Lexicon):
     if text.startswith(LF_PREFIX):
-        return pkg.parse_lf(text[len(LF_PREFIX):].strip())
-    return pkg.parse_sentence(text, ont, lex)
+        return pkg.logform.parse_lf(text[len(LF_PREFIX):].strip())
+    return pkg.nlparser.parse_sentence(text, ont, lex)
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +173,7 @@ def _read_form(text: str, ont: Ontology, lex: Lexicon):
 
 def cmd_analyze(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
     def records():
-        result = pkg.analyze(_read_form(text, ont, lex), ont, lex)
+        result = pkg.unifier.analyze(_read_form(text, ont, lex), ont, lex)
         return [Record("analyze", "ok", result.text, result.trace.steps, result.missing_text)]
 
     return rep.emit(_attempt("analyze", records))
@@ -179,18 +181,18 @@ def cmd_analyze(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
 
 def cmd_parse(ont: Ontology, lex: Lexicon, rep: Reporter, text: str) -> int:
     def records():
-        return [Record("parse", "ok", pkg.pretty(_read_form(text, ont, lex)))]
+        return [Record("parse", "ok", pkg.logform.pretty(_read_form(text, ont, lex)))]
 
     return rep.emit(_attempt("parse", records))
 
 
 def cmd_aor(ont: Ontology, lex: Lexicon, rep: Reporter, adjectives: list[str], noun: str) -> int:
     def records():
-        match pkg.check_order(ont, lex, adjectives, noun):
-            case pkg.Accepted(chain, coercions):
+        match pkg.aor.check_order(ont, lex, adjectives, noun):
+            case pkg.aor.Accepted(chain, coercions):
                 coerced = [{"adjective": adjectives[i], "relation": r} for i, r in coercions]
                 detail = {"verdict": "accepted", "running_types": list(chain), "coercions": coerced}
-            case pkg.Violation(i, expected, running):
+            case pkg.aor.Violation(i, expected, running):
                 detail = {
                     "verdict": "violation",
                     "adjective": adjectives[i],
@@ -198,7 +200,7 @@ def cmd_aor(ont: Ontology, lex: Lexicon, rep: Reporter, adjectives: list[str], n
                     "expected": expected,
                     "running": running,
                 }
-            case pkg.TypeFailure(i):
+            case pkg.aor.TypeFailure(i):
                 detail = {"verdict": "type_failure", "adjective": adjectives[i], "at_index": i}
         status = "ok" if detail["verdict"] == "accepted" else detail["verdict"]
         return [Record("aor", status, detail=detail)]
@@ -208,17 +210,17 @@ def cmd_aor(ont: Ontology, lex: Lexicon, rep: Reporter, adjectives: list[str], n
 
 def cmd_unify(ont: Ontology, lex: Lexicon, rep: Reporter, first: str, second: str) -> int:
     def records():
-        match pkg.unify_types(ont, lex, first, second):
-            case pkg.Unified(result):
+        match pkg.unifier.unify_types(ont, lex, first, second):
+            case pkg.unifier.Unified(result):
                 status, detail = "ok", {"outcome": "unified", "result": result}
-            case pkg.Coerced(result, relation, relatum):
+            case pkg.unifier.Coerced(result, relation, relatum):
                 status, detail = "ok", {
                     "outcome": "coerced",
                     "result": result,
                     "relation": relation.name,
                     "relatum": relatum,
                 }
-            case pkg.Failed(left, right):
+            case pkg.unifier.Failed(left, right):
                 status, detail = "failed", {"outcome": "failed", "left": left, "right": right}
         return [Record("unify", status, detail=detail)]
 
@@ -232,18 +234,18 @@ def cmd_hempel(
         sources = [
             text[len(LF_PREFIX):].strip()
             if text.startswith(LF_PREFIX)
-            else pkg.pretty(pkg.parse_sentence(text, ont, lex))
+            else pkg.logform.pretty(pkg.nlparser.parse_sentence(text, ont, lex))
             for text in (h1, h2)
         ]
-        result = pkg.equivalence_check(sources[0], sources[1], ont, lex)
-        c1, c2 = pkg.pretty(result.canonical_first), pkg.pretty(result.canonical_second)
+        result = pkg.confirm.equivalence_check(sources[0], sources[1], ont, lex)
+        c1, c2 = pkg.logform.pretty(result.canonical_first), pkg.logform.pretty(result.canonical_second)
         status = "ok" if result.equivalent else "not_equivalent"
         detail = {"equivalent": result.equivalent, "h1": c1, "h2": c2}
         out = [Record("hempel", status, c1 if result.equivalent else None, detail=detail)]
         for obs_text in observations:
-            obs = pkg.parse_observation(obs_text, ont, lex)
-            v1 = pkg.evaluate(result.canonical_first, obs, ont).name.capitalize()
-            v2 = pkg.evaluate(result.canonical_second, obs, ont).name.capitalize()
+            obs = pkg.confirm.parse_observation(obs_text, ont, lex)
+            v1 = pkg.confirm.evaluate(result.canonical_first, obs, ont).name.capitalize()
+            v2 = pkg.confirm.evaluate(result.canonical_second, obs, ont).name.capitalize()
             detail = {"observation": obs_text.strip(), "h1": v1, "h2": v2, "agree": v1 == v2}
             out.append(Record("hempel.observe", "ok" if v1 == v2 else "disagree", detail=detail))
         return out

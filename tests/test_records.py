@@ -169,14 +169,18 @@ def test_the_repr_of_a_long_prefix_takes_no_frame_per_binder():
 
 
 # Run in a fresh interpreter without site-packages, as the command line
-# starts: what the package imports is then all that is loaded.
+# starts: what the package imports is then all that is loaded. The star
+# import loads every module of the package.
 HYGIENE_CHILD = """\
 import json, sys
 heavy = ("dataclasses", "inspect", "ast", "typing", "importlib.resources", "tempfile", "shutil")
 import ontologik
 after_package = [m for m in heavy if m in sys.modules]
 import ontologik.cli
-print(json.dumps([after_package, [m for m in heavy if m in sys.modules]]))
+after_cli = [m for m in heavy if m in sys.modules]
+from ontologik import *
+modules = sorted(m for m in sys.modules if m.split(".")[0] == "ontologik")
+print(json.dumps([after_package, after_cli, [m for m in heavy if m in sys.modules], modules]))
 """
 
 
@@ -186,9 +190,11 @@ def test_importing_the_package_loads_no_dataclasses_or_typing():
         [sys.executable, "-S", "-c", HYGIENE_CHILD],
         capture_output=True, text=True, env=env, check=True, timeout=60,
     )
-    after_package, after_cli = json.loads(done.stdout)
+    after_package, after_cli, after_star, modules = json.loads(done.stdout)
     assert after_package == []
     assert after_cli == []
+    assert after_star == []
+    assert {"ontologik." + module for module in SURFACE} <= set(modules)
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +272,8 @@ def test_the_package_loads_each_module_on_first_use():
     assert seen["all"] == PUBLIC
     assert seen["star"] == PUBLIC
     assert set(PUBLIC) | set(SURFACE) <= set(seen["dir"])
+    assert [name for name in seen["dir"] if name[0] == "_" and name[:2] != "__"] == []
+    assert "sys" not in seen["dir"]
     assert seen["unknown"] == "module 'ontologik' has no attribute 'no_such_name'"
 
 
