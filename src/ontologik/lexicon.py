@@ -17,9 +17,14 @@ from ._value import Value, _set
 from .errors import LexiconError
 from .ontology import Ontology, SubsumptionVerdict, TypeName
 
-_PRED_RE = re.compile(r"pred\s+([A-Za-z_]\w*)\s*\(\s*([^)]*?)\s*\)$")
-_REL_RE = re.compile(r"rel\s+([A-Za-z_]\w*)\s*\(\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\)$")
-_NAME_RE = re.compile(r"name\s+([A-Za-z_]\w*)\s*::\s*([A-Za-z_]\w*)$")
+_ID = r"([A-Za-z_]\w*)"
+# A whole declaration line, comment included: a predicate's name and argument
+# list, a relation's name, domain and range, or a proper name and its type.
+_DECL_RE = re.compile(
+    rf"\s*(?:pred\s+{_ID}\s*\(\s*([^)#]*?)\s*\)|rel\s+{_ID}\s*\(\s*{_ID}\s*,\s*{_ID}\s*\)"
+    rf"|name\s+{_ID}\s*::\s*{_ID})\s*(?:#.*)?"
+)
+_KEYWORDS = (("pred", "predicate"), ("rel", "relation"), ("name", "name"))
 
 
 class PredicateSignature(Value):
@@ -168,61 +173,61 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
         name <Name> :: <type>
 
     Comments (``#``) and blank lines are ignored. All types mentioned must
-    exist in the ontology, no predicate may reuse a type name, and no
-    predicate and relation may share a name: the later declaration of the
-    two raises :class:`LexiconError` at its line.
+    exist in the ontology, no predicate or relation may reuse a type name or
+    be named ``and``, a reserved word of the LF syntax, and no predicate and
+    relation may share a name: the later declaration of the two raises
+    :class:`LexiconError` at its line.
     """
     signatures: dict[str, PredicateSignature] = {}
     relations: dict[str, SalientRelation] = {}
     names: dict[str, NameDecl] = {}
+    types = ont.parent
+    declaration = _DECL_RE.fullmatch
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        m = declaration(raw)
+        if m is None:  # blank, a comment or an error
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                kind = next((kind for word, kind in _KEYWORDS if line.startswith(word)), None)
+                what = f"malformed {kind}" if kind else "unrecognized"
+                raise LexiconError(f"{what} declaration '{line}'", lineno)
             continue
-        if line.startswith("pred"):
-            m = _PRED_RE.match(line)
-            if not m:
-                raise LexiconError(f"malformed predicate declaration '{line}'", lineno)
-            name, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
-            if not all(args) or not args:
-                raise LexiconError(f"predicate '{name}' needs at least one argument type", lineno)
-            if name in ont:
-                raise LexiconError(
-                    f"predicate '{name}' clashes with an ontology type", lineno
-                )
-            if name in signatures:
-                raise LexiconError(f"duplicate predicate '{name}'", lineno)
-            if name in relations:
-                raise LexiconError(f"predicate '{name}' clashes with a relation", lineno)
+        pred, args, rel, dom, rng, name, t = m.groups()
+        if pred is not None:
+            args = [a.strip() for a in args.split(",")]
+            if not all(args):
+                raise LexiconError(f"predicate '{pred}' needs at least one argument type", lineno)
+            if pred in types or pred == "and":
+                raise _misnamed("predicate", pred, types, lineno)
+            if pred in signatures:
+                raise LexiconError(f"duplicate predicate '{pred}'", lineno)
+            if pred in relations:
+                raise LexiconError(f"predicate '{pred}' clashes with a relation", lineno)
             for a in args:
-                _require_type(ont, a, lineno)
-            signatures[name] = PredicateSignature(name, tuple(args))
-        elif line.startswith("rel"):
-            m = _REL_RE.match(line)
-            if not m:
-                raise LexiconError(f"malformed relation declaration '{line}'", lineno)
-            name, dom, rng = m.groups()
-            if name in relations:
-                raise LexiconError(f"duplicate relation '{name}'", lineno)
-            if name in signatures:
-                raise LexiconError(f"relation '{name}' clashes with a predicate", lineno)
-            _require_type(ont, dom, lineno)
-            _require_type(ont, rng, lineno)
-            relations[name] = SalientRelation(name, dom, rng, priority=len(relations))
-        elif line.startswith("name"):
-            m = _NAME_RE.match(line)
-            if not m:
-                raise LexiconError(f"malformed name declaration '{line}'", lineno)
-            name, t = m.groups()
-            if name in names:
-                raise LexiconError(f"duplicate name '{name}'", lineno)
-            _require_type(ont, t, lineno)
-            names[name] = NameDecl(name, t)
+                if a not in types:
+                    raise LexiconError(f"unknown type '{a}'", lineno)
+            signatures[pred] = PredicateSignature(pred, tuple(args))
+        elif rel is not None:
+            if rel in types or rel == "and":
+                raise _misnamed("relation", rel, types, lineno)
+            if rel in relations:
+                raise LexiconError(f"duplicate relation '{rel}'", lineno)
+            if rel in signatures:
+                raise LexiconError(f"relation '{rel}' clashes with a predicate", lineno)
+            if dom not in types or rng not in types:
+                raise LexiconError(f"unknown type '{rng if dom in types else dom}'", lineno)
+            relations[rel] = SalientRelation(rel, dom, rng, priority=len(relations))
+        elif name in names:
+            raise LexiconError(f"duplicate name '{name}'", lineno)
+        elif t not in types:
+            raise LexiconError(f"unknown type '{t}'", lineno)
         else:
-            raise LexiconError(f"unrecognized declaration '{line}'", lineno)
+            names[name] = NameDecl(name, t)
     return Lexicon(signatures, tuple(relations.values()), names)
 
 
-def _require_type(ont: Ontology, name: str, lineno: int):
-    if name not in ont:
-        raise LexiconError(f"unknown type '{name}'", lineno)
+def _misnamed(kind: str, name: str, types: Mapping[TypeName, object], lineno: int) -> LexiconError:
+    """The error for a predicate or relation named after a type or ``and``."""
+    if name in types:
+        return LexiconError(f"{kind} '{name}' clashes with an ontology type", lineno)
+    return LexiconError(f"{kind} 'and' is a reserved word of the LF syntax", lineno)

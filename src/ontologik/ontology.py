@@ -19,6 +19,7 @@ is an immutable slotted class.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from collections.abc import Mapping
 from enum import Enum, auto
 from types import MappingProxyType
@@ -30,6 +31,8 @@ from .errors import OntologyError, UnknownTypeError
 TypeName = str
 
 _NAME_RE = re.compile(r"[a-z_][a-z0-9_]*$")
+# A whole declaration line, comment included; the names it captures are valid.
+_DECL_RE = re.compile(r"\s*type\s+([a-z_][a-z0-9_]*)(?:\s+isa\s+([a-z_][a-z0-9_]*))?\s*(?:#.*)?")
 
 
 class SubsumptionVerdict(Enum):
@@ -55,36 +58,37 @@ class Ontology(Value):
     __slots__ = (*__match_args__, "_pre", "_order", "_last", "_depth")
 
     def __init__(self, root: TypeName, parent: Mapping[TypeName, TypeName | None]):
+        parent = dict(parent)
         _set(self, "root", root)
-        _set(self, "parent", MappingProxyType(dict(parent)))
-        if self.parent.get(self.root, self.root) is not None:
-            raise OntologyError(f"root '{self.root}' is not a parentless type")
-        children: dict[TypeName, list[TypeName]] = {name: [] for name in self.parent}
-        for name, up in self.parent.items():
-            if up in children:
+        _set(self, "parent", MappingProxyType(parent))
+        if parent.get(root, root) is not None:
+            raise OntologyError(f"root '{root}' is not a parentless type")
+        children: defaultdict[TypeName, list[TypeName]] = defaultdict(list)  # only parents get a list
+        for name, up in parent.items():
+            if up in parent:
                 children[up].append(name)
             elif up is not None:
                 raise OntologyError(f"unknown parent '{up}' for '{name}'")
-            elif name != self.root:
-                raise OntologyError(f"second root '{name}' (root '{self.root}' already declared)")
-        pre: dict[TypeName, int] = {}
+            elif name != root:
+                raise OntologyError(f"second root '{name}' (root '{root}' already declared)")
         order: list[TypeName] = []
-        depth: list[int] = []
-        stack = [self.root]
+        stack = [root]
         while stack:  # pre-order, so a parent is numbered before its children
             name = stack.pop()
-            up = self.parent[name]
-            pre[name] = len(order)
             order.append(name)
-            depth.append(0 if up is None else depth[pre[up]] + 1)
-            stack.extend(reversed(children[name]))
-        if len(order) < len(self.parent):
-            stray = next(name for name in self.parent if name not in pre)
-            raise OntologyError(f"cycle: '{stray}' is not below root '{self.root}'")
-        last = list(range(len(order)))
+            if name in children:
+                stack.extend(reversed(children[name]))
+        pre = dict(zip(order, range(len(order))))
+        if len(order) < len(parent):
+            stray = next(name for name in parent if name not in pre)
+            raise OntologyError(f"cycle: '{stray}' is not below root '{root}'")
+        up_at = [pre.get(parent[name], -1) for name in order]  # the root's is -1
+        depth, last = [0] * len(order), list(range(len(order)))
+        for i in range(1, len(order)):  # a parent comes before its children
+            depth[i] = depth[up_at[i]] + 1
         for i in range(len(order) - 1, 0, -1):  # a subtree's nodes all come after its root
-            up = pre[self.parent[order[i]]]
-            last[up] = max(last[up], last[i])
+            if last[up_at[i]] < last[i]:
+                last[up_at[i]] = last[i]
         _set(self, "_pre", pre)
         _set(self, "_order", tuple(order))
         _set(self, "_last", last)
@@ -190,65 +194,55 @@ def load_ontology(source: str) -> Ontology:
     """
     parent: dict[TypeName, TypeName | None] = {}
     root: TypeName | None = None
-
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = source.splitlines()
+    declaration = _DECL_RE.fullmatch
+    for lineno, raw in enumerate(lines, start=1):
+        m = declaration(raw)
+        if m is None:  # blank, a comment or an error
+            _reject(raw, lineno)
             continue
-        fields = line.split()
-        if fields[0] != "type":
-            raise OntologyError(f"expected a 'type' declaration, got '{line}'", lineno)
-        if len(fields) == 2:
-            name = fields[1]
-            _check_name(name, lineno)
-            if name in parent:
-                raise OntologyError(f"duplicate type '{name}'", lineno)
-            if root is not None:
-                raise OntologyError(
-                    f"second root '{name}' (root '{root}' already declared)", lineno
-                )
-            parent[name] = None
-            root = name
-        elif len(fields) == 4 and fields[2] == "isa":
-            name, up = fields[1], fields[3]
-            _check_name(name, lineno)
-            _check_name(up, lineno)
-            if up not in parent:
-                raise OntologyError(f"unknown parent '{up}' for '{name}'", lineno)
-            if name in parent:
-                # Re-declaration. An edge back into the declared subtree would
-                # close a loop; report that before the duplicate itself.
-                if _would_cycle(parent, name, up):
-                    raise OntologyError(
-                        f"cycle: '{name}' already subsumes '{up}'", lineno
-                    )
-                if parent[name] != up:
-                    raise OntologyError(
-                        f"multiple parents for '{name}': "
-                        f"'{parent[name] or root}' and '{up}'",
-                        lineno,
-                    )
-                raise OntologyError(f"duplicate type '{name}'", lineno)
+        name, up = m.groups()
+        if up in parent and name not in parent:
             parent[name] = up
+        elif up is not None and up not in parent:
+            raise OntologyError(f"unknown parent '{up}' for '{name}'", lineno)
+        elif name in parent:
+            # Re-declaration. An edge back into the declared subtree would
+            # close a loop; report that before the duplicate itself.
+            if _would_cycle(parent, name, up):
+                raise OntologyError(f"cycle: '{name}' already subsumes '{up}'", lineno)
+            if up not in (None, parent[name]):
+                raise OntologyError(
+                    f"multiple parents for '{name}': '{parent[name] or root}' and '{up}'", lineno
+                )
+            raise OntologyError(f"duplicate type '{name}'", lineno)
+        elif root is not None:
+            raise OntologyError(f"second root '{name}' (root '{root}' already declared)", lineno)
         else:
-            raise OntologyError(f"malformed declaration '{line}'", lineno)
-
+            parent[name], root = None, name
     if root is None:
-        raise OntologyError("missing root: no parentless type declared", len(source.splitlines()) or 1)
+        raise OntologyError("missing root: no parentless type declared", len(lines) or 1)
     return Ontology(root=root, parent=parent)
 
 
-def _check_name(name: str, lineno: int):
-    if not _NAME_RE.match(name):
-        raise OntologyError(
-            f"bad type name '{name}': lowercase identifier required", lineno
-        )
+def _reject(raw: str, lineno: int):
+    """Raise the error for a line the declaration pattern rejects, unless it
+    holds only whitespace or a comment."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return
+    fields = line.split()
+    if fields[0] != "type":
+        raise OntologyError(f"expected a 'type' declaration, got '{line}'", lineno)
+    if len(fields) == 2 or (len(fields) == 4 and fields[2] == "isa"):
+        bad = next(name for name in fields[1::2] if not _NAME_RE.match(name))
+        raise OntologyError(f"bad type name '{bad}': lowercase identifier required", lineno)
+    raise OntologyError(f"malformed declaration '{line}'", lineno)
 
 
-def _would_cycle(parent: dict[TypeName, TypeName | None], name: TypeName, up: TypeName) -> bool:
-    cur: TypeName | None = up
-    while cur is not None:
-        if cur == name:
+def _would_cycle(parent: dict[TypeName, TypeName | None], name: TypeName, up: TypeName | None) -> bool:
+    while up is not None:
+        if up == name:
             return True
-        cur = parent[cur]
+        up = parent[up]
     return False

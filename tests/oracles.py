@@ -1,7 +1,8 @@
 """Brute-force oracles and random generators backing the property tests.
 
 Everything here recomputes expected results from first principles: ancestor
-chains walked as plain lists, adjective orders judged by a direct monotone
+chains walked as plain lists, resource texts read by a frozen copy of the
+original per-line loaders, adjective orders judged by a direct monotone
 simulation, the truth of a logical form found by trying every element of a
 small finite model. None of it calls the package's own comparison or
 rewriting logic, so agreement is evidence rather than tautology.
@@ -10,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 
+from ontologik.errors import LexiconError, OntologyError
 from ontologik.logform import And, Atom, Form, Not, Implies, Quant, QuantKind, conj
 
 # ----------------------------------------------------------------------
@@ -69,6 +72,284 @@ def tree_source(parent: dict[str, str | None]) -> str:
     for name, up in parent.items():
         lines.append(f"type {name}" if up is None else f"type {name} isa {up}")
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# loader oracle: a frozen copy of the original per-line loaders
+# ----------------------------------------------------------------------
+#
+# The reference splits each line at "#", strips it and classifies its fields,
+# one check at a time, and labels the tree with one children list per type.
+# It returns plain data and raises the package's own error classes, with the
+# package's messages and line numbers. Keep it as it is: it is the behaviour
+# the loaders must reproduce.
+
+_REF_TYPE_NAME = re.compile(r"[a-z_][a-z0-9_]*$")
+_REF_PRED = re.compile(r"pred\s+([A-Za-z_]\w*)\s*\(\s*([^)]*?)\s*\)$")
+_REF_REL = re.compile(r"rel\s+([A-Za-z_]\w*)\s*\(\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\)$")
+_REF_NAME = re.compile(r"name\s+([A-Za-z_]\w*)\s*::\s*([A-Za-z_]\w*)$")
+
+# (root, parent items in order, pre-order, last pre-order index of each
+# subtree, depth), the last two indexed by pre-order number
+OntologyData = tuple[str, tuple, tuple, tuple, tuple]
+# (signature items, relations as (name, domain, range, priority), name items)
+LexiconData = tuple[tuple, tuple, tuple]
+
+
+def reference_labels(root: str, parent: dict[str, str | None]) -> tuple[tuple, tuple, tuple]:
+    """Pre-order, subtree ends and depths of a parent map, or the
+    :class:`OntologyError` that ``Ontology(root, parent)`` raises."""
+    if parent.get(root, root) is not None:
+        raise OntologyError(f"root '{root}' is not a parentless type")
+    children: dict[str, list[str]] = {name: [] for name in parent}
+    for name, up in parent.items():
+        if up in children:
+            children[up].append(name)
+        elif up is not None:
+            raise OntologyError(f"unknown parent '{up}' for '{name}'")
+        elif name != root:
+            raise OntologyError(f"second root '{name}' (root '{root}' already declared)")
+    pre: dict[str, int] = {}
+    order: list[str] = []
+    depth: list[int] = []
+    stack = [root]
+    while stack:
+        name = stack.pop()
+        up = parent[name]
+        pre[name] = len(order)
+        order.append(name)
+        depth.append(0 if up is None else depth[pre[up]] + 1)
+        stack.extend(reversed(children[name]))
+    if len(order) < len(parent):
+        stray = next(name for name in parent if name not in pre)
+        raise OntologyError(f"cycle: '{stray}' is not below root '{root}'")
+    last = list(range(len(order)))
+    for i in range(len(order) - 1, 0, -1):
+        up = pre[parent[order[i]]]
+        last[up] = max(last[up], last[i])
+    return tuple(order), tuple(last), tuple(depth)
+
+
+def reference_load_ontology(source: str) -> OntologyData:
+    parent: dict[str, str | None] = {}
+    root: str | None = None
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] != "type":
+            raise OntologyError(f"expected a 'type' declaration, got '{line}'", lineno)
+        if len(fields) == 2:
+            name = fields[1]
+            _ref_check_name(name, lineno)
+            if name in parent:
+                raise OntologyError(f"duplicate type '{name}'", lineno)
+            if root is not None:
+                raise OntologyError(f"second root '{name}' (root '{root}' already declared)", lineno)
+            parent[name] = None
+            root = name
+        elif len(fields) == 4 and fields[2] == "isa":
+            name, up = fields[1], fields[3]
+            _ref_check_name(name, lineno)
+            _ref_check_name(up, lineno)
+            if up not in parent:
+                raise OntologyError(f"unknown parent '{up}' for '{name}'", lineno)
+            if name in parent:
+                if _ref_would_cycle(parent, name, up):
+                    raise OntologyError(f"cycle: '{name}' already subsumes '{up}'", lineno)
+                if parent[name] != up:
+                    raise OntologyError(
+                        f"multiple parents for '{name}': '{parent[name] or root}' and '{up}'", lineno
+                    )
+                raise OntologyError(f"duplicate type '{name}'", lineno)
+            parent[name] = up
+        else:
+            raise OntologyError(f"malformed declaration '{line}'", lineno)
+    if root is None:
+        raise OntologyError("missing root: no parentless type declared", len(source.splitlines()) or 1)
+    return (root, tuple(parent.items()), *reference_labels(root, parent))
+
+
+def _ref_check_name(name: str, lineno: int):
+    if not _REF_TYPE_NAME.match(name):
+        raise OntologyError(f"bad type name '{name}': lowercase identifier required", lineno)
+
+
+def _ref_would_cycle(parent: dict[str, str | None], name: str, up: str) -> bool:
+    cur: str | None = up
+    while cur is not None:
+        if cur == name:
+            return True
+        cur = parent[cur]
+    return False
+
+
+def reference_load_lexicon(source: str, types) -> LexiconData:
+    """The lexicon ``source`` declares over the type names ``types``."""
+    signatures: dict[str, tuple[str, ...]] = {}
+    relations: dict[str, tuple[str, str, str, int]] = {}
+    names: dict[str, str] = {}
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("pred"):
+            m = _REF_PRED.match(line)
+            if not m:
+                raise LexiconError(f"malformed predicate declaration '{line}'", lineno)
+            name, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
+            if not all(args) or not args:
+                raise LexiconError(f"predicate '{name}' needs at least one argument type", lineno)
+            if name in types:
+                raise LexiconError(f"predicate '{name}' clashes with an ontology type", lineno)
+            if name in signatures:
+                raise LexiconError(f"duplicate predicate '{name}'", lineno)
+            if name in relations:
+                raise LexiconError(f"predicate '{name}' clashes with a relation", lineno)
+            for a in args:
+                _ref_require_type(types, a, lineno)
+            signatures[name] = tuple(args)
+        elif line.startswith("rel"):
+            m = _REF_REL.match(line)
+            if not m:
+                raise LexiconError(f"malformed relation declaration '{line}'", lineno)
+            name, dom, rng = m.groups()
+            if name in relations:
+                raise LexiconError(f"duplicate relation '{name}'", lineno)
+            if name in signatures:
+                raise LexiconError(f"relation '{name}' clashes with a predicate", lineno)
+            _ref_require_type(types, dom, lineno)
+            _ref_require_type(types, rng, lineno)
+            relations[name] = (name, dom, rng, len(relations))
+        elif line.startswith("name"):
+            m = _REF_NAME.match(line)
+            if not m:
+                raise LexiconError(f"malformed name declaration '{line}'", lineno)
+            name, t = m.groups()
+            if name in names:
+                raise LexiconError(f"duplicate name '{name}'", lineno)
+            _ref_require_type(types, t, lineno)
+            names[name] = t
+        else:
+            raise LexiconError(f"unrecognized declaration '{line}'", lineno)
+    return tuple(signatures.items()), tuple(relations.values()), tuple(names.items())
+
+
+def _ref_require_type(types, name: str, lineno: int):
+    if name not in types:
+        raise LexiconError(f"unknown type '{name}'", lineno)
+
+
+def reference_declared_name(line: str) -> str | None:
+    """The name a predicate or relation line declares, as the reference
+    reads the line, or None for any other line."""
+    line = line.split("#", 1)[0].strip()
+    m = _REF_PRED.match(line) or _REF_REL.match(line)
+    return m.group(1) if m else None
+
+
+def ontology_data(ont) -> OntologyData:
+    """What :func:`reference_load_ontology` returns, read from an
+    ``Ontology`` through its public queries."""
+    order = tuple(ont.comparable_types(ont.root))
+    depth = tuple(ont.depth(t) for t in order)
+    last = tuple(ont.comparable_count(t) - depth[i] + i - 1 for i, t in enumerate(order))
+    return ont.root, tuple(ont.parent.items()), order, last, depth
+
+
+def lexicon_data(lex) -> LexiconData:
+    return (
+        tuple((name, sig.arg_types) for name, sig in lex.signatures.items()),
+        tuple((r.name, r.domain_type, r.range_type, r.priority) for r in lex.relations),
+        tuple((name, decl.declared_type) for name, decl in lex.names.items()),
+    )
+
+
+def outcome(load, *args) -> tuple:
+    """``("ok", data)``, or the class name, message and line of the load
+    error ``load(*args)`` raises."""
+    try:
+        return ("ok", load(*args))
+    except (OntologyError, LexiconError) as err:
+        return (type(err).__name__, str(err), err.line)
+
+
+# A relation named after a type, and a predicate or relation named "and",
+# which no LF text can use: the loader rejects these, the reference does not.
+NEW_LEXICON_REJECTION = re.compile(
+    r"line \d+: (?:relation '(\w+)' clashes with an ontology type"
+    r"|(predicate|relation) '(and)' is a reserved word of the LF syntax)"
+)
+
+
+def misnamed(data: LexiconData, types) -> list[str]:
+    """Predicates and relations of a reference lexicon that the loader now
+    rejects."""
+    signatures, relations, _ = data
+    return [name for name, _ in signatures if name == "and"] + [
+        rel[0] for rel in relations if rel[0] == "and" or rel[0] in types
+    ]
+
+
+# ----------------------------------------------------------------------
+# resource corruption: seeded mutations of a resource text
+# ----------------------------------------------------------------------
+
+_TOKEN = re.compile(r"\w+|::|[^\w\s]")
+# separators inside a line; \x0b and \x0c also end a line for str.splitlines
+_BLANKS = (" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\xa0")
+_LINE_ENDS = ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ")
+_UNKNOWN = ("unicorn", "Person", "EATING2", "x1", "_", "and", "type", "isa", "pred", "rel", "name")
+
+
+def resource_vocabulary(*texts: str) -> list[str]:
+    words = sorted({tok for text in texts for tok in _TOKEN.findall(text)})
+    return words + [w.upper() for w in words if w.islower()] + list(_UNKNOWN)
+
+
+def corrupt(rng: random.Random, text: str, vocab: list[str]) -> str:
+    """``text`` after one to three random edits: a token inserted, deleted,
+    doubled, replaced or upper-cased; a line inserted, deleted, doubled or
+    moved; a blank swapped for other whitespace; a ``#`` put anywhere, often
+    inside parentheses. Lines are then joined with one or more kinds of line
+    end."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines)) if lines else 0
+        line = lines[i] if lines else ""
+        spans = [m.span() for m in _TOKEN.finditer(line)]
+        op = rng.randrange(11)
+        if op < 5 and spans:  # token edits
+            a, b = rng.choice(spans)
+            token = rng.choice(vocab)
+            edit = (
+                f" {token} " if rng.random() < 0.7 else token,  # insert before
+                "",  # delete
+                line[a:b] + rng.choice(_BLANKS) + line[a:b],  # double
+                token,  # replace
+                line[a:b].upper() if rng.random() < 0.5 else line[a:b].capitalize(),
+            )[op]
+            lines[i] = line[:a] + edit + line[a if op == 0 else b :]
+        elif op == 5:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(lines) if lines else rng.choice(vocab))
+        elif op == 6 and lines:
+            del lines[i]
+        elif op == 7 and lines:
+            lines.insert(rng.randint(0, len(lines)), line)
+        elif op == 8 and len(lines) > 1:
+            lines.insert(rng.randrange(len(lines)), lines.pop(i))
+        elif op == 9 and line:
+            blanks = [j for j, c in enumerate(line) if c.isspace()] or [rng.randrange(len(line))]
+            j = rng.choice(blanks)
+            lines[i] = line[:j] + rng.choice(_BLANKS) + line[j + (line[j].isspace()) :]
+        elif line:
+            inside = [j for j in range(len(line)) if "(" in line[:j] and ")" in line[j:]]
+            j = rng.choice(inside) if inside and rng.random() < 0.7 else rng.randint(0, len(line))
+            lines[i] = line[:j] + "#" + line[j:]
+    if rng.random() < 0.7:
+        return rng.choice(_LINE_ENDS).join(lines)
+    return "".join(line + rng.choice(_LINE_ENDS) for line in lines)
 
 
 # ----------------------------------------------------------------------

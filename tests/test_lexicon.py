@@ -15,7 +15,22 @@ from ontologik import (
     pretty,
 )
 
-from oracles import oracle_candidates, random_relations, random_tree, tree_source
+from ontologik.fixtures import lexicon_path, ontology_path
+
+from oracles import (
+    NEW_LEXICON_REJECTION,
+    corrupt,
+    lexicon_data,
+    misnamed,
+    oracle_candidates,
+    outcome,
+    random_relations,
+    random_tree,
+    reference_declared_name,
+    reference_load_lexicon,
+    resource_vocabulary,
+    tree_source,
+)
 
 
 def test_reference_lexicon_contents(lex):
@@ -141,11 +156,15 @@ def test_load_skips_comments_and_blanks(ont):
         ("name julie person", "malformed name"),
         ("name Julie :: unicorn", "unknown type 'unicorn'"),
         ("verb want(animal, entity)", "unrecognized declaration"),
+        ("rel omelet(person, food)", "relation 'omelet' clashes with an ontology type"),
+        ("pred and(entity)", "predicate 'and' is a reserved word of the LF syntax"),
+        ("rel and(person, food)", "relation 'and' is a reserved word of the LF syntax"),
     ],
 )
 def test_load_rejections(ont, line, fragment):
-    with pytest.raises(LexiconError, match=fragment):
-        load_lexicon(line, ont)
+    with pytest.raises(LexiconError, match=fragment) as err:
+        load_lexicon(f"# a comment\n{line}", ont)
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize(
@@ -162,6 +181,73 @@ def test_load_duplicate_rejections(ont, source, fragment):
     with pytest.raises(LexiconError, match=fragment) as err:
         load_lexicon(source, ont)
     assert err.value.line == source.count("\n") + 1  # the later declaration's line
+
+
+def _loaded(source: str, ont):
+    return lexicon_data(load_lexicon(source, ont))
+
+
+def _check_against_reference(source: str, ont) -> str:
+    """Load ``source`` with the loader and the frozen reference, check that
+    they agree, and return the first words of the outcome's message.
+
+    They may differ only where the loader rejects a predicate or relation
+    that the reference takes but no LF text can use. Then every earlier line
+    loads as the reference loads it, and the reference takes or rejects this
+    very line.
+    """
+    types = set(ont.parent)
+    want = outcome(reference_load_lexicon, source, types)
+    got = outcome(_loaded, source, ont)
+    if got == want:
+        assert want[0] != "ok" or not misnamed(want[1], types), repr(source)
+        return want[0] if want[0] == "ok" else want[1].split(": ", 1)[1].split(" '")[0]
+    kind, message, line = got
+    m = NEW_LEXICON_REJECTION.fullmatch(message)
+    assert kind == "LexiconError" and m, (source, got, want)
+    name = m.group(1) or m.group(3)
+    lines = source.splitlines(keepends=True)
+    before = outcome(reference_load_lexicon, "".join(lines[: line - 1]), types)
+    assert before[0] == "ok" and not misnamed(before[1], types)
+    assert outcome(_loaded, "".join(lines[: line - 1]), ont) == before
+    upto = outcome(reference_load_lexicon, "".join(lines[:line]), types)
+    if upto[0] == "ok":
+        assert misnamed(upto[1], types) == [name]
+    else:
+        assert upto[2] == line and reference_declared_name(lines[line - 1]) == name
+    return message.split(": ", 1)[1].replace(f"'{name}'", "X")
+
+
+def test_load_matches_the_frozen_reference_on_corrupted_fixtures(ont):
+    text = lexicon_path().read_text()
+    vocab = resource_vocabulary(ontology_path().read_text(), text)
+    rng = random.Random(423)
+    reached = {_check_against_reference(corrupt(rng, text, vocab), ont) for _ in range(10_000)}
+    assert reached >= {
+        "ok", "malformed predicate declaration", "malformed relation declaration",
+        "malformed name declaration", "unrecognized declaration", "unknown type",
+        "duplicate predicate", "duplicate relation", "duplicate name", "predicate",
+        "relation X clashes with an ontology type",
+    }
+
+
+def test_renamed_declarations_match_the_frozen_reference(ont, lex):
+    # random edits rarely give a predicate or relation a name in use
+    lines = lexicon_path().read_text().splitlines()
+    renames = ["and", "And", *ont.parent, *lex.signatures, *(rel.name for rel in lex.relations)]
+    reached = set()
+    for i, line in enumerate(lines):
+        declared = reference_declared_name(line)
+        for name in renames if declared else ():
+            renamed = line.replace(f" {declared}(", f" {name}(", 1)
+            # the renamed line, then the original again at the end
+            source = "\n".join([*lines[:i], renamed, *lines[i + 1 :], line])
+            reached.add(_check_against_reference(source, ont))
+    assert reached == {
+        "ok", "predicate", "duplicate predicate", "duplicate relation", "relation",
+        "relation X clashes with an ontology type",
+        "predicate X is a reserved word of the LF syntax", "relation X is a reserved word of the LF syntax",
+    }
 
 
 def test_load_reports_line_numbers(ont):

@@ -4,8 +4,21 @@ import random
 import pytest
 
 from ontologik import Ontology, OntologyError, SubsumptionVerdict, UnknownTypeError, load_ontology
+from ontologik.fixtures import lexicon_path, ontology_path
 
-from oracles import ancestor_chain, oracle_compare, oracle_subsumes, random_tree, tree_source
+from oracles import (
+    ancestor_chain,
+    corrupt,
+    ontology_data,
+    oracle_compare,
+    oracle_subsumes,
+    outcome,
+    random_tree,
+    reference_labels,
+    reference_load_ontology,
+    resource_vocabulary,
+    tree_source,
+)
 
 V = SubsumptionVerdict
 
@@ -88,6 +101,40 @@ def test_redeclaration_same_edge_is_duplicate():
         load_ontology(source)
 
 
+def _loaded(source: str):
+    return ontology_data(load_ontology(source))
+
+
+def test_load_matches_the_frozen_reference_on_corrupted_fixtures():
+    text = ontology_path().read_text()
+    vocab = resource_vocabulary(text, lexicon_path().read_text())
+    rng = random.Random(420)
+    reached = set()
+    for _ in range(10_000):
+        source = corrupt(rng, text, vocab)
+        want = outcome(reference_load_ontology, source)
+        assert outcome(_loaded, source) == want, repr(source)
+        reached.add(want[0] if want[0] == "ok" else want[1].split(": ", 1)[1].split(" '")[0])
+    assert reached >= {
+        "ok", "expected a", "malformed declaration", "bad type name", "duplicate type",
+        "second root", "unknown parent",
+    }
+
+
+def test_redeclarations_match_the_frozen_reference():
+    # random edits rarely re-declare a type under a new parent
+    text = ontology_path().read_text()
+    names = [line.split()[1] for line in text.splitlines() if line.startswith("type")]
+    reached = set()
+    for name in names:
+        for up in names:
+            for source in (f"{text}type {name} isa {up}\n", f"{text}type {name}\n"):
+                want = outcome(reference_load_ontology, source)
+                assert outcome(_loaded, source) == want, repr(source)
+                reached.add(want[1].split(": ", 1)[1].split(" '")[0])
+    assert reached == {"cycle:", "multiple parents for", "duplicate type"}
+
+
 def test_unknown_type_queries(ont):
     # every query names the first unknown type, in argument order
     cases = [
@@ -142,6 +189,59 @@ def test_api_built_tree_may_list_a_child_before_its_parent():
     assert ont.subsumes("entity", "person") and not ont.subsumes("person", "animal")
     assert ont.compare("person", "animal") is V.SECOND_SUBSUMES_FIRST
     assert [ont.depth(t) for t in ("entity", "animal", "person")] == [0, 1, 2]
+
+
+def _is_preorder(seq: list[str], parent: dict[str, str | None]) -> bool:
+    # each type hangs below the path from the first type to the one before it
+    return all(parent[b] in ancestor_chain(parent, a) for a, b in zip(seq, seq[1:]))
+
+
+def test_a_shuffled_parent_map_labels_the_same_tree():
+    rng = random.Random(421)
+    for _ in range(200):
+        parent = random_tree(rng, max_nodes=40)
+        items = list(parent.items())
+        rng.shuffle(items)
+        shuffled = dict(items)
+        first, ont = Ontology("t0", parent), Ontology("t0", shuffled)
+        assert ontology_data(ont)[2:] == reference_labels("t0", shuffled)
+        nodes = list(parent)
+        for a, b in _pairs(rng, nodes):
+            assert ont.subsumes(a, b) == first.subsumes(a, b)
+            assert ont.compare(a, b) is first.compare(a, b)
+        for t in nodes:
+            assert ont.depth(t) == first.depth(t)
+            assert ont.comparable_count(t) == first.comparable_count(t)
+            types = ont.comparable_types(t)
+            below = [u for u in nodes if oracle_subsumes(parent, t, u)]
+            subtree, above = types[: len(below)], types[len(below) :]
+            assert subtree[0] == t and sorted(subtree) == sorted(below)
+            assert _is_preorder(subtree, parent)
+            assert above == ancestor_chain(parent, t)[1:]
+
+
+def test_a_broken_shuffled_parent_map_names_the_type_the_reference_names():
+    rng = random.Random(422)
+    reached = set()
+    for _ in range(2_000):
+        tree = random_tree(rng, max_nodes=12)
+        parent = dict(tree)
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(list(tree))
+            defect = rng.randrange(3)
+            if defect == 0:
+                parent[name] = "missing"
+            elif defect == 1:
+                parent[name] = None
+            else:  # a type of its own subtree as parent closes a loop
+                parent[name] = rng.choice([u for u in tree if oracle_subsumes(tree, name, u)])
+        items = list(parent.items())
+        rng.shuffle(items)
+        shuffled = dict(items)
+        want = outcome(reference_labels, "t0", shuffled)
+        assert outcome(lambda: ontology_data(Ontology("t0", shuffled))[2:]) == want, shuffled
+        reached.add(want[0] if want[0] == "ok" else want[1].split(" '")[0])
+    assert reached == {"ok", "root", "unknown parent", "second root", "cycle:"}
 
 
 def test_a_20000_deep_chain_answers_at_both_ends():
