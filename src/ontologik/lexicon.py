@@ -21,7 +21,7 @@ _ID = r"([A-Za-z_]\w*)"
 # A whole declaration line, comment included: a predicate's name and argument
 # list, a relation's name, domain and range, or a proper name and its type.
 _DECL_RE = re.compile(
-    rf"\s*(?:pred\s+{_ID}\s*\(\s*([^)#]*?)\s*\)|rel\s+{_ID}\s*\(\s*{_ID}\s*,\s*{_ID}\s*\)"
+    rf"\s*(?:pred\s+{_ID}\s*\(([^)#]*)\)|rel\s+{_ID}\s*\(\s*{_ID}\s*,\s*{_ID}\s*\)"
     rf"|name\s+{_ID}\s*::\s*{_ID})\s*(?:#.*)?"
 )
 _KEYWORDS = (("pred", "predicate"), ("rel", "relation"), ("name", "name"))

@@ -30,7 +30,6 @@ from .errors import OntologyError, UnknownTypeError
 # Type names are plain lowercase identifiers.
 TypeName = str
 
-_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*$")
 # A whole declaration line, comment included; the names it captures are valid.
 _DECL_RE = re.compile(r"\s*type\s+([a-z_][a-z0-9_]*)(?:\s+isa\s+([a-z_][a-z0-9_]*))?\s*(?:#.*)?")
 
@@ -235,7 +234,8 @@ def _reject(raw: str, lineno: int):
     if fields[0] != "type":
         raise OntologyError(f"expected a 'type' declaration, got '{line}'", lineno)
     if len(fields) == 2 or (len(fields) == 4 and fields[2] == "isa"):
-        bad = next(name for name in fields[1::2] if not _NAME_RE.match(name))
+        # a field holds no blank or "#", so it is a name if "type <field>" declares a root
+        bad = next(name for name in fields[1::2] if not _DECL_RE.fullmatch(f"type {name}"))
         raise OntologyError(f"bad type name '{bad}': lowercase identifier required", lineno)
     raise OntologyError(f"malformed declaration '{line}'", lineno)
 
