@@ -435,6 +435,76 @@ def test_api_built_non_forms_are_canonicalization_errors(ont, lex, form, message
         pretty(form)
 
 
+class _Atom(Atom):
+    pass
+
+
+class _And(And):
+    pass
+
+
+class _Not(Not):
+    pass
+
+
+class _Implies(Implies):
+    pass
+
+
+class _Quant(Quant):
+    pass
+
+
+def _rebuilt(f, atom=_Atom, and_=_And, not_=_Not, implies=_Implies, quant=_Quant):
+    # ``f`` built again from the given node classes
+    parts = (atom, and_, not_, implies, quant)
+    if isinstance(f, Atom):
+        return atom(f.pred, f.args)
+    if isinstance(f, And):
+        return and_(tuple(_rebuilt(i, *parts) for i in f.items))
+    if isinstance(f, Not):
+        return not_(_rebuilt(f.item, *parts))
+    if isinstance(f, Implies):
+        return implies(_rebuilt(f.antecedent, *parts), _rebuilt(f.consequent, *parts))
+    return quant(f.kind, f.var, f.vtype, _rebuilt(f.body, *parts))
+
+
+@pytest.mark.parametrize(
+    "source, typed",
+    [
+        ("(E x)(and (omelet(x)) (loud(x)))", "(E x :: person)(E x2 :: omelet)(and (EATING(x, x2)) (loud(x)))"),
+        ("(A x)((! black(x)) -> (! raven(x)))", "(A x :: raven)(black(x))"),
+        ("(E y :: person)(and (! (! red(y))) (want(y, Julie)))", "(E y :: person)(and (red(y)) (want(y, Julie)))"),
+    ],
+)
+def test_a_form_built_from_node_subclasses_reads_like_its_base(ont, lex, source, typed):
+    base = parse_lf(source)
+    sub = _rebuilt(base)
+    assert type(sub) is not type(base)
+    assert pretty(sub) == pretty(base)
+    assert pretty(canonicalize(sub, ont, lex)) == pretty(canonicalize(base, ont, lex))
+    got, want = analyze(sub, ont, lex), analyze(base, ont, lex)
+    assert got.text == want.text == typed
+    assert got.trace == want.trace
+    assert got.missing_text == want.missing_text
+    assert [(type(a), pretty(a)) for a in atoms(sub)] == [(_Atom, pretty(a)) for a in atoms(base)]
+    assert alpha_equal(sub, base) and alpha_equal(base, sub)
+
+
+@pytest.mark.parametrize("junk", ["junk", And(()), Atom, None])
+def test_a_non_form_under_the_last_level_is_named_and_one_level_lower_is_too_deep(ont, lex, junk):
+    # the nesting check comes before the node's class is read
+    form = junk
+    for _ in range(MAX_NESTING - 1):
+        form = Not(form)
+    message = "^empty conjunction$" if isinstance(junk, And) else "^not a form: "
+    for call in (pretty, lambda f: canonicalize(f, ont, lex), lambda f: analyze(f, ont, lex)):
+        with pytest.raises(CanonicalizationError, match=message):
+            call(form)
+        with pytest.raises(NestingError, match="^input nested too deeply$"):
+            call(Not(form))
+
+
 def test_a_quantifier_kind_that_is_no_quant_kind_cannot_be_printed(ont, lex):
     x = ("x",)
     # read as existential, "A" would lift omelet(x): "all omelets are loud"
