@@ -1,7 +1,11 @@
 """The base of the package's records: immutable slotted classes that act like frozen
-dataclasses, with their ``__match_args__`` (by default their ``__slots__``) as fields."""
+dataclasses, with their ``__match_args__`` (by default their ``__slots__``) as fields.
+``__setattr__`` refuses stores, so an ``__init__`` stores through its slots' :func:`setters`."""
 
-_set = object.__setattr__  # how each record's __init__ sets what __setattr__ refuses
+
+def setters(*classes) -> list:
+    """Each slot's own ``__set__``, class by class: a store with no lookup of the name."""
+    return [getattr(cls, name).__set__ for cls in classes for name in cls.__slots__]
 
 
 class Value:

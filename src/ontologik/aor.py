@@ -10,7 +10,7 @@ Verdicts are immutable slotted classes.
 """
 from __future__ import annotations
 
-from ._value import Value, _set
+from ._value import Value, setters
 from .errors import LexiconError
 from .lexicon import Lexicon
 from .ontology import Ontology, SubsumptionVerdict, TypeName
@@ -22,8 +22,8 @@ class Accepted(Value):
     __slots__ = ("running_types", "coercions")
 
     def __init__(self, running_types: tuple[TypeName, ...], coercions: tuple[tuple[int, str], ...] = ()):
-        _set(self, "running_types", running_types)
-        _set(self, "coercions", coercions)  # (adjective index, relation name)
+        _accepted_running_types(self, running_types)
+        _accepted_coercions(self, coercions)  # (adjective index, relation name)
 
 
 class Violation(Value):
@@ -33,9 +33,9 @@ class Violation(Value):
     __slots__ = ("at_index", "expected", "running")
 
     def __init__(self, at_index: int, expected: TypeName, running: TypeName):
-        _set(self, "at_index", at_index)
-        _set(self, "expected", expected)
-        _set(self, "running", running)
+        _violation_at_index(self, at_index)
+        _violation_expected(self, expected)
+        _violation_running(self, running)
 
 
 class TypeFailure(Value):
@@ -45,10 +45,12 @@ class TypeFailure(Value):
     __slots__ = ("at_index",)
 
     def __init__(self, at_index: int):
-        _set(self, "at_index", at_index)
+        _failure_at_index(self, at_index)
 
 
 AORVerdict = Accepted | Violation | TypeFailure
+(_accepted_running_types, _accepted_coercions, _violation_at_index, _violation_expected,
+ _violation_running, _failure_at_index) = setters(Accepted, Violation, TypeFailure)
 
 
 def check_order(

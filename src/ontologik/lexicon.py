@@ -13,7 +13,7 @@ import re
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from ._value import Value, _set
+from ._value import Value, setters
 from .errors import LexiconError
 from .ontology import Ontology, SubsumptionVerdict, TypeName
 
@@ -33,8 +33,8 @@ class PredicateSignature(Value):
     __slots__ = ("name", "arg_types")
 
     def __init__(self, name: str, arg_types: tuple[TypeName, ...]):
-        _set(self, "name", name)
-        _set(self, "arg_types", arg_types)
+        _sig_name(self, name)
+        _sig_arg_types(self, arg_types)
 
     @property
     def arity(self) -> int:
@@ -47,10 +47,10 @@ class SalientRelation(Value):
     __slots__ = ("name", "domain_type", "range_type", "priority")
 
     def __init__(self, name: str, domain_type: TypeName, range_type: TypeName, priority: int):
-        _set(self, "name", name)
-        _set(self, "domain_type", domain_type)
-        _set(self, "range_type", range_type)
-        _set(self, "priority", priority)  # declaration order; lower wins ties
+        _rel_name(self, name)
+        _rel_domain_type(self, domain_type)
+        _rel_range_type(self, range_type)
+        _rel_priority(self, priority)  # declaration order; lower wins ties
 
 
 class NameDecl(Value):
@@ -59,8 +59,8 @@ class NameDecl(Value):
     __slots__ = ("name", "declared_type")
 
     def __init__(self, name: str, declared_type: TypeName):
-        _set(self, "name", name)
-        _set(self, "declared_type", declared_type)
+        _decl_name(self, name)
+        _decl_declared_type(self, declared_type)
 
 
 class Lexicon(Value):
@@ -90,9 +90,9 @@ class Lexicon(Value):
         self, signatures: Mapping[str, PredicateSignature] | None = None,
         relations: tuple[SalientRelation, ...] = (), names: Mapping[str, NameDecl] | None = None,
     ):
-        _set(self, "signatures", MappingProxyType(dict(signatures or {})))
-        _set(self, "names", MappingProxyType(dict(names or {})))
-        _set(self, "relations", tuple(relations))
+        _lex_signatures(self, MappingProxyType(dict(signatures or {})))
+        _lex_names(self, MappingProxyType(dict(names or {})))
+        _lex_relations(self, tuple(relations))
         arg_types: dict[str, tuple[TypeName, ...]] = {}
         by_domain: dict[TypeName, list[int]] = {}
         by_range: dict[TypeName, list[int]] = {}
@@ -101,9 +101,9 @@ class Lexicon(Value):
             by_domain.setdefault(rel.domain_type, []).append(i)
             by_range.setdefault(rel.range_type, []).append(i)
         arg_types.update({name: sig.arg_types for name, sig in self.signatures.items()})
-        _set(self, "arg_types", MappingProxyType(arg_types))
-        _set(self, "_by_domain", by_domain)
-        _set(self, "_by_range", by_range)
+        _lex_arg_types(self, MappingProxyType(arg_types))
+        _lex_by_domain(self, by_domain)
+        _lex_by_range(self, by_range)
 
     def __reduce__(self):  # a mapping proxy does not pickle; the buckets are rebuilt
         return Lexicon, (dict(self.signatures), self.relations, dict(self.names))
@@ -158,6 +158,9 @@ class Lexicon(Value):
         return found
 
 
+(_sig_name, _sig_arg_types, _rel_name, _rel_domain_type, _rel_range_type, _rel_priority,
+ _decl_name, _decl_declared_type, _lex_signatures, _lex_relations, _lex_names, _lex_arg_types,
+ _lex_by_domain, _lex_by_range) = setters(PredicateSignature, SalientRelation, NameDecl, Lexicon)
 # ----------------------------------------------------------------------
 # loading
 # ----------------------------------------------------------------------
@@ -172,11 +175,11 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
         rel <NAME>(<domain>, <range>)
         name <Name> :: <type>
 
-    Comments (``#``) and blank lines are ignored. All types mentioned must
-    exist in the ontology, no predicate or relation may reuse a type name or
-    be named ``and``, a reserved word of the LF syntax, and no predicate and
-    relation may share a name: the later declaration of the two raises
-    :class:`LexiconError` at its line.
+    Comments (``#``) and blank lines are ignored. All types mentioned must exist in the
+    ontology. Predicate, relation and proper names are ASCII identifiers, as LF text spells
+    them, and a proper name starts uppercase. No predicate or relation may reuse a type name
+    or be named ``and``, a reserved word of LF, and no predicate and relation may share a
+    name: the line that breaks a rule, or the later of the two, raises :class:`LexiconError`.
     """
     signatures: dict[str, PredicateSignature] = {}
     relations: dict[str, SalientRelation] = {}
@@ -197,7 +200,7 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
             args = [a.strip() for a in args.split(",")]
             if not all(args):
                 raise LexiconError(f"predicate '{pred}' needs at least one argument type", lineno)
-            if pred in types or pred == "and":
+            if pred in types or pred == "and" or not pred.isascii():
                 raise _misnamed("predicate", pred, types, lineno)
             if pred in signatures:
                 raise LexiconError(f"duplicate predicate '{pred}'", lineno)
@@ -208,7 +211,7 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
                     raise LexiconError(f"unknown type '{a}'", lineno)
             signatures[pred] = PredicateSignature(pred, tuple(args))
         elif rel is not None:
-            if rel in types or rel == "and":
+            if rel in types or rel == "and" or not rel.isascii():
                 raise _misnamed("relation", rel, types, lineno)
             if rel in relations:
                 raise LexiconError(f"duplicate relation '{rel}'", lineno)
@@ -217,6 +220,8 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
             if dom not in types or rng not in types:
                 raise LexiconError(f"unknown type '{rng if dom in types else dom}'", lineno)
             relations[rel] = SalientRelation(rel, dom, rng, priority=len(relations))
+        elif not (name.isascii() and name[0].isupper()):
+            raise LexiconError(f"name '{name}' must be a capitalized ASCII identifier", lineno)
         elif name in names:
             raise LexiconError(f"duplicate name '{name}'", lineno)
         elif t not in types:
@@ -227,7 +232,9 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
 
 
 def _misnamed(kind: str, name: str, types: Mapping[TypeName, object], lineno: int) -> LexiconError:
-    """The error for a predicate or relation named after a type or ``and``."""
+    """The error for a predicate or relation name that no LF text can use."""
+    if not name.isascii():
+        return LexiconError(f"{kind} '{name}' must be an ASCII identifier", lineno)
     if name in types:
         return LexiconError(f"{kind} '{name}' clashes with an ontology type", lineno)
     return LexiconError(f"{kind} 'and' is a reserved word of the LF syntax", lineno)

@@ -64,17 +64,23 @@ CanonicalForm = Form
 
 def conj(items: list[Form] | tuple[Form, ...]) -> Form:
     """Build a conjunction, collapsing the one-element case."""
-    flat: list[Form] = []
-    for item in items:
-        if isinstance(item, And):
-            flat.extend(item.items)
-        else:
-            flat.append(item)
+    flat = _flatten(items)
     if not flat:
         raise ValueError("empty conjunction")
     if len(flat) == 1:
         return flat[0]
     return And(tuple(flat))
+
+
+def _flatten(items: list[Form] | tuple[Form, ...]) -> list[Form]:
+    # ``items`` with each conjunction replaced by its conjuncts
+    flat: list[Form] = []
+    for item in items:
+        if isinstance(item, And):
+            flat += item.items
+        else:
+            flat.append(item)
+    return flat
 
 
 # ----------------------------------------------------------------------
@@ -265,32 +271,31 @@ def _print(form: Form, memo: dict, depth: int) -> str:
     hit = memo.get(id(form))
     if hit is not None:
         return hit[1]
-    depth = deeper(depth)
-    match form:
-        case Not(item):
-            text = f"(! {_print(item, memo, depth)})"
-        case Implies(antecedent, consequent):
-            text = f"({_print(antecedent, memo, depth)} -> {_print(consequent, memo, depth)})"
-        case And(items) if items:
-            # An atom standing where a form is expected takes parentheses.
-            text = "(and " + " ".join([
-                f"({i.pred}({', '.join(i.args)}))" if isinstance(i, Atom) else _print(i, memo, depth)
-                for i in items
-            ]) + ")"
-        case Quant():
-            text, f = "", form
-            while isinstance(f, Quant):  # a whole prefix, without recursion
-                if not isinstance(f.kind, QuantKind):
-                    raise CanonicalizationError(f"not a form: {f!r}")
-                kind, var, vtype = f.kind._value_, f.var, f.vtype
-                text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
-                f = f.body
-            matrix = _print(f, memo, depth)
-            text += f"({matrix})" if isinstance(f, Atom) else matrix
-        case And():
-            raise CanonicalizationError("empty conjunction")
-        case _:
-            raise CanonicalizationError(f"not a form: {form!r}")
+    if depth >= MAX_NESTING:
+        raise NestingError()
+    depth += 1
+    if isinstance(form, Quant):
+        text, f = "", form
+        while isinstance(f, Quant):  # a whole prefix, without recursion
+            if not isinstance(f.kind, QuantKind):
+                raise CanonicalizationError(f"not a form: {f!r}")
+            kind, var, vtype = f.kind._value_, f.var, f.vtype
+            text += f"({kind} {var} :: {vtype})" if vtype else f"({kind} {var})"
+            f = f.body
+        matrix = _print(f, memo, depth)
+        text += f"({matrix})" if isinstance(f, Atom) else matrix
+    elif isinstance(form, And) and form.items:
+        # An atom standing where a form is expected takes parentheses.
+        text = "(and " + " ".join([
+            f"({i.pred}({', '.join(i.args)}))" if isinstance(i, Atom) else _print(i, memo, depth)
+            for i in form.items
+        ]) + ")"
+    elif isinstance(form, Implies):
+        text = f"({_print(form.antecedent, memo, depth)} -> {_print(form.consequent, memo, depth)})"
+    elif isinstance(form, Not):
+        text = f"(! {_print(form.item, memo, depth)})"
+    else:
+        raise CanonicalizationError("empty conjunction" if isinstance(form, And) else f"not a form: {form!r}")
     if depth == 1:  # printed from level 0
         memo[id(form)] = form, text
     return text
@@ -357,7 +362,7 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon, memo: dict | None = No
     cf = _canon(form, ont, lex, memo, bad)
     if bad[0]:
         for atom in atoms(cf):
-            if atom.pred in ont:
+            if atom.pred in ont.parent:
                 raise CanonicalizationError(
                     f"type name '{atom.pred}' used as a predicate where no rewrite can lift it: "
                     f"{pretty(atom)}"
@@ -370,40 +375,39 @@ def canonicalize(form: Form, ont: Ontology, lex: Lexicon, memo: dict | None = No
 def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], depth: int = 0) -> Form:
     # ``bad[0]`` counts the atoms met whose predicate is a type name or unknown.
     if isinstance(f, Atom):
-        if f.pred in ont or f.pred not in lex.arg_types:
+        if f.pred in ont.parent or f.pred not in lex.arg_types:
             bad[0] += 1
         return f
-    depth = deeper(depth)
-    match f:
-        case Not(item):
-            inner = _canon(item, ont, lex, memo, bad, depth)
-            return inner.item if isinstance(inner, Not) else Not(inner)
-        case Implies(a, c):
-            a, c = _canon(a, ont, lex, memo, bad, depth), _canon(c, ont, lex, memo, bad, depth)
-            if isinstance(a, Not) and isinstance(c, Not):
-                return Implies(c.item, a.item)
-            return Implies(a, c)
-        case And(()):
-            raise CanonicalizationError("empty conjunction")
-        case And(items):
-            return sorted_conj([_canon(i, ont, lex, memo, bad, depth) for i in items], memo)
-        case Quant():
-            # The matrix's canonical conjuncts go to _lift unsorted.
-            prefix, matrix = read_prefix(f)
-            for kind, _, _ in prefix:
-                if not isinstance(kind, QuantKind):  # API-built; named by its Quant, as in _print
-                    while f.kind is not kind:
-                        f = f.body
-                    raise CanonicalizationError(f"not a form: {f!r}")
-            items: tuple[Form, ...] = (matrix,)
-            if isinstance(matrix, And) and matrix.items:  # an empty one is walked, and raises
-                depth, items = deeper(depth), matrix.items
-            flat: list[Form] = []
-            for item in items:
-                item = _canon(item, ont, lex, memo, bad, depth)
-                flat.extend(item.items if isinstance(item, And) else (item,))
-            return _lift(prefix, flat, ont, memo, bad)
-    raise CanonicalizationError(f"not a form: {f!r}")
+    if depth >= MAX_NESTING:
+        raise NestingError()
+    depth += 1
+    if isinstance(f, Quant):
+        # The matrix's canonical conjuncts go to _lift unsorted.
+        prefix, matrix = read_prefix(f)
+        for kind, _, _ in prefix:
+            if not isinstance(kind, QuantKind):  # API-built; named by its Quant, as in _print
+                while f.kind is not kind:
+                    f = f.body
+                raise CanonicalizationError(f"not a form: {f!r}")
+        if isinstance(matrix, And) and matrix.items:  # an empty one is walked, and raises
+            if depth >= MAX_NESTING:
+                raise NestingError()
+            items = [_canon(item, ont, lex, memo, bad, depth + 1) for item in matrix.items]
+        else:
+            items = [_canon(matrix, ont, lex, memo, bad, depth)]
+        return _lift(prefix, _flatten(items), ont, memo, bad)
+    if isinstance(f, And) and f.items:
+        return sorted_conj([_canon(i, ont, lex, memo, bad, depth) for i in f.items], memo)
+    if isinstance(f, Implies):
+        a = _canon(f.antecedent, ont, lex, memo, bad, depth)
+        c = _canon(f.consequent, ont, lex, memo, bad, depth)
+        if isinstance(a, Not) and isinstance(c, Not):
+            return Implies(c.item, a.item)
+        return Implies(a, c)
+    if isinstance(f, Not):
+        inner = _canon(f.item, ont, lex, memo, bad, depth)
+        return inner.item if isinstance(inner, Not) else Not(inner)
+    raise CanonicalizationError("empty conjunction" if isinstance(f, And) else f"not a form: {f!r}")
 
 
 def sorted_conj(items: list[Form], memo: dict) -> Form:
@@ -411,9 +415,7 @@ def sorted_conj(items: list[Form], memo: dict) -> Form:
 
     Each conjunct is printed from level 0 with ``memo``, so the printer reads
     its text from there or records it, unless the conjunct is an atom."""
-    flat: list[Form] = []
-    for item in items:
-        flat.extend(item.items if isinstance(item, And) else (item,))
+    flat = _flatten(items)
     flat.sort(key=lambda item: _print(item, memo, 0))
     return flat[0] if len(flat) == 1 else And(tuple(flat))
 
@@ -437,7 +439,7 @@ def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, ba
             owner.setdefault(var, None if kind is QuantKind.FORALL or vtype else i)
         found: dict[int, int] = {}  # binder -> its least membership conjunct
         for j, item in enumerate(items):
-            if isinstance(item, Atom) and len(item.args) == 1 and item.pred in ont:
+            if isinstance(item, Atom) and len(item.args) == 1 and item.pred in ont.parent:
                 i = owner.get(item.args[0])
                 if i is not None and (i not in found or item.pred < items[found[i]].pred):
                     found[i] = j  # for one variable, the least text has the least predicate
@@ -453,12 +455,11 @@ def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, ba
             break
     if matrix is None:
         matrix = items[0] if len(items) == 1 else sorted_conj(items, memo)
-    match prefix[-1], matrix:
-        case (QuantKind.FORALL, var, None), Implies(Atom(pred, args), body) if (
-            pred in ont and args == (var,)
-        ):
-            prefix[-1] = (QuantKind.FORALL, var, pred)
-            matrix = body
+    kind, var, vtype = prefix[-1]
+    if kind is QuantKind.FORALL and vtype is None and isinstance(matrix, Implies):
+        a = matrix.antecedent
+        if isinstance(a, Atom) and len(a.args) == 1 and a.args[0] == var and a.pred in ont.parent:
+            prefix[-1], matrix = (kind, var, a.pred), matrix.consequent
             bad[0] -= 1
     return with_prefix(prefix, matrix)
 

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from enum import Enum, auto
 from types import MappingProxyType
 
-from ._value import Value, _set
+from ._value import Value, setters
 from .errors import OntologyError, UnknownTypeError
 
 # Type names are plain lowercase identifiers.
@@ -58,8 +58,8 @@ class Ontology(Value):
 
     def __init__(self, root: TypeName, parent: Mapping[TypeName, TypeName | None]):
         parent = dict(parent)
-        _set(self, "root", root)
-        _set(self, "parent", MappingProxyType(parent))
+        _ont_root(self, root)
+        _ont_parent(self, MappingProxyType(parent))
         if parent.get(root, root) is not None:
             raise OntologyError(f"root '{root}' is not a parentless type")
         children: defaultdict[TypeName, list[TypeName]] = defaultdict(list)  # only parents get a list
@@ -88,10 +88,10 @@ class Ontology(Value):
         for i in range(len(order) - 1, 0, -1):  # a subtree's nodes all come after its root
             if last[up_at[i]] < last[i]:
                 last[up_at[i]] = last[i]
-        _set(self, "_pre", pre)
-        _set(self, "_order", tuple(order))
-        _set(self, "_last", last)
-        _set(self, "_depth", depth)
+        _ont_pre(self, pre)
+        _ont_order(self, tuple(order))
+        _ont_last(self, last)
+        _ont_depth(self, depth)
 
     def __reduce__(self):  # a mapping proxy does not pickle; the labels are rebuilt
         return Ontology, (self.root, dict(self.parent))
@@ -123,14 +123,6 @@ class Ontology(Value):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-
-    def ancestors(self, name: TypeName) -> list[TypeName]:
-        """The chain from ``name`` up to the root, inclusive on both ends."""
-        self.require(name)
-        chain = [name]
-        while (up := self.parent[chain[-1]]) is not None:
-            chain.append(up)
-        return chain
 
     def depth(self, name: TypeName) -> int:
         return self._depth[self._index(name)]
@@ -174,6 +166,7 @@ class Ontology(Value):
         return types
 
 
+_ont_root, _ont_parent, _ont_pre, _ont_order, _ont_last, _ont_depth = setters(Ontology)
 # ----------------------------------------------------------------------
 # loading
 # ----------------------------------------------------------------------

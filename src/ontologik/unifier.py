@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import is_
 
-from ._value import Value, _set
+from ._value import Value, setters
 from .errors import LexiconError, NestingError, TypeCheckError
 from .lexicon import Lexicon, SalientRelation
 from .logform import (
@@ -68,7 +68,7 @@ class Unified(Value):
     __slots__ = ("result",)
 
     def __init__(self, result: TypeName):
-        _set(self, "result", result)
+        _unified_result(self, result)
 
 
 class Coerced(Value):
@@ -77,9 +77,9 @@ class Coerced(Value):
     __slots__ = ("result", "relation", "relatum_type")
 
     def __init__(self, result: TypeName, relation: SalientRelation, relatum_type: TypeName):
-        _set(self, "result", result)
-        _set(self, "relation", relation)
-        _set(self, "relatum_type", relatum_type)
+        _coerced_result(self, result)
+        _coerced_relation(self, relation)
+        _coerced_relatum_type(self, relatum_type)
 
 
 class Failed(Value):
@@ -88,8 +88,8 @@ class Failed(Value):
     __slots__ = ("left", "right")
 
     def __init__(self, left: TypeName, right: TypeName):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _failed_left(self, left)
+        _failed_right(self, right)
 
 
 UnificationOutcome = Unified | Coerced | Failed
@@ -101,10 +101,10 @@ class TraceStep(Value):
     __slots__ = ("op", "subject", "detail", "outcome")
 
     def __init__(self, op: str, subject: str | None, detail: str, outcome: str):
-        _set(self, "op", op)
-        _set(self, "subject", subject)
-        _set(self, "detail", detail)
-        _set(self, "outcome", outcome)
+        _step_op(self, op)
+        _step_subject(self, subject)
+        _step_detail(self, detail)
+        _step_outcome(self, outcome)
 
 
 class DerivationTrace(Value):
@@ -114,7 +114,7 @@ class DerivationTrace(Value):
     __hash__ = None  # the steps are a list, so hash() names the record
 
     def __init__(self, steps: list[TraceStep] | None = None):
-        _set(self, "steps", [] if steps is None else steps)
+        _trace_steps(self, [] if steps is None else steps)
 
     def add(self, op: str, subject: str | None, detail: str, outcome: str):
         self.steps.append(TraceStep(op, subject, detail, outcome))
@@ -128,12 +128,16 @@ class AnalyzedForm(Value):
     __hash__ = None  # the trace and missing_text are mutable, so hash() names the record
 
     def __init__(self, form: CanonicalForm, trace: DerivationTrace, missing_text: list[str], text: str):
-        _set(self, "form", form)
-        _set(self, "trace", trace)
-        _set(self, "missing_text", missing_text)
-        _set(self, "text", text)
+        _analyzed_form(self, form)
+        _analyzed_trace(self, trace)
+        _analyzed_missing_text(self, missing_text)
+        _analyzed_text(self, text)
 
 
+(_unified_result, _coerced_result, _coerced_relation, _coerced_relatum_type, _failed_left,
+ _failed_right, _step_op, _step_subject, _step_detail, _step_outcome, _trace_steps,
+ _analyzed_form, _analyzed_trace, _analyzed_missing_text, _analyzed_text) = setters(
+     Unified, Coerced, Failed, TraceStep, DerivationTrace, AnalyzedForm)
 # ----------------------------------------------------------------------
 # pairwise unification
 # ----------------------------------------------------------------------
@@ -298,63 +302,62 @@ def _walk(cf: Form, ont: Ontology, lex: Lexicon, memo: dict) -> tuple[Form, int,
                     raise LexiconError(f"unknown constant '{arg}'")
             return f
         outer, reach[0] = reach[0], 0
-        match f:
-            case Quant():
-                prefix, matrix = read_prefix(f)
-                scope, own, at = dict(scope), [], len(binders)
-                for _, var, declared in prefix:
-                    if declared is None:
-                        declared = lex.names[var].declared_type if var in lex.names else ont.root
-                    ont.require(declared)
-                    scope[var] = slots = [], []
-                    own.append((declared, *slots))
-                binders.extend([None] * len(own))  # filled in below, so that they keep binding order
-                items = matrix.items if isinstance(matrix, And) else (matrix,)
-                walked = [walk(i, scope, positive) for i in items]
-                # Each coerced binder gets a relatum binder right below it,
-                # named apart from every name in the form, and its bridge
-                # joins the matrix, next to the predications it explains.
-                typed, bridges = [], []
-                for (kind, var, _), (declared, expectations, adjectives) in zip(prefix, own):
-                    outcome, steps = fold(var, declared, expectations)
-                    final = declared if isinstance(outcome, Failed) else outcome.result
-                    typed.append((kind, var, final))
-                    gloss = None
-                    if isinstance(outcome, Coerced):
-                        if not used:
-                            used.update(_names(cf))
-                        n = 2
-                        while f"{var}{n}" in used:
-                            n += 1
-                        used.add(fresh := f"{var}{n}")
-                        rel, relatum = outcome.relation.name, outcome.relatum_type
-                        typed.append((QuantKind.EXISTS, fresh, relatum))
-                        bridges.append(Atom(rel, (var, fresh)))
-                        gloss = f"some {' '.join([*adjectives, final])} {rel.lower()} the {relatum}"
-                    binders[at] = var, outcome, steps, gloss
-                    at += 1
-                # a bridge can turn the matrix into a conjunction, a level deeper
-                height = reach[0] + (2 if len(items) + len(bridges) > 1 else 1)
-                # sorting prints down to recorded texts only: past the cap, analyze raises
-                if not bridges and all(map(is_, walked, items)):
-                    f = f if typed == prefix else with_prefix(typed, matrix)
-                else:
-                    f = with_prefix(typed, sorted_conj(walked + bridges, memo))
-            case And(items):
-                walked = [walk(i, scope, positive) for i in items]
-                height = reach[0] + 1
-                if not all(map(is_, walked, items)):
-                    f = sorted_conj(walked, memo)
-            case Not(item):
-                inner = walk(item, scope, not positive)
-                height = reach[0] + 1
-                if inner is not item:
-                    f = Not(inner)
-            case Implies(a, c):
-                a2, c2 = walk(a, scope, not positive), walk(c, scope, positive)
-                height = reach[0] + 1
-                if a2 is not a or c2 is not c:
-                    f = Implies(a2, c2)
+        if isinstance(f, Quant):
+            prefix, matrix = read_prefix(f)
+            scope, own, at = dict(scope), [], len(binders)
+            for _, var, declared in prefix:
+                if declared is None:
+                    declared = lex.names[var].declared_type if var in lex.names else ont.root
+                ont.require(declared)
+                scope[var] = slots = [], []
+                own.append((declared, *slots))
+            binders.extend([None] * len(own))  # filled in below, so that they keep binding order
+            items = matrix.items if isinstance(matrix, And) else (matrix,)
+            walked = [walk(i, scope, positive) for i in items]
+            # Each coerced binder gets a relatum binder right below it,
+            # named apart from every name in the form, and its bridge
+            # joins the matrix, next to the predications it explains.
+            typed, bridges = [], []
+            for (kind, var, _), (declared, expectations, adjectives) in zip(prefix, own):
+                outcome, steps = fold(var, declared, expectations)
+                final = declared if isinstance(outcome, Failed) else outcome.result
+                typed.append((kind, var, final))
+                gloss = None
+                if isinstance(outcome, Coerced):
+                    if not used:
+                        used.update(_names(cf))
+                    n = 2
+                    while f"{var}{n}" in used:
+                        n += 1
+                    used.add(fresh := f"{var}{n}")
+                    rel, relatum = outcome.relation.name, outcome.relatum_type
+                    typed.append((QuantKind.EXISTS, fresh, relatum))
+                    bridges.append(Atom(rel, (var, fresh)))
+                    gloss = f"some {' '.join([*adjectives, final])} {rel.lower()} the {relatum}"
+                binders[at] = var, outcome, steps, gloss
+                at += 1
+            # a bridge can turn the matrix into a conjunction, a level deeper
+            height = reach[0] + (2 if len(items) + len(bridges) > 1 else 1)
+            # sorting prints down to recorded texts only: past the cap, analyze raises
+            if not bridges and all(map(is_, walked, items)):
+                f = f if typed == prefix else with_prefix(typed, matrix)
+            else:
+                f = with_prefix(typed, sorted_conj(walked + bridges, memo))
+        elif isinstance(f, And):
+            walked = [walk(i, scope, positive) for i in f.items]
+            height = reach[0] + 1
+            if not all(map(is_, walked, f.items)):
+                f = sorted_conj(walked, memo)
+        elif isinstance(f, Implies):
+            a, c = walk(f.antecedent, scope, not positive), walk(f.consequent, scope, positive)
+            height = reach[0] + 1
+            if a is not f.antecedent or c is not f.consequent:
+                f = Implies(a, c)
+        else:  # a Not: canonicalize has vetted every node
+            inner = walk(f.item, scope, not positive)
+            height = reach[0] + 1
+            if inner is not f.item:
+                f = Not(inner)
         reach[0] = height if height > outer else outer
         return f
 

@@ -242,10 +242,10 @@ def _ref_require_type(types, name: str, lineno: int):
 
 
 def reference_declared_name(line: str) -> str | None:
-    """The name a predicate or relation line declares, as the reference
-    reads the line, or None for any other line."""
+    """The name a predicate, relation or name line declares, as the
+    reference reads the line, or None for any other line."""
     line = line.split("#", 1)[0].strip()
-    m = _REF_PRED.match(line) or _REF_REL.match(line)
+    m = _REF_PRED.match(line) or _REF_REL.match(line) or _REF_NAME.match(line)
     return m.group(1) if m else None
 
 
@@ -275,21 +275,27 @@ def outcome(load, *args) -> tuple:
         return (type(err).__name__, str(err), err.line)
 
 
-# A relation named after a type, and a predicate or relation named "and",
-# which no LF text can use: the loader rejects these, the reference does not.
+# A relation named after a type, a predicate or relation named "and" or
+# with a non-ASCII name, and a proper name that is no capitalized ASCII
+# identifier, which no LF text can use: the loader rejects these, the
+# reference does not. The name is the first group that is not None.
 NEW_LEXICON_REJECTION = re.compile(
     r"line \d+: (?:relation '(\w+)' clashes with an ontology type"
-    r"|(predicate|relation) '(and)' is a reserved word of the LF syntax)"
+    r"|(?:predicate|relation) '(and)' is a reserved word of the LF syntax"
+    r"|(?:predicate|relation) '(\w+)' must be an ASCII identifier"
+    r"|name '(\w+)' must be a capitalized ASCII identifier)"
 )
 
 
 def misnamed(data: LexiconData, types) -> list[str]:
-    """Predicates and relations of a reference lexicon that the loader now
-    rejects."""
-    signatures, relations, _ = data
-    return [name for name, _ in signatures if name == "and"] + [
-        rel[0] for rel in relations if rel[0] == "and" or rel[0] in types
-    ]
+    """Predicates, relations and names of a reference lexicon that the
+    loader now rejects."""
+    signatures, relations, names = data
+    return (
+        [name for name, _ in signatures if name == "and" or not name.isascii()]
+        + [rel[0] for rel in relations if rel[0] == "and" or rel[0] in types or not rel[0].isascii()]
+        + [name for name, _ in names if not (name.isascii() and name[0].isupper())]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +306,7 @@ _TOKEN = re.compile(r"\w+|::|[^\w\s]")
 # separators inside a line; \x0b and \x0c also end a line for str.splitlines
 _BLANKS = (" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\xa0")
 _LINE_ENDS = ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ")
-_UNKNOWN = ("unicorn", "Person", "EATING2", "x1", "_", "and", "type", "isa", "pred", "rel", "name")
+_UNKNOWN = ("unicorn", "Person", "EATING2", "x1", "_", "and", "type", "isa", "pred", "rel", "name", "loudé")
 
 
 def resource_vocabulary(*texts: str) -> list[str]:

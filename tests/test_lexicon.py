@@ -159,6 +159,12 @@ def test_load_skips_comments_and_blanks(ont):
         ("rel omelet(person, food)", "relation 'omelet' clashes with an ontology type"),
         ("pred and(entity)", "predicate 'and' is a reserved word of the LF syntax"),
         ("rel and(person, food)", "relation 'and' is a reserved word of the LF syntax"),
+        # names the LF tokenizer cannot read, or reads as variables
+        ("pred loudé(person)", "predicate 'loudé' must be an ASCII identifier"),
+        ("rel EATÏNG(person, food)", "relation 'EATÏNG' must be an ASCII identifier"),
+        ("name julie :: person", "name 'julie' must be a capitalized ASCII identifier"),
+        ("name _Julie :: person", "name '_Julie' must be a capitalized ASCII identifier"),
+        ("name Julié :: person", "name 'Julié' must be a capitalized ASCII identifier"),
     ],
 )
 def test_load_rejections(ont, line, fragment):
@@ -205,7 +211,7 @@ def _check_against_reference(source: str, ont) -> str:
     kind, message, line = got
     m = NEW_LEXICON_REJECTION.fullmatch(message)
     assert kind == "LexiconError" and m, (source, got, want)
-    name = m.group(1) or m.group(3)
+    name = next(group for group in m.groups() if group is not None)
     lines = source.splitlines(keepends=True)
     before = outcome(reference_load_lexicon, "".join(lines[: line - 1]), types)
     assert before[0] == "ok" and not misnamed(before[1], types)
@@ -227,26 +233,31 @@ def test_load_matches_the_frozen_reference_on_corrupted_fixtures(ont):
         "ok", "malformed predicate declaration", "malformed relation declaration",
         "malformed name declaration", "unrecognized declaration", "unknown type",
         "duplicate predicate", "duplicate relation", "duplicate name", "predicate",
-        "relation X clashes with an ontology type",
+        "relation X clashes with an ontology type", "name X must be a capitalized ASCII identifier",
     }
 
 
 def test_renamed_declarations_match_the_frozen_reference(ont, lex):
-    # random edits rarely give a predicate or relation a name in use
+    # random edits rarely give a predicate, relation or name a name in use or one LF cannot read
     lines = lexicon_path().read_text().splitlines()
-    renames = ["and", "And", *ont.parent, *lex.signatures, *(rel.name for rel in lex.relations)]
+    renames = [
+        "and", "And", "loudé", "Julié", "julie", "_J", *ont.parent, *lex.signatures, *lex.names,
+        *(rel.name for rel in lex.relations),
+    ]
     reached = set()
     for i, line in enumerate(lines):
         declared = reference_declared_name(line)
         for name in renames if declared else ():
-            renamed = line.replace(f" {declared}(", f" {name}(", 1)
+            renamed = line.replace(f" {declared}", f" {name}", 1)
             # the renamed line, then the original again at the end
             source = "\n".join([*lines[:i], renamed, *lines[i + 1 :], line])
             reached.add(_check_against_reference(source, ont))
     assert reached == {
-        "ok", "predicate", "duplicate predicate", "duplicate relation", "relation",
+        "ok", "predicate", "duplicate predicate", "duplicate relation", "duplicate name", "relation",
         "relation X clashes with an ontology type",
         "predicate X is a reserved word of the LF syntax", "relation X is a reserved word of the LF syntax",
+        "predicate X must be an ASCII identifier", "relation X must be an ASCII identifier",
+        "name X must be a capitalized ASCII identifier",
     }
 
 

@@ -48,11 +48,9 @@ def test_load_skips_comments_and_blanks():
     assert tuple(ont.parent) == ("entity", "person")
 
 
-def test_depths_and_ancestors(ont):
+def test_depths(ont):
     assert ont.depth("entity") == 0
     assert ont.depth("person") == 4
-    assert ont.ancestors("person") == ["person", "animal", "living", "physical", "entity"]
-    assert ont.ancestors("entity") == ["entity"]
 
 
 @pytest.mark.parametrize(
@@ -139,7 +137,6 @@ def test_unknown_type_queries(ont):
     # every query names the first unknown type, in argument order
     cases = [
         ("require", ("unicorn",), "unicorn"),
-        ("ancestors", ("unicorn",), "unicorn"),
         ("depth", ("unicorn",), "unicorn"),
         ("comparable_count", ("unicorn",), "unicorn"),
         ("comparable_types", ("unicorn",), "unicorn"),
