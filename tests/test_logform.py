@@ -535,6 +535,8 @@ def _stuck(pred: str) -> str:
         ("(E x)(and (! car(x)) (! aaa(x)))", "unknown predicate 'aaa'"),
         # a membership atom inside a nested prefix is out of the outer binder's reach
         ("(E x)(and (black(x)) (E y)(and (omelet(x)) (beer(y)) (want(x, y))))", _stuck("omelet")),
+        # a universal takes a type antecedent only on its own variable
+        ("(E x :: person)(A y)(omelet(x) -> loud(y))", _stuck("omelet")),
     ],
 )
 def test_lifting_choice_and_error_precedence_are_pinned(ont, lex, source, message):
@@ -738,6 +740,16 @@ def test_a_form_at_the_cap_round_trips_through_pretty(ont, lex):
         parse_lf(pretty(Not(form)))
     with pytest.raises(NestingError):
         canonicalize(Not(form), ont, lex)
+
+
+def test_a_quantifier_matrix_conjunction_takes_a_level_of_its_own(ont, lex):
+    form = Quant(K.EXISTS, "x", "person", And((Atom("loud", ("x",)), Atom("red", ("x",)))))
+    for _ in range(MAX_NESTING - 2):
+        form = Not(form)
+    for call in (pretty, lambda f: canonicalize(f, ont, lex), lambda f: analyze(f, ont, lex)):
+        call(form)
+        with pytest.raises(NestingError, match="^input nested too deeply$"):
+            call(Not(form))
 
 
 def test_grouping_parentheses_cannot_nest_without_bound():
