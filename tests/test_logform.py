@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import re
 from enum import Enum
@@ -694,6 +695,17 @@ def test_alpha_equal_refuses_a_kind_that_is_no_quant_kind():
             alpha_equal(a, b)
 
 
+@pytest.mark.xfail(strict=True, reason="alpha_equal compares conjuncts position by position (ROADMAP item 9)")
+def test_alpha_equal_ignores_conjunct_order(ont, lex):
+    loud, red = Atom("loud", ("Julie",)), Atom("red", ("Julie",))
+    assert alpha_equal(And((loud, red)), And((red, loud)))
+    assert not alpha_equal(And((loud, red)), And((red, red)))
+    a = canonicalize(parse_lf("(A x)(A y)(and (want(x, y)) (want(y, y)))"), ont, lex)
+    b = canonicalize(parse_lf("(A b)(A a)(and (want(b, a)) (want(a, a)))"), ont, lex)
+    assert pretty(b) == "(A b)(A a)(and (want(a, a)) (want(b, a)))"  # the display order keeps its names
+    assert alpha_equal(a, b)
+
+
 def test_alpha_equal_forms_of_different_shapes_differ():
     shapes = [parse_lf(source) for source in (
         "loud(Julie)", "(! loud(Julie))", "(and (loud(Julie)) (red(Julie)))",
@@ -704,11 +716,126 @@ def test_alpha_equal_forms_of_different_shapes_differ():
             assert alpha_equal(a, b) is (a is b)
 
 
-def test_alpha_equal_on_random_forms_is_reflexive():
+def _renamed_apart(form, rng, env, used):
+    # ``form`` with each binder's variable renamed to a random v<n> that no
+    # other binder takes; ``env`` maps each name in scope to its new name
+    match form:
+        case Atom(pred, args):
+            return Atom(pred, tuple(env.get(arg, arg) for arg in args))
+        case And(items):
+            return And(tuple(_renamed_apart(item, rng, env, used) for item in items))
+        case Not(item):
+            return Not(_renamed_apart(item, rng, env, used))
+        case Implies(antecedent, consequent):
+            return Implies(_renamed_apart(antecedent, rng, env, used), _renamed_apart(consequent, rng, env, used))
+        case Quant(kind, var, vtype, body):
+            while (fresh := f"v{rng.randrange(1_000_000)}") in used:
+                pass
+            used.add(fresh)
+            return Quant(kind, fresh, vtype, _renamed_apart(body, rng, {**env, var: fresh}, used))
+
+
+@pytest.mark.xfail(strict=True, reason="canonical conjuncts sort by bound names (ROADMAP item 9)")
+def test_alpha_equal_on_random_forms_is_reflexive(ont, lex):
+    # and blind to bound names, also after canonicalization, which sorts
+    # conjuncts by printed text, bound names included
     rng = random.Random(905)
     for _ in range(100):
         form = random_form(rng, max_depth=5)
         assert alpha_equal(form, form)
+        assert alpha_equal(form, _renamed_apart(form, rng, {}, set()))
+    canonical = 0
+    for k in itertools.count():
+        if canonical == 10_000:
+            break
+        form = random_form(rng, max_depth=6) if k % 2 else random_liftable_form(rng)
+        renamed = _renamed_apart(form, rng, {}, set())
+        try:
+            cf = canonicalize(form, ont, lex)
+        except CanonicalizationError:
+            with pytest.raises(CanonicalizationError):
+                canonicalize(renamed, ont, lex)
+            continue
+        canonical += 1
+        again = canonicalize(renamed, ont, lex)
+        assert alpha_equal(cf, again) and alpha_equal(again, cf), (pretty(cf), pretty(again))
+
+
+def _edited(form, target, edit):
+    # ``form`` with its node ``target`` (by identity) replaced by ``edit(target)``
+    if form is target:
+        return edit(form)
+    match form:
+        case And(items):
+            return And(tuple(_edited(item, target, edit) for item in items))
+        case Not(item):
+            return Not(_edited(item, target, edit))
+        case Implies(antecedent, consequent):
+            return Implies(_edited(antecedent, target, edit), _edited(consequent, target, edit))
+        case Quant(kind, var, vtype, body):
+            return Quant(kind, var, vtype, _edited(body, target, edit))
+    return form
+
+
+def _nodes(form):
+    match form:
+        case And(items):
+            return [form, *(node for item in items for node in _nodes(item))]
+        case Not(item) | Quant(_, _, _, item):
+            return [form, *_nodes(item)]
+        case Implies(antecedent, consequent):
+            return [form, *_nodes(antecedent), *_nodes(consequent)]
+    return [form]
+
+
+def _swap_binders(q):
+    inner = q.body
+    return Quant(inner.kind, inner.var, inner.vtype, Quant(q.kind, q.var, q.vtype, inner.body))
+
+
+def _variant(form, rng):
+    # a copy of ``form`` that may or may not mean the same: renamed apart,
+    # reordered, or with one edit that a name-free key must not lose
+    nodes = _nodes(form)
+    roll = rng.randrange(6)
+    if roll == 0:
+        return _renamed_apart(form, rng, {}, set())
+    if roll == 1:
+        return _shuffled(form, rng)
+    if roll == 2 and (pairs := [n for n in nodes if isinstance(n, Quant) and isinstance(n.body, Quant)]):
+        return _renamed_apart(_edited(form, rng.choice(pairs), _swap_binders), rng, {}, set())
+    if roll == 3 and (binary := [n for n in nodes if isinstance(n, Atom) and len(n.args) == 2]):
+        return _shuffled(_edited(form, rng.choice(binary), lambda a: Atom(a.pred, a.args[::-1])), rng)
+    quants = [n for n in nodes if isinstance(n, Quant)]
+    if roll == 4:
+        kind = rng.choice(list(QuantKind))
+        return _edited(form, rng.choice(quants), lambda q: Quant(kind, q.var, q.vtype, q.body))
+    vtype = rng.choice((None, "entity", "person", "raven"))
+    return _renamed_apart(_edited(form, rng.choice(quants), lambda q: Quant(q.kind, q.var, vtype, q.body)),
+                          rng, {}, set())
+
+
+def test_alpha_equal_never_joins_forms_a_model_tells_apart(ont, lex):
+    # soundness: a pair that alpha_equal calls equal, before or after
+    # canonicalization, holds in the same sampled models
+    rng = random.Random(906)
+    models = [random_model(rng, ont.parent, _arities(lex)) for _ in range(20)]
+    equal = unequal = 0
+    for k in range(3_000):
+        form = random_form(rng, max_depth=5) if k % 2 else random_liftable_form(rng)
+        other = _variant(form, rng)
+        try:
+            pairs = [(form, other), (canonicalize(form, ont, lex), canonicalize(other, ont, lex))]
+        except CanonicalizationError:
+            pairs = [(form, other)]
+        for a, b in pairs:
+            if not alpha_equal(a, b):
+                unequal += 1
+                continue
+            equal += 1
+            for model in models:
+                assert holds(a, model) == holds(b, model), (pretty(a), pretty(b))
+    assert equal >= 1_000 and unequal >= 1_000
 
 
 # ----------------------------------------------------------------------
