@@ -53,7 +53,7 @@ class Quant(Value):
         _quant_vtype(self, vtype)
         _quant_body(self, body)
 
-    # A prefix is read in a loop, as alpha_equal does, so comparing, hashing
+    # A prefix is read in a loop, as pretty and alpha_equal do, so comparing, hashing
     # or printing a prefix of any length takes no frame per binder.
     def __eq__(self, other):
         if not isinstance(other, Quant):

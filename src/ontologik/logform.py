@@ -29,7 +29,10 @@ unknown predicate, is an error, never silently kept, and only then does an
 ordered walk run, to name the first such atom. :func:`pretty` and analysis
 share one printer, which counts levels as the walk does and records each
 text it prints from level 0 in a memo; analysis hands it one memo per call,
-so each conjunct is printed once per call. The node classes come from
+so each conjunct is printed once per call. :func:`alpha_equal` compares
+name-free keys, printed like :func:`pretty` but with each bound variable as its
+binder's level (de Bruijn) and each conjunction's items sorted, so canonical
+forms equal up to renaming compare equal. The node classes come from
 :mod:`ontologik.forms` and are importable from here too.
 """
 from __future__ import annotations
@@ -397,7 +400,7 @@ def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], dep
             items = [_canon(matrix, ont, lex, memo, bad, depth)]
         return _lift(prefix, _flatten(items), ont, memo, bad)
     if isinstance(f, And) and f.items:
-        return sorted_conj([_canon(i, ont, lex, memo, bad, depth) for i in f.items], memo)
+        return sorted_conj(_flatten([_canon(i, ont, lex, memo, bad, depth) for i in f.items]), memo)
     if isinstance(f, Implies):
         a = _canon(f.antecedent, ont, lex, memo, bad, depth)
         c = _canon(f.consequent, ont, lex, memo, bad, depth)
@@ -411,13 +414,13 @@ def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], dep
 
 
 def sorted_conj(items: list[Form], memo: dict) -> Form:
-    """Like :func:`conj`, but the conjuncts are sorted by printed form.
+    """The conjunction of ``items``, none of them a conjunction, sorted in place
+    by printed form; a single item stands alone.
 
-    Each conjunct is printed from level 0 with ``memo``, so the printer reads
-    its text from there or records it, unless the conjunct is an atom."""
-    flat = _flatten(items)
-    flat.sort(key=lambda item: _print(item, memo, 0))
-    return flat[0] if len(flat) == 1 else And(tuple(flat))
+    Each item is printed from level 0 with ``memo``, so the printer reads its
+    text from there or records it, unless the item is an atom."""
+    items.sort(key=lambda item: _print(item, memo, 0))
+    return items[0] if len(items) == 1 else And(tuple(items))
 
 
 def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, bad: list[int]) -> Form:
@@ -470,47 +473,29 @@ def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, ba
 
 
 def alpha_equal(a: Form, b: Form) -> bool:
-    """Structural equality up to consistent renaming of bound variables. A non-form
-    or a kind that is no :class:`QuantKind`, met where the walk compares shapes,
-    raises :class:`CanonicalizationError`."""
-    return _alpha(a, b, {}, {})
+    """Equality up to renaming bound variables and reordering conjuncts (``and``
+    commutes), by name-free keys; raises as :func:`pretty` does, wherever the fault lies."""
+    return _key(a, {}, 0, 0) == _key(b, {}, 0, 0)
 
 
-def _alpha(a: Form, b: Form, env_a: dict[str, int], env_b: dict[str, int]) -> bool:
-    match a, b:
-        case Atom(pa, aa), Atom(pb, ab):
-            if pa != pb or len(aa) != len(ab):
-                return False
-            for x, y in zip(aa, ab):
-                if (x in env_a) != (y in env_b):
-                    return False
-                if x in env_a:
-                    if env_a[x] != env_b[y]:
-                        return False
-                elif x != y:  # free constants compare literally
-                    return False
-            return True
-        case And(ia), And(ib):
-            return len(ia) == len(ib) and all(
-                _alpha(x, y, env_a, env_b) for x, y in zip(ia, ib)
-            )
-        case Not(x), Not(y):
-            return _alpha(x, y, env_a, env_b)
-        case Implies(xa, xc), Implies(ya, yc):
-            return _alpha(xa, ya, env_a, env_b) and _alpha(xc, yc, env_a, env_b)
-        case Quant(), Quant():
-            env_a, env_b = dict(env_a), dict(env_b)
-            while isinstance(a, Quant) and isinstance(b, Quant):  # a whole prefix
-                for q in (a, b):
-                    if not isinstance(q.kind, QuantKind):  # API-built; named by its Quant, as in _print
-                        raise CanonicalizationError(f"not a form: {q!r}")
-                if a.kind is not b.kind or a.vtype != b.vtype:
-                    return False
-                serial = len(env_a)
-                env_a[a.var] = env_b[b.var] = serial
-                a, b = a.body, b.body
-            return _alpha(a, b, env_a, env_b)
-    for f in (a, b):  # forms of different shapes differ; anything else is no form
-        if not isinstance(f, Form):
-            raise CanonicalizationError(f"not a form: {f!r}")
-    return False
+def _key(form: Form, level: dict[str, int], bound: int, depth: int) -> str:
+    # A bound variable's level counts the ``bound`` binders above it: len(level)
+    # would not grow where an API-built binder shadows another.
+    if isinstance(form, Atom):
+        return f"{form.pred}({', '.join(f'#{level[x]}' if x in level else x for x in form.args)})"
+    depth = deeper(depth)
+    if isinstance(form, Quant):
+        text, level = "", dict(level)
+        while isinstance(form, Quant):  # a whole prefix, without recursion
+            if not isinstance(form.kind, QuantKind):
+                raise CanonicalizationError(f"not a form: {form!r}")
+            text += f"({form.kind._value_} :: {form.vtype})" if form.vtype else f"({form.kind._value_})"
+            level[form.var], bound, form = bound, bound + 1, form.body
+        return f"{text}({_key(form, level, bound, depth)})"
+    if isinstance(form, And) and form.items:
+        return "(and " + " ".join(sorted([_key(i, level, bound, depth) for i in form.items])) + ")"
+    if isinstance(form, Implies):
+        return f"({_key(form.antecedent, level, bound, depth)} -> {_key(form.consequent, level, bound, depth)})"
+    if isinstance(form, Not):
+        return f"(! {_key(form.item, level, bound, depth)})"
+    raise CanonicalizationError("empty conjunction" if isinstance(form, And) else f"not a form: {form!r}")

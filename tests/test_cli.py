@@ -309,7 +309,6 @@ def test_hempel_inequivalent_exits_2(capsys):
     assert "[disagree]" in out
 
 
-@pytest.mark.xfail(strict=True, reason="canonical conjuncts sort by bound names (ROADMAP item 9)")
 def test_hempel_alpha_variants_are_equivalent_whatever_their_conjunct_order(capsys):
     code, out, _ = run(
         capsys,
