@@ -2,9 +2,9 @@
 
 Everything here recomputes expected results from first principles: ancestor
 chains walked as plain lists, resource texts read by a frozen copy of the
-original per-line loaders, adjective orders judged by a direct monotone
-simulation, the truth of a logical form found by trying every element of a
-small finite model. None of it calls the package's own comparison or
+original per-line loaders, LF texts read by a frozen copy of the original
+reader, adjective orders judged by a direct monotone simulation, the truth
+of a logical form found by trying every element of a small finite model. None of it calls the package's own comparison or
 rewriting logic, so agreement is evidence rather than tautology.
 """
 from __future__ import annotations
@@ -14,8 +14,8 @@ import random
 import re
 from dataclasses import dataclass
 
-from ontologik.errors import LexiconError, OntologyError
-from ontologik.logform import And, Atom, Form, Not, Implies, Quant, QuantKind, conj
+from ontologik.errors import LexiconError, LFSyntaxError, NestingError, OntologyError
+from ontologik.logform import MAX_NESTING, And, Atom, Form, Not, Implies, Quant, QuantKind, conj
 
 # ----------------------------------------------------------------------
 # subsumption oracles over a bare parent map {node: parent-or-None}
@@ -566,6 +566,186 @@ def random_liftable_form(rng: random.Random, max_depth: int = 2) -> Form:
         return matrix
 
     return prefixed(rng.randint(0, max_depth), [])
+
+
+# ----------------------------------------------------------------------
+# reader oracle: a frozen copy of the original LF reader
+# ----------------------------------------------------------------------
+#
+# The reference finds tokens with one regex findall and reads them with one
+# method per production, a grouped form through form -> _parenthesized ->
+# form. It builds the package's own node classes and raises the package's
+# own error classes, with the package's messages and positions. Keep it as
+# it is: it is the behaviour parse_lf must reproduce.
+
+_REF_ONE_TOKEN = re.compile(r"::|->|[()!,]|[A-Za-z_][A-Za-z0-9_]*")
+_REF_TOKEN_RE = re.compile(_REF_ONE_TOKEN.pattern + r"|\S.*", re.DOTALL)
+_REF_PUNCT = frozenset(("::", "->", "(", ")", "!", ",", None))
+_REF_QUANT_KINDS = {"E": QuantKind.EXISTS, "E!": QuantKind.EXISTS_UNIQUE, "A": QuantKind.FORALL}
+
+
+def _ref_deeper(depth: int) -> int:
+    if depth >= MAX_NESTING:
+        raise NestingError()
+    return depth + 1
+
+
+class _RefParser:
+    def __init__(self, source: str):
+        toks = _REF_TOKEN_RE.findall(source)
+        if toks and not _REF_ONE_TOKEN.fullmatch(toks[-1]):
+            at = len(source) - len(toks[-1])
+            raise LFSyntaxError(f"unexpected character '{source[at]}'", at)
+        self.source, self.toks = source, toks + [None] * 3
+
+    def at(self, i: int) -> int:
+        offs = [m.start() for m in _REF_TOKEN_RE.finditer(self.source)]
+        return offs[i] if i < len(offs) else len(self.source)
+
+    def reject(self, i: int, expected: str):
+        if self.toks[i] is None:
+            raise LFSyntaxError(f"unexpected end of input, expected '{expected}'", self.at(i))
+        raise LFSyntaxError(f"expected '{expected}', got '{self.toks[i]}'", self.at(i))
+
+    def reject_ident(self, i: int, what: str):
+        raise LFSyntaxError(f"expected {what}, got '{self.toks[i]}'", self.at(i))
+
+    def form(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
+        tok = self.toks[i]
+        if tok == "(":
+            return self._parenthesized(i, bound, depth)
+        if tok not in _REF_PUNCT:
+            return self._atom(i, bound)
+        raise LFSyntaxError(f"expected a form, got '{tok}'", self.at(i))
+
+    def _parenthesized(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
+        if depth > MAX_NESTING:
+            raise NestingError()
+        toks = self.toks
+        head = toks[i + 1]
+        if head == "!":
+            inner, i = self.form(i + 2, bound, _ref_deeper(depth))
+            if toks[i] != ")":
+                self.reject(i, ")")
+            return Not(inner), i + 1
+        if head == "and":
+            i, items, inner = i + 2, [], _ref_deeper(depth)
+            while (tok := toks[i]) != ")":
+                if tok is None:
+                    raise LFSyntaxError("unterminated conjunction", self.at(i))
+                item, i = self.form(i, bound, inner)
+                items.append(item)
+            if not items:
+                raise LFSyntaxError("empty conjunction", self.at(i + 1))
+            return conj(items), i + 1
+        if self._quantifier_ahead(i):
+            return self._quantifiers(i, bound, _ref_deeper(depth))
+        left, i = self.form(i + 1, bound, depth + 1)
+        if toks[i] == "->":
+            right, i = self.form(i + 1, bound, _ref_deeper(depth))
+            if toks[i] != ")":
+                self.reject(i, ")")
+            return Implies(left, right), i + 1
+        if toks[i] != ")":
+            self.reject(i, ")")
+        return left, i + 1
+
+    def _quantifier_ahead(self, i: int) -> bool:
+        toks = self.toks
+        head, second = toks[i + 1], toks[i + 2]
+        if head == "E" and second == "!":
+            return True
+        return head not in _REF_PUNCT and second not in _REF_PUNCT and toks[i + 3] in ("::", ")")
+
+    def _quantifiers(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
+        toks, prefix, scope = self.toks, [], set(bound)
+        while True:
+            kind_at, kind_tok = i + 1, toks[i + 1]
+            i += 2
+            if kind_tok == "E" and toks[i] == "!":
+                i, kind_tok = i + 1, "E!"
+            kind = _REF_QUANT_KINDS.get(kind_tok)
+            if kind is None:
+                raise LFSyntaxError(f"unknown quantifier kind '{kind_tok}'", self.at(kind_at))
+            var, vtype = toks[i], None
+            if var in _REF_PUNCT:
+                self.reject_ident(i, "a variable")
+            if var in scope:
+                raise LFSyntaxError(f"'{var}' already bound in an enclosing scope", self.at(i))
+            if toks[i + 1] == "::":
+                i, vtype = i + 2, toks[i + 2]
+                if vtype in _REF_PUNCT:
+                    self.reject_ident(i, "a type name")
+            if toks[i + 1] != ")":
+                self.reject(i + 1, ")")
+            i += 2
+            prefix.append((kind, var, vtype))
+            scope.add(var)
+            if toks[i] != "(" or toks[i + 1] == "and" or not self._quantifier_ahead(i):
+                matrix, i = self.form(i, frozenset(scope), depth)
+                for kind, var, vtype in reversed(prefix):
+                    matrix = Quant(kind, var, vtype, matrix)
+                return matrix, i
+
+    def _atom(self, i: int, bound: frozenset[str]) -> tuple[Form, int]:
+        toks, pred, args = self.toks, self.toks[i], []
+        if toks[i + 1] != "(":
+            self.reject(i + 1, "(")
+        i += 2
+        while True:
+            term = toks[i]
+            if term in _REF_PUNCT:
+                self.reject_ident(i, "a term")
+            if term not in bound and not term[0].isupper():
+                raise LFSyntaxError(f"unbound variable '{term}'", self.at(i))
+            args.append(term)
+            if toks[i + 1] != ",":
+                break
+            i += 2
+        if toks[i + 1] != ")":
+            self.reject(i + 1, ")")
+        return Atom(pred, tuple(args)), i + 2
+
+
+def reference_parse_lf(source: str) -> Form:
+    """What ``parse_lf`` returned before its reader was rewritten."""
+    parser = _RefParser(source)
+    form, i = parser.form(0, frozenset(), 0)
+    if parser.toks[i] is not None:
+        raise LFSyntaxError(f"trailing input '{parser.toks[i]}'", parser.at(i))
+    return form
+
+
+def parse_outcome(parse, source: str) -> tuple:
+    """``("ok", form)``, or the class name, message and position of the
+    error ``parse(source)`` raises."""
+    try:
+        return ("ok", parse(source))
+    except LFSyntaxError as err:
+        return (type(err).__name__, str(err), err.position)
+    except NestingError as err:
+        return (type(err).__name__, str(err), None)
+
+
+# What an edit of LF text puts in: the tokens, pieces of "::" and "->", a word
+# that starts with a digit, characters that start no token, and whitespace
+# that is no space ("\x1c" is whitespace to both regex \s and str.split).
+_LF_EDITS = (
+    "::", "->", ":", "-", ">", "(", ")", "!", ",", " ", "9x", "10", "é", "@", "#", "\t", "\n", "\x1c",
+    "E", "A", "and", "x", "v0", "v10x", "Julie", "loud", "person",
+)
+
+
+def mangle_lf(rng: random.Random, text: str) -> str:
+    """``text`` after one to three random edits, each an insert, a delete or
+    a replace of one to three characters, with what it puts in drawn from
+    ``_LF_EDITS``."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        cut = at + rng.randint(1, 3) if text and rng.random() < 0.6 else at
+        put = "" if cut > at and rng.random() < 0.5 else rng.choice(_LF_EDITS)
+        text = text[:at] + put + text[cut:]
+    return text
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,15 @@ from ontologik import (
 )
 from ontologik.logform import MAX_NESTING
 
-from oracles import holds, random_liftable_form, random_form, random_model
+from oracles import (
+    holds,
+    mangle_lf,
+    parse_outcome,
+    random_form,
+    random_liftable_form,
+    random_model,
+    reference_parse_lf,
+)
 
 K = QuantKind
 
@@ -126,6 +134,14 @@ def case(source, message, position, label):
         case("(E x)(lé(x))", "unexpected character 'é'", 7, "unexpected character"),
         case("1x", "unexpected character '1'", 0, "unexpected character"),
         case("(E x)(loud(x)):", "unexpected character ':'", 14, "unexpected character"),
+        case("(E x)(loud(x) - red(x))", "unexpected character '-'", 14, "unexpected character"),
+        case("(E x)(loud(x) > red(x))", "unexpected character '>'", 14, "unexpected character"),
+        case("(E x ::: person)(loud(x))", "unexpected character ':'", 7, "unexpected character"),
+        case("(E x)(loud(x)->)-", "unexpected character '-'", 16, "unexpected character"),
+        case("(9x)", "unexpected character '9'", 1, "unexpected character"),
+        case("(E x)(loud(x9, 9x))", "unexpected character '9'", 15, "unexpected character"),
+        case("(E x)(loud(x)) ->", "trailing input '->'", 15, "trailing input"),
+        case("(E x)(loud(x)) ::::", "trailing input '::'", 15, "trailing input"),
         case("", "expected a form, got 'None'", 0, "expected a form"),
         case("   ", "expected a form, got 'None'", 3, "expected a form"),
         case("(E x :: )(loud(x))", "expected a type name, got ')'", 8, "expected a type name"),
@@ -155,6 +171,10 @@ def test_whitespace_separates_tokens():
     # E! is two tokens, so a space may stand between them
     assert parse_lf("(E ! x)(loud(x))") == parse_lf("(E! x)(loud(x))")
     assert parse_lf(" (E\tx ::\nperson) ( loud ( x ) )\n") == parse_lf("(E x :: person)(loud(x))")
+    # any whitespace that str.split splits at, such as the separator \x1c
+    assert parse_lf("(E\x1cx\x85::\u3000person)(loud(x))\x1c") == parse_lf("(E x :: person)(loud(x))")
+    # a digit inside an identifier starts no new token
+    assert parse_lf("(E v10x)(loud(v10x))") == Quant(K.EXISTS, "v10x", None, Atom("loud", ("v10x",)))
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +278,24 @@ def test_a_stray_character_is_reported_where_it_stands(stray):
             parse_lf(text[:at] + stray + text[at:])
         assert str(err.value) == f"at position {at}: unexpected character '{stray}'"
         assert err.value.position == at
+
+
+def test_the_reader_matches_its_frozen_reference_on_mangled_texts():
+    # Printed forms with one to three edits each: parse_lf returns the form
+    # the original reader returned, or raises its class, message and position.
+    rng = random.Random(918)
+    seen = {"ok": 0, "unexpected character": 0, "other": 0}
+    for _ in range(2_000):
+        form = random_form(rng, max_depth=5) if rng.random() < 0.5 else random_liftable_form(rng)
+        text = pretty(form)
+        for _ in range(10):
+            source = mangle_lf(rng, text)
+            expected = parse_outcome(reference_parse_lf, source)
+            assert parse_outcome(parse_lf, source) == expected, source
+            kind = "ok" if expected[0] == "ok" else "other"
+            seen["unexpected character" if "unexpected character" in str(expected[1]) else kind] += 1
+    assert sum(seen.values()) == 20_000
+    assert min(seen.values()) >= 1_000, seen
 
 
 # ----------------------------------------------------------------------
