@@ -10,7 +10,10 @@ The surface syntax is a small ASCII s-expression language::
 The tokens are ``::``, ``->``, each of ``( ) ! ,`` and ASCII identifiers
 (a letter or ``_``, then letters, digits and ``_``). Whitespace separates
 tokens and is otherwise ignored, so ``E!`` may also be written ``E !``; the
-first character that starts no token is the error.
+first character that starts no token is the error. One regular expression
+checks that the text holds only tokens and whitespace; ``str.split`` then
+cuts it into tokens once each punctuation token is spaced out, since it and
+the regular expression agree on what is whitespace.
 
 Quantifier kinds are ``E`` (exists), ``E!`` (exists unique) and ``A`` (all);
 an optional ``:: type`` after the bound variable restricts it. Atom arguments
@@ -38,7 +41,7 @@ forms equal up to renaming compare equal. The node classes come from
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterator, Set
 
 from .errors import CanonicalizationError, LFSyntaxError, NestingError
 from .forms import And, Atom, Binder, Form, Implies, Not, Quant, QuantKind, read_prefix, with_prefix
@@ -90,25 +93,15 @@ def _flatten(items: list[Form] | tuple[Form, ...]) -> list[Form]:
 # parsing
 # ----------------------------------------------------------------------
 
-# A token is "::", "->", one of "()!," or an ASCII identifier. _TOKEN_RE adds
-# an alternative that takes a stray character with the rest of the text, so
-# only the last match can be one. Every token that is not punctuation is an
-# identifier, and None marks the end of the input.
-_ONE_TOKEN = re.compile(r"::|->|[()!,]|[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(_ONE_TOKEN.pattern + r"|\S.*", re.DOTALL)
+# _TEXT matches text of tokens and whitespace only. An identifier in it ends
+# where no identifier character follows, so a failed match takes linear time.
+# _TOKEN_RE takes a stray character with the rest of the text, so only its
+# last match can be one; it is run only to find an error's offset. Every
+# token that is not punctuation is an identifier; None ends the input.
+_TEXT = re.compile(r"[\s()!,]*(?:(?:[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])|::|->)[\s()!,]*)*")
+_TOKEN_RE = re.compile(r"::|->|[()!,]|[A-Za-z_][A-Za-z0-9_]*|\S.*", re.DOTALL)
 _PUNCT = frozenset(("::", "->", "(", ")", "!", ",", None))
 _QUANT_KINDS = {"E": QuantKind.EXISTS, "E!": QuantKind.EXISTS_UNIQUE, "A": QuantKind.FORALL}
-
-
-def _tokenize(source: str) -> list[str | None]:
-    # The tokens, padded with three end sentinels, so the parser looks three
-    # tokens ahead without a bounds check.
-    toks = _TOKEN_RE.findall(source)
-    if toks and not _ONE_TOKEN.fullmatch(toks[-1]):
-        at = len(source) - len(toks[-1])
-        raise LFSyntaxError(f"unexpected character '{source[at]}'", at)
-    toks += [None] * 3
-    return toks
 
 
 class _Parser:
@@ -116,7 +109,14 @@ class _Parser:
     # with the index after it. Offsets are found again only for an error: a
     # match object per token would add about a third to the parse.
     def __init__(self, source: str):
-        self.source, self.toks = source, _tokenize(source)
+        if _TEXT.fullmatch(source) is None:
+            at = len(source) - len(_TOKEN_RE.findall(source)[-1])
+            raise LFSyntaxError(f"unexpected character '{source[at]}'", at)
+        toks = source.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace("!", " ! ")
+        # str.split cuts at what \s matches, so these are _TOKEN_RE's tokens; three end
+        # sentinels let the parser look three tokens ahead without a bounds check
+        self.source, self.toks = source, toks.replace("::", " :: ").replace("->", " -> ").split()
+        self.toks += [None] * 3
 
     def at(self, i: int) -> int:
         offs = [m.start() for m in _TOKEN_RE.finditer(self.source)]
@@ -132,7 +132,7 @@ class _Parser:
 
     # -- grammar ---------------------------------------------------------
 
-    def form(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
+    def form(self, i: int, bound: Set[str], depth: int) -> tuple[Form, int]:
         tok = self.toks[i]
         if tok == "(":
             return self._parenthesized(i, bound, depth)
@@ -140,7 +140,7 @@ class _Parser:
             return self._atom(i, bound)
         raise LFSyntaxError(f"expected a form, got '{tok}'", self.at(i))
 
-    def _parenthesized(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
+    def _parenthesized(self, i: int, bound: Set[str], depth: int) -> tuple[Form, int]:
         # Levels count as in _canon: a Not, and, -> or quantifier prefix at
         # ``depth`` needs depth < MAX_NESTING. Parentheses that only group
         # take a level too, so they cannot nest without bound, but they may
@@ -160,15 +160,23 @@ class _Parser:
             while (tok := toks[i]) != ")":
                 if tok is None:
                     raise LFSyntaxError("unterminated conjunction", self.at(i))
-                item, i = self.form(i, bound, inner)
+                item, i = self._parenthesized(i, bound, inner) if tok == "(" else self.form(i, bound, inner)
                 items.append(item)
             if not items:
                 raise LFSyntaxError("empty conjunction", self.at(i + 1))
             return conj(items), i + 1
-        if self._quantifier_ahead(i):
+        if head not in _PUNCT and toks[i + 2] == "(":
+            # an atom, as a binder opens "(" ident ident or "(" "E" "!"; a unary one is read here
+            arg = toks[i + 3]
+            if toks[i + 4] == ")" and arg not in _PUNCT and (arg in bound or arg[0].isupper()):
+                left, i = Atom(head, (arg,)), i + 5
+            else:
+                left, i = self._atom(i + 1, bound)
+        elif self._quantifier_ahead(i):
             return self._quantifiers(i, bound, deeper(depth))
-        # grouped form or implication
-        left, i = self.form(i + 1, bound, depth + 1)
+        else:
+            left, i = self.form(i + 1, bound, depth + 1)
+        # a grouped form or an implication
         if toks[i] == "->":
             right, i = self.form(i + 1, bound, deeper(depth))
             if toks[i] != ")":
@@ -186,7 +194,7 @@ class _Parser:
             return True
         return head not in _PUNCT and second not in _PUNCT and toks[i + 3] in ("::", ")")
 
-    def _quantifiers(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
+    def _quantifiers(self, i: int, bound: Set[str], depth: int) -> tuple[Form, int]:
         # A whole prefix in one loop, so binders cost no stack frames. The
         # caller has seen the first binder; before each further one the loop
         # makes the checks that form and _parenthesized would make.
@@ -214,10 +222,10 @@ class _Parser:
             prefix.append((kind, var, vtype))
             scope.add(var)
             if toks[i] != "(" or toks[i + 1] == "and" or not self._quantifier_ahead(i):
-                matrix, i = self.form(i, frozenset(scope), depth)
+                matrix, i = self.form(i, scope, depth)
                 return with_prefix(prefix, matrix), i
 
-    def _atom(self, i: int, bound: frozenset[str]) -> tuple[Form, int]:
+    def _atom(self, i: int, bound: Set[str]) -> tuple[Form, int]:
         toks, pred, args = self.toks, self.toks[i], []
         if toks[i + 1] != "(":
             self.reject(i + 1, "(")
