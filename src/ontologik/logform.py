@@ -488,16 +488,17 @@ def alpha_equal(a: Form, b: Form) -> bool:
 
 def _key(form: Form, level: dict[str, int], bound: int, depth: int) -> str:
     # A bound variable's level counts the ``bound`` binders above it: len(level)
-    # would not grow where an API-built binder shadows another.
+    # would not grow where an API-built binder shadows another. Every other name
+    # prints as its repr, so no name can pass for a level or for other syntax.
     if isinstance(form, Atom):
-        return f"{form.pred}({', '.join(f'#{level[x]}' if x in level else x for x in form.args)})"
+        return f"{form.pred!r}({', '.join(f'#{level[x]}' if x in level else repr(x) for x in form.args)})"
     depth = deeper(depth)
     if isinstance(form, Quant):
         text, level = "", dict(level)
         while isinstance(form, Quant):  # a whole prefix, without recursion
             if not isinstance(form.kind, QuantKind):
                 raise CanonicalizationError(f"not a form: {form!r}")
-            text += f"({form.kind._value_} :: {form.vtype})" if form.vtype else f"({form.kind._value_})"
+            text += f"({form.kind._value_})" if form.vtype is None else f"({form.kind._value_} :: {form.vtype!r})"
             level[form.var], bound, form = bound, bound + 1, form.body
         return f"{text}({_key(form, level, bound, depth)})"
     if isinstance(form, And) and form.items:

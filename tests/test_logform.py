@@ -704,6 +704,19 @@ def test_alpha_equal_constants_compare_literally():
     assert not alpha_equal(parse_lf("beautiful(Julie)"), parse_lf("beautiful(Jules)"))
 
 
+def test_alpha_equal_tells_apart_api_built_names_that_are_no_identifiers():
+    loud = Atom("loud", ("Julie",))
+    # a name that reads like two, like a bound variable's level, or like more syntax
+    assert not alpha_equal(Atom("want", ("A, B",)), Atom("want", ("A", "B")))
+    assert not alpha_equal(parse_lf("(E x)(loud(x))"), Quant(K.EXISTS, "x", None, Atom("loud", ("#0",))))
+    assert not alpha_equal(Atom("want(A", ("B",)), Atom("want", ("A(B",)))
+    assert not alpha_equal(
+        Quant(K.EXISTS, "x", "person)(E :: omelet", loud),
+        Quant(K.EXISTS, "x", "person", Quant(K.EXISTS, "y", "omelet", loud)),
+    )
+    assert not alpha_equal(Quant(K.EXISTS, "x", "", loud), Quant(K.EXISTS, "x", None, loud))
+
+
 @pytest.mark.parametrize(
     "form",
     [
