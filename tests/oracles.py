@@ -3,7 +3,7 @@
 Everything here recomputes expected results from first principles: ancestor
 chains walked as plain lists, resource texts read by a frozen copy of the
 original per-line loaders, LF texts read by a frozen copy of the original
-reader, adjective orders judged by a direct monotone simulation, the truth
+reader and canonicalized by a frozen copy of the original canonicalizer, adjective orders judged by a direct monotone simulation, the truth
 of a logical form found by trying every element of a small finite model. None of it calls the package's own comparison or
 rewriting logic, so agreement is evidence rather than tautology.
 """
@@ -14,8 +14,9 @@ import random
 import re
 from dataclasses import dataclass
 
-from ontologik.errors import LexiconError, LFSyntaxError, NestingError, OntologyError
-from ontologik.logform import MAX_NESTING, And, Atom, Form, Not, Implies, Quant, QuantKind, conj
+from ontologik.errors import CanonicalizationError, LexiconError, LFSyntaxError, NestingError, OntologyError
+from ontologik.forms import read_prefix, with_prefix
+from ontologik.logform import MAX_NESTING, And, Atom, Form, Not, Implies, Quant, QuantKind, atoms, conj, pretty
 
 # ----------------------------------------------------------------------
 # subsumption oracles over a bare parent map {node: parent-or-None}
@@ -746,6 +747,136 @@ def mangle_lf(rng: random.Random, text: str) -> str:
         put = "" if cut > at and rng.random() < 0.5 else rng.choice(_LF_EDITS)
         text = text[:at] + put + text[cut:]
     return text
+
+
+# ----------------------------------------------------------------------
+# canonicalizer oracle: a frozen copy of the one-walk canonicalizer
+# ----------------------------------------------------------------------
+#
+# The reference walks every atom through a call of its own, flattens each
+# scope's conjuncts into a copy, and builds its lifting tables afresh each
+# round. It sorts by the package's pretty, which prints the texts the
+# package's memo holds and raises where that printer raises. It builds the
+# package's own nodes and raises the package's own errors with their
+# messages. Keep it as it is: it is the behaviour canonicalize must reproduce.
+
+
+def reference_canonicalize(form: Form, ont, lex) -> Form:
+    """What ``canonicalize`` returned before its per-node work was cut."""
+    bad = [0]
+    cf = _ref_canon(form, ont, lex, bad)
+    if bad[0]:
+        for atom in atoms(cf):
+            if atom.pred in ont.parent:
+                raise CanonicalizationError(
+                    f"type name '{atom.pred}' used as a predicate where no rewrite can lift it: "
+                    f"{pretty(atom)}"
+                )
+            if atom.pred not in lex.arg_types:
+                raise CanonicalizationError(f"unknown predicate '{atom.pred}'")
+    return cf
+
+
+def _ref_flatten(items) -> list[Form]:
+    flat: list[Form] = []
+    for item in items:
+        if isinstance(item, And):
+            flat += item.items
+        else:
+            flat.append(item)
+    return flat
+
+
+def _ref_canon(f: Form, ont, lex, bad: list[int], depth: int = 0) -> Form:
+    if isinstance(f, Atom):
+        if f.pred in ont.parent or f.pred not in lex.arg_types:
+            bad[0] += 1
+        return f
+    if depth >= MAX_NESTING:
+        raise NestingError()
+    depth += 1
+    if isinstance(f, Quant):
+        prefix, matrix = read_prefix(f)
+        for kind, _, _ in prefix:
+            if not isinstance(kind, QuantKind):
+                while f.kind is not kind:
+                    f = f.body
+                raise CanonicalizationError(f"not a form: {f!r}")
+        if isinstance(matrix, And) and matrix.items:
+            if depth >= MAX_NESTING:
+                raise NestingError()
+            items = [_ref_canon(item, ont, lex, bad, depth + 1) for item in matrix.items]
+        else:
+            items = [_ref_canon(matrix, ont, lex, bad, depth)]
+        return _ref_lift(prefix, _ref_flatten(items), ont, bad)
+    if isinstance(f, And) and f.items:
+        return _ref_sorted_conj(_ref_flatten([_ref_canon(i, ont, lex, bad, depth) for i in f.items]))
+    if isinstance(f, Implies):
+        a = _ref_canon(f.antecedent, ont, lex, bad, depth)
+        c = _ref_canon(f.consequent, ont, lex, bad, depth)
+        if isinstance(a, Not) and isinstance(c, Not):
+            return Implies(c.item, a.item)
+        return Implies(a, c)
+    if isinstance(f, Not):
+        inner = _ref_canon(f.item, ont, lex, bad, depth)
+        return inner.item if isinstance(inner, Not) else Not(inner)
+    raise CanonicalizationError("empty conjunction" if isinstance(f, And) else f"not a form: {f!r}")
+
+
+def _ref_sorted_conj(items: list[Form]) -> Form:
+    items.sort(key=pretty)
+    return items[0] if len(items) == 1 else And(tuple(items))
+
+
+def _ref_lift(prefix, items: list[Form], ont, bad: list[int]) -> Form:
+    matrix = None
+    while len(items) > 1 or isinstance(items[0], Quant):
+        if len(items) == 1:
+            inner, matrix = read_prefix(items[0])
+            prefix += inner
+            items = list(matrix.items) if isinstance(matrix, And) else [matrix]
+            continue
+        owner: dict[str, int | None] = {}
+        for i in reversed(range(len(prefix))):
+            kind, var, vtype = prefix[i]
+            if kind is QuantKind.FORALL and vtype is not None:
+                break
+            owner.setdefault(var, None if kind is QuantKind.FORALL or vtype else i)
+        found: dict[int, int] = {}
+        for j, item in enumerate(items):
+            if isinstance(item, Atom) and len(item.args) == 1 and item.pred in ont.parent:
+                i = owner.get(item.args[0])
+                if i is not None and (i not in found or item.pred < items[found[i]].pred):
+                    found[i] = j
+        taken = {found[i]: i for i in sorted(found)[: len(items) - 1]}
+        if not taken:
+            break
+        for j, i in taken.items():
+            kind, var, _ = prefix[i]
+            prefix[i] = (kind, var, items[j].pred)
+        bad[0] -= len(taken)
+        matrix, items = None, [item for j, item in enumerate(items) if j not in taken]
+        if len(items) > 1:
+            break
+    if matrix is None:
+        matrix = items[0] if len(items) == 1 else _ref_sorted_conj(items)
+    kind, var, vtype = prefix[-1]
+    if kind is QuantKind.FORALL and vtype is None and isinstance(matrix, Implies):
+        a = matrix.antecedent
+        if isinstance(a, Atom) and len(a.args) == 1 and a.args[0] == var and a.pred in ont.parent:
+            prefix[-1], matrix = (kind, var, a.pred), matrix.consequent
+            bad[0] -= 1
+    return with_prefix(prefix, matrix)
+
+
+def canonical_outcome(canon, form: Form, ont, lex) -> tuple:
+    """``("ok", form, text)`` for what ``canon`` returns, with its printed
+    text, or the class name and message of the error it raises."""
+    try:
+        cf = canon(form, ont, lex)
+    except (CanonicalizationError, NestingError) as err:
+        return (type(err).__name__, str(err))
+    return ("ok", cf, pretty(cf))
 
 
 # ----------------------------------------------------------------------

@@ -23,15 +23,18 @@ from ontologik import (
     parse_lf,
     pretty,
 )
+from ontologik.forms import with_prefix
 from ontologik.logform import MAX_NESTING
 
 from oracles import (
+    canonical_outcome,
     holds,
     mangle_lf,
     parse_outcome,
     random_form,
     random_liftable_form,
     random_model,
+    reference_canonicalize,
     reference_parse_lf,
 )
 
@@ -561,8 +564,8 @@ def test_a_quantifier_kind_that_is_no_quant_kind_cannot_be_printed(ont, lex):
                 call(form)
 
 
-def _stuck(pred: str) -> str:
-    return f"type name '{pred}' used as a predicate where no rewrite can lift it: {pred}(x)"
+def _stuck(pred: str, var: str = "x") -> str:
+    return f"type name '{pred}' used as a predicate where no rewrite can lift it: {pred}({var})"
 
 
 @pytest.mark.parametrize(
@@ -578,12 +581,21 @@ def _stuck(pred: str) -> str:
         ("(E x)(and (black(x)) (E y)(and (omelet(x)) (beer(y)) (want(x, y))))", _stuck("omelet")),
         # a universal takes a type antecedent only on its own variable
         ("(E x :: person)(A y)(omelet(x) -> loud(y))", _stuck("omelet")),
+        # when every conjunct would be taken, only the outermost binders take theirs
+        ("(E x)(E y)(and (omelet(x)) (person(y)))", _stuck("person", "y")),
+        ("(E y)(E x)(and (omelet(x)) (person(y)))", _stuck("omelet")),
+        ("(E x)(E y)(E z)(and (omelet(x)) (person(y)) (beer(z)))", _stuck("beer", "z")),
     ],
 )
 def test_lifting_choice_and_error_precedence_are_pinned(ont, lex, source, message):
     with pytest.raises(CanonicalizationError) as err:
         canonicalize(parse_lf(source), ont, lex)
     assert str(err.value) == message
+
+
+def test_the_outermost_binders_take_theirs_and_leave_the_scope(ont, lex):
+    got = canonicalize(parse_lf("(E x)(E y)(and (omelet(x)) (person(y)) (want(y, x)))"), ont, lex)
+    assert pretty(got) == "(E x :: omelet)(E y :: person)(want(y, x))"
 
 
 def _shuffled(form, rng):
@@ -672,6 +684,50 @@ def test_canonicalize_preserves_atom_content_on_random_forms(ont, lex):
         got = canonicalize(form, ont, lex)
         assert sorted(a.pred for a in atoms(got)) == sorted(a.pred for a in atoms(form))
         assert _constants(got) == _constants(form)
+
+
+def test_canonicalize_matches_its_frozen_reference_on_api_built_forms(ont, lex):
+    # Built, not parsed, so binders may shadow one another: canonicalize
+    # returns the form the original canonicalizer returned, with its text,
+    # or raises its class and message.
+    rng = random.Random(919)
+    seen = {"ok": 0, "CanonicalizationError": 0}
+    for k in range(20_000):
+        form = random_form(rng, max_depth=6) if k % 2 else random_liftable_form(rng, max_depth=rng.randint(1, 3))
+        expected = canonical_outcome(reference_canonicalize, form, ont, lex)
+        assert canonical_outcome(canonicalize, form, ont, lex) == expected, repr(form)
+        seen[expected[0]] += 1
+    assert sum(seen.values()) == 20_000
+    assert min(seen.values()) >= 2_000, seen
+
+
+def test_canonicalize_matches_its_frozen_reference_on_the_benchmark_shapes(ont, lex):
+    # bench/gen.py's largest shapes, built here: a 300-binder existential
+    # prefix over one membership and one adjective atom per binder, shuffled;
+    # the same prefix over memberships alone, so the outermost binders take
+    # theirs and one stays stuck; and a 400-conjunct conjunction of one-binder
+    # prefixes over such a pair.
+    rng = random.Random(920)
+    types = ("car", "ball", "raven", "beer", "omelet", "food", "animal", "artifact", "person")
+    adjectives = ("red", "black", "beautiful", "loud", "articulate")
+
+    def pair(var):
+        pair = [Atom(rng.choice(types), (var,)), Atom(rng.choice(adjectives), (var,))]
+        rng.shuffle(pair)
+        return pair
+
+    names = [f"v{i}x" for i in range(300)]
+    items = [atom for var in names for atom in pair(var)]
+    rng.shuffle(items)
+    prefix = [(K.EXISTS, var, None) for var in names]
+    memberships = And(tuple(item for item in items if item.pred in types))
+    wide = And(tuple(Quant(K.EXISTS, f"v{i}x", None, And(tuple(pair(f"v{i}x")))) for i in range(400)))
+    outcomes = []
+    for form in (with_prefix(prefix, And(tuple(items))), with_prefix(prefix, memberships), wide):
+        expected = canonical_outcome(reference_canonicalize, form, ont, lex)
+        assert canonical_outcome(canonicalize, form, ont, lex) == expected
+        outcomes.append(expected[0])
+    assert outcomes == ["ok", "CanonicalizationError", "ok"]
 
 
 # ----------------------------------------------------------------------
