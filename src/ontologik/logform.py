@@ -10,10 +10,10 @@ The surface syntax is a small ASCII s-expression language::
 The tokens are ``::``, ``->``, each of ``( ) ! ,`` and ASCII identifiers
 (a letter or ``_``, then letters, digits and ``_``). Whitespace separates
 tokens and is otherwise ignored, so ``E!`` may also be written ``E !``; the
-first character that starts no token is the error. One regular expression
-checks that the text holds only tokens and whitespace; ``str.split`` then
-cuts it into tokens once each punctuation token is spaced out, since it and
-the regular expression agree on what is whitespace.
+first character that starts no token is the error. ``str.split`` cuts the
+text once each punctuation token is spaced out; it and regular expressions
+agree on what is whitespace, so if every other piece is an ASCII identifier
+these are the tokens, and else a regular expression finds the stray character.
 
 Quantifier kinds are ``E`` (exists), ``E!`` (exists unique) and ``A`` (all);
 an optional ``:: type`` after the bound variable restricts it. Atom arguments
@@ -24,10 +24,11 @@ Canonicalization rewrites a form to a normal shape so that logically
 equivalent statements compare equal: double negations are erased,
 contrapositives are turned around, type-membership atoms are lifted into
 quantifier restrictions (a binder takes its least membership conjunct by
-printed form), and conjunctions are flattened and sorted. One bottom-up walk
-does all of it, rebuilding each node from parts that are already canonical
-and sorting a quantifier's scope only after lifting. The walk also checks
-each atom it meets: a type name still in predicate position afterwards, or an
+printed form, outermost first, until one is left as the scope), and
+conjunctions are flattened and sorted. One bottom-up walk does all of it,
+rebuilding each node from parts that are already canonical and sorting a
+quantifier's scope only after lifting. The walk also checks each atom it
+meets: a type name still in predicate position afterwards, or an
 unknown predicate, is an error, never silently kept, and only then does an
 ordered walk run, to name the first such atom. :func:`pretty` and analysis
 share one printer, which counts levels as the walk does and records each
@@ -70,7 +71,12 @@ CanonicalForm = Form
 
 def conj(items: list[Form] | tuple[Form, ...]) -> Form:
     """Build a conjunction, collapsing the one-element case."""
-    flat = _flatten(items)
+    flat: list[Form] = []
+    for item in items:
+        if isinstance(item, And):
+            flat += item.items
+        else:
+            flat.append(item)
     if not flat:
         raise ValueError("empty conjunction")
     if len(flat) == 1:
@@ -78,27 +84,13 @@ def conj(items: list[Form] | tuple[Form, ...]) -> Form:
     return And(tuple(flat))
 
 
-def _flatten(items: list[Form] | tuple[Form, ...]) -> list[Form]:
-    # ``items`` with each conjunction replaced by its conjuncts
-    flat: list[Form] = []
-    for item in items:
-        if isinstance(item, And):
-            flat += item.items
-        else:
-            flat.append(item)
-    return flat
-
-
 # ----------------------------------------------------------------------
 # parsing
 # ----------------------------------------------------------------------
 
-# _TEXT matches text of tokens and whitespace only. An identifier in it ends
-# where no identifier character follows, so a failed match takes linear time.
 # _TOKEN_RE takes a stray character with the rest of the text, so only its
 # last match can be one; it is run only to find an error's offset. Every
 # token that is not punctuation is an identifier; None ends the input.
-_TEXT = re.compile(r"[\s()!,]*(?:(?:[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])|::|->)[\s()!,]*)*")
 _TOKEN_RE = re.compile(r"::|->|[()!,]|[A-Za-z_][A-Za-z0-9_]*|\S.*", re.DOTALL)
 _PUNCT = frozenset(("::", "->", "(", ")", "!", ",", None))
 _QUANT_KINDS = {"E": QuantKind.EXISTS, "E!": QuantKind.EXISTS_UNIQUE, "A": QuantKind.FORALL}
@@ -109,14 +101,15 @@ class _Parser:
     # with the index after it. Offsets are found again only for an error: a
     # match object per token would add about a third to the parse.
     def __init__(self, source: str):
-        if _TEXT.fullmatch(source) is None:
+        toks = source.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace("!", " ! ")
+        toks = toks.replace("::", " :: ").replace("->", " -> ").split()
+        # str.split cuts at what \s matches, so pieces that are all punctuation or ASCII
+        # identifiers are _TOKEN_RE's tokens; any other piece holds a stray character
+        if not all(tok.isascii() and tok.isidentifier() for tok in set(toks) - _PUNCT):
             at = len(source) - len(_TOKEN_RE.findall(source)[-1])
             raise LFSyntaxError(f"unexpected character '{source[at]}'", at)
-        toks = source.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace("!", " ! ")
-        # str.split cuts at what \s matches, so these are _TOKEN_RE's tokens; three end
-        # sentinels let the parser look three tokens ahead without a bounds check
-        self.source, self.toks = source, toks.replace("::", " :: ").replace("->", " -> ").split()
-        self.toks += [None] * 3
+        # three end sentinels let the parser look three tokens ahead without a bounds check
+        self.source, self.toks = source, toks + [None] * 3
 
     def at(self, i: int) -> int:
         offs = [m.start() for m in _TOKEN_RE.finditer(self.source)]
@@ -403,12 +396,12 @@ def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], dep
         if isinstance(matrix, And) and matrix.items:  # an empty one is walked, and raises
             if depth >= MAX_NESTING:
                 raise NestingError()
-            items = [_canon(item, ont, lex, memo, bad, depth + 1) for item in matrix.items]
+            items = _conjuncts(matrix.items, ont, lex, memo, bad, depth + 1)
         else:
-            items = [_canon(matrix, ont, lex, memo, bad, depth)]
-        return _lift(prefix, _flatten(items), ont, memo, bad)
+            items = _conjuncts((matrix,), ont, lex, memo, bad, depth)
+        return _lift(prefix, items, ont, memo, bad)
     if isinstance(f, And) and f.items:
-        return sorted_conj(_flatten([_canon(i, ont, lex, memo, bad, depth) for i in f.items]), memo)
+        return sorted_conj(_conjuncts(f.items, ont, lex, memo, bad, depth), memo)
     if isinstance(f, Implies):
         a = _canon(f.antecedent, ont, lex, memo, bad, depth)
         c = _canon(f.consequent, ont, lex, memo, bad, depth)
@@ -419,6 +412,25 @@ def _canon(f: Form, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], dep
         inner = _canon(f.item, ont, lex, memo, bad, depth)
         return inner.item if isinstance(inner, Not) else Not(inner)
     raise CanonicalizationError("empty conjunction" if isinstance(f, And) else f"not a form: {f!r}")
+
+
+def _conjuncts(items: tuple, ont: Ontology, lex: Lexicon, memo: dict, bad: list[int], depth: int) -> list[Form]:
+    # The canonical conjuncts of ``items`` at ``depth``, in order: an atom is
+    # checked here as _canon checks it, and a conjunction's items are spliced in.
+    out: list[Form] = []
+    parent, known = ont.parent, lex.arg_types
+    for item in items:
+        if isinstance(item, Atom):
+            if item.pred in parent or item.pred not in known:
+                bad[0] += 1
+            out.append(item)
+            continue
+        item = _canon(item, ont, lex, memo, bad, depth)
+        if isinstance(item, And):
+            out += item.items
+        else:
+            out.append(item)
+    return out
 
 
 def sorted_conj(items: list[Form], memo: dict) -> Form:
@@ -435,7 +447,7 @@ def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, ba
     # Membership lifting under one prefix, by the rules canonicalize gives,
     # over the matrix's canonical conjuncts in any order. ``matrix`` is the
     # canonical matrix of a joined prefix while nothing is taken from it.
-    matrix = None
+    matrix, types = None, ont.parent
     while len(items) > 1 or isinstance(items[0], Quant):
         if len(items) == 1:  # the matrix is a quantifier: it joins the prefix
             inner, matrix = read_prefix(items[0])
@@ -450,18 +462,20 @@ def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, ba
             owner.setdefault(var, None if kind is QuantKind.FORALL or vtype else i)
         found: dict[int, int] = {}  # binder -> its least membership conjunct
         for j, item in enumerate(items):
-            if isinstance(item, Atom) and len(item.args) == 1 and item.pred in ont.parent:
+            if isinstance(item, Atom) and len(item.args) == 1 and item.pred in types:
                 i = owner.get(item.args[0])
                 if i is not None and (i not in found or item.pred < items[found[i]].pred):
                     found[i] = j  # for one variable, the least text has the least predicate
-        taken = {found[i]: i for i in sorted(found)[: len(items) - 1]}
-        if not taken:
+        if not found:
             break
-        for j, i in taken.items():
+        # one conjunct stays as the scope: if each was found, the outermost binders take theirs
+        takers = found if len(found) < len(items) else sorted(found)[:-1]
+        for i in takers:
+            j = found[i]
             kind, var, _ = prefix[i]
-            prefix[i] = (kind, var, items[j].pred)
-        bad[0] -= len(taken)
-        matrix, items = None, [item for j, item in enumerate(items) if j not in taken]
+            prefix[i], items[j] = (kind, var, items[j].pred), None
+        bad[0] -= len(takers)
+        matrix, items = None, [item for item in items if item is not None]
         if len(items) > 1:  # every binder that found a conjunct took it
             break
     if matrix is None:
@@ -469,7 +483,7 @@ def _lift(prefix: list[Binder], items: list[Form], ont: Ontology, memo: dict, ba
     kind, var, vtype = prefix[-1]
     if kind is QuantKind.FORALL and vtype is None and isinstance(matrix, Implies):
         a = matrix.antecedent
-        if isinstance(a, Atom) and len(a.args) == 1 and a.args[0] == var and a.pred in ont.parent:
+        if isinstance(a, Atom) and len(a.args) == 1 and a.args[0] == var and a.pred in types:
             prefix[-1], matrix = (kind, var, a.pred), matrix.consequent
             bad[0] -= 1
     return with_prefix(prefix, matrix)
