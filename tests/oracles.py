@@ -3,7 +3,8 @@
 Everything here recomputes expected results from first principles: ancestor
 chains walked as plain lists, resource texts read by a frozen copy of the
 original per-line loaders, LF texts read by a frozen copy of the original
-reader and canonicalized by a frozen copy of the original canonicalizer, adjective orders judged by a direct monotone simulation, the truth
+reader, forms canonicalized by a frozen copy of the original canonicalizer,
+adjective orders judged by a direct monotone simulation, the truth
 of a logical form found by trying every element of a small finite model. None of it calls the package's own comparison or
 rewriting logic, so agreement is evidence rather than tautology.
 """
