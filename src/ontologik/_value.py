@@ -1,11 +1,26 @@
 """The base of the package's records: immutable slotted classes that act like frozen
 dataclasses, with their ``__match_args__`` (by default their ``__slots__``) as fields.
-``__setattr__`` refuses stores, so an ``__init__`` stores through its slots' :func:`setters`."""
+``__setattr__`` refuses stores, so an ``__init__`` stores through each slot's own ``__set__``:
+a record gets one that takes its slots in order, by position or by keyword, unless it writes
+its own with :func:`setters` for derived fields or defaults."""
 
 
 def setters(*classes) -> list:
     """Each slot's own ``__set__``, class by class: a store with no lookup of the name."""
     return [getattr(cls, name).__set__ for cls in classes for name in cls.__slots__]
+
+
+def _initializer(cls):
+    """An ``__init__`` of one straight-line store per slot, as ``namedtuple`` builds its
+    ``__new__``: it runs the code a hand-written one would, and its errors name the class."""
+    names = cls.__slots__
+    namespace = {f"_set_{name}": store for name, store in zip(names, setters(cls))}
+    stores = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 class Value:
@@ -14,6 +29,8 @@ class Value:
     def __init_subclass__(cls):
         if "__match_args__" not in cls.__dict__:
             cls.__match_args__ = cls.__slots__
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _initializer(cls)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -32,11 +32,6 @@ class Violation(Value):
 
     __slots__ = ("at_index", "expected", "running")
 
-    def __init__(self, at_index: int, expected: TypeName, running: TypeName):
-        _violation_at_index(self, at_index)
-        _violation_expected(self, expected)
-        _violation_running(self, running)
-
 
 class TypeFailure(Value):
     """An adjective's expectation was incomparable with the running type and
@@ -44,13 +39,9 @@ class TypeFailure(Value):
 
     __slots__ = ("at_index",)
 
-    def __init__(self, at_index: int):
-        _failure_at_index(self, at_index)
-
 
 AORVerdict = Accepted | Violation | TypeFailure
-(_accepted_running_types, _accepted_coercions, _violation_at_index, _violation_expected,
- _violation_running, _failure_at_index) = setters(Accepted, Violation, TypeFailure)
+_accepted_running_types, _accepted_coercions = setters(Accepted)
 
 
 def check_order(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from enum import Enum, auto
 
-from ._value import Value, setters
+from ._value import Value
 from .errors import HypothesisShapeError, LexiconError, OntologyError
 from .lexicon import Lexicon
 from .logform import Atom, CanonicalForm, Quant, QuantKind, alpha_equal, canonicalize, parse_lf, pretty
@@ -24,10 +24,6 @@ class Observation(Value):
     for it. Polarity True means the predicate held."""
 
     __slots__ = ("object_type", "literals")
-
-    def __init__(self, object_type: TypeName, literals: tuple[tuple[str, bool], ...]):
-        _obs_object_type(self, object_type)
-        _obs_literals(self, literals)
 
     def polarity_of(self, pred: str) -> bool | None:
         for name, polarity in self.literals:
@@ -44,15 +40,6 @@ class ConfirmationVerdict(Enum):
 
 class EquivalenceResult(Value):
     __slots__ = ("equivalent", "canonical_first", "canonical_second")
-
-    def __init__(self, equivalent: bool, canonical_first: CanonicalForm, canonical_second: CanonicalForm):
-        _equiv_equivalent(self, equivalent)
-        _equiv_canonical_first(self, canonical_first)
-        _equiv_canonical_second(self, canonical_second)
-
-
-(_obs_object_type, _obs_literals, _equiv_equivalent, _equiv_canonical_first,
- _equiv_canonical_second) = setters(Observation, EquivalenceResult)
 
 
 def evaluate(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._value import Value, setters
+from ._value import Value
 from .ontology import TypeName
 
 
@@ -17,41 +17,21 @@ class QuantKind(Enum):
 class Atom(Value):
     __slots__ = ("pred", "args")
 
-    def __init__(self, pred: str, args: tuple[str, ...]):
-        _atom_pred(self, pred)
-        _atom_args(self, args)
-
 
 class And(Value):
     __slots__ = ("items",)
-
-    def __init__(self, items: tuple[Form, ...]):
-        _and_items(self, items)
 
 
 class Not(Value):
     __slots__ = ("item",)
 
-    def __init__(self, item: Form):
-        _not_item(self, item)
-
 
 class Implies(Value):
     __slots__ = ("antecedent", "consequent")
 
-    def __init__(self, antecedent: Form, consequent: Form):
-        _implies_antecedent(self, antecedent)
-        _implies_consequent(self, consequent)
-
 
 class Quant(Value):
     __slots__ = ("kind", "var", "vtype", "body")
-
-    def __init__(self, kind: QuantKind, var: str, vtype: TypeName | None, body: Form):
-        _quant_kind(self, kind)
-        _quant_var(self, var)
-        _quant_vtype(self, vtype)
-        _quant_body(self, body)
 
     # A prefix is read in a loop, as pretty and alpha_equal do, so comparing, hashing
     # or printing a prefix of any length takes no frame per binder.
@@ -77,8 +57,6 @@ class Quant(Value):
 
 Form = Atom | And | Not | Implies | Quant
 Binder = tuple[QuantKind, str, TypeName | None]
-(_atom_pred, _atom_args, _and_items, _not_item, _implies_antecedent, _implies_consequent,
- _quant_kind, _quant_var, _quant_vtype, _quant_body) = setters(Atom, And, Not, Implies, Quant)
 
 
 def read_prefix(f: Form) -> tuple[list[Binder], Form]:

@@ -32,25 +32,16 @@ class PredicateSignature(Value):
 
     __slots__ = ("name", "arg_types")
 
-    def __init__(self, name: str, arg_types: tuple[TypeName, ...]):
-        _sig_name(self, name)
-        _sig_arg_types(self, arg_types)
-
     @property
     def arity(self) -> int:
         return len(self.arg_types)
 
 
 class SalientRelation(Value):
-    """A binary relation coercion may appeal to, e.g. EATING(person, food)."""
+    """A binary relation coercion may appeal to, e.g. EATING(person, food).
+    ``priority`` is its declaration order; lower wins ties."""
 
     __slots__ = ("name", "domain_type", "range_type", "priority")
-
-    def __init__(self, name: str, domain_type: TypeName, range_type: TypeName, priority: int):
-        _rel_name(self, name)
-        _rel_domain_type(self, domain_type)
-        _rel_range_type(self, range_type)
-        _rel_priority(self, priority)  # declaration order; lower wins ties
 
 
 class NameDecl(Value):
@@ -58,22 +49,19 @@ class NameDecl(Value):
 
     __slots__ = ("name", "declared_type")
 
-    def __init__(self, name: str, declared_type: TypeName):
-        _decl_name(self, name)
-        _decl_declared_type(self, declared_type)
-
 
 class Lexicon(Value):
     """Predicate signatures, salient relations, and names. Load-once.
 
     Built at construction, ``arg_types`` maps each name that may head an
-    atom to the types its arguments expect: a declared predicate's, else the
-    domain and range of the first relation of that name (:func:`load_lexicon`
-    rejects a predicate and a relation of one name). Relations are also
-    kept in buckets by domain type and by range type, so a lookup reads only
-    the relations near the types it is asked about. ``signatures``,
-    ``names`` and ``arg_types`` are read-only, so a loaded lexicon cannot be
-    changed.
+    atom to the types its arguments expect: a declared predicate's, or the
+    domain and range of the first relation of that name. A predicate and a
+    relation sharing a name raise :class:`LexiconError`, as in
+    :func:`load_lexicon`, so no analysis emits an atom its lexicon rejects.
+    Relations are also kept in buckets by domain type and by range type, so
+    a lookup reads only the relations near the types it is asked about.
+    ``signatures``, ``names`` and ``arg_types`` are read-only, so a loaded
+    lexicon cannot be changed.
 
     Every type a signature, relation or name mentions must be a type of the
     ontology the lexicon is used with. :func:`load_lexicon` checks this; a
@@ -90,17 +78,20 @@ class Lexicon(Value):
         self, signatures: Mapping[str, PredicateSignature] | None = None,
         relations: tuple[SalientRelation, ...] = (), names: Mapping[str, NameDecl] | None = None,
     ):
-        _lex_signatures(self, MappingProxyType(dict(signatures or {})))
+        signatures = dict(signatures or {})
+        _lex_signatures(self, MappingProxyType(signatures))
         _lex_names(self, MappingProxyType(dict(names or {})))
         _lex_relations(self, tuple(relations))
         arg_types: dict[str, tuple[TypeName, ...]] = {}
         by_domain: dict[TypeName, list[int]] = {}
         by_range: dict[TypeName, list[int]] = {}
         for i, rel in enumerate(self.relations):
+            if rel.name in signatures:
+                raise LexiconError(f"relation '{rel.name}' clashes with a predicate")
             arg_types.setdefault(rel.name, (rel.domain_type, rel.range_type))
             by_domain.setdefault(rel.domain_type, []).append(i)
             by_range.setdefault(rel.range_type, []).append(i)
-        arg_types.update({name: sig.arg_types for name, sig in self.signatures.items()})
+        arg_types.update({name: sig.arg_types for name, sig in signatures.items()})
         _lex_arg_types(self, MappingProxyType(arg_types))
         _lex_by_domain(self, by_domain)
         _lex_by_range(self, by_range)
@@ -158,9 +149,8 @@ class Lexicon(Value):
         return found
 
 
-(_sig_name, _sig_arg_types, _rel_name, _rel_domain_type, _rel_range_type, _rel_priority,
- _decl_name, _decl_declared_type, _lex_signatures, _lex_relations, _lex_names, _lex_arg_types,
- _lex_by_domain, _lex_by_range) = setters(PredicateSignature, SalientRelation, NameDecl, Lexicon)
+(_lex_signatures, _lex_relations, _lex_names, _lex_arg_types, _lex_by_domain,
+ _lex_by_range) = setters(Lexicon)
 # ----------------------------------------------------------------------
 # loading
 # ----------------------------------------------------------------------

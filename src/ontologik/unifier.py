@@ -38,11 +38,10 @@ from operator import is_
 
 from ._value import Value, setters
 from .errors import LexiconError, NestingError, TypeCheckError
-from .lexicon import Lexicon, SalientRelation
+from .lexicon import Lexicon
 from .logform import (
     And,
     Atom,
-    CanonicalForm,
     Form,
     Implies,
     MAX_NESTING,
@@ -67,29 +66,17 @@ class Unified(Value):
 
     __slots__ = ("result",)
 
-    def __init__(self, result: TypeName):
-        _unified_result(self, result)
-
 
 class Coerced(Value):
     """An incomparable pair bridged by a salient relation."""
 
     __slots__ = ("result", "relation", "relatum_type")
 
-    def __init__(self, result: TypeName, relation: SalientRelation, relatum_type: TypeName):
-        _coerced_result(self, result)
-        _coerced_relation(self, relation)
-        _coerced_relatum_type(self, relatum_type)
-
 
 class Failed(Value):
     """No subsumption and no salient relation applies."""
 
     __slots__ = ("left", "right")
-
-    def __init__(self, left: TypeName, right: TypeName):
-        _failed_left(self, left)
-        _failed_right(self, right)
 
 
 UnificationOutcome = Unified | Coerced | Failed
@@ -99,12 +86,6 @@ class TraceStep(Value):
     """One recorded inference. ``subject`` is the variable or constant concerned."""
 
     __slots__ = ("op", "subject", "detail", "outcome")
-
-    def __init__(self, op: str, subject: str | None, detail: str, outcome: str):
-        _step_op(self, op)
-        _step_subject(self, subject)
-        _step_detail(self, detail)
-        _step_outcome(self, outcome)
 
 
 class DerivationTrace(Value):
@@ -127,17 +108,8 @@ class AnalyzedForm(Value):
     __slots__ = ("form", "trace", "missing_text", "text")
     __hash__ = None  # the trace and missing_text are mutable, so hash() names the record
 
-    def __init__(self, form: CanonicalForm, trace: DerivationTrace, missing_text: list[str], text: str):
-        _analyzed_form(self, form)
-        _analyzed_trace(self, trace)
-        _analyzed_missing_text(self, missing_text)
-        _analyzed_text(self, text)
 
-
-(_unified_result, _coerced_result, _coerced_relation, _coerced_relatum_type, _failed_left,
- _failed_right, _step_op, _step_subject, _step_detail, _step_outcome, _trace_steps,
- _analyzed_form, _analyzed_trace, _analyzed_missing_text, _analyzed_text) = setters(
-     Unified, Coerced, Failed, TraceStep, DerivationTrace, AnalyzedForm)
+[_trace_steps] = setters(DerivationTrace)
 # ----------------------------------------------------------------------
 # pairwise unification
 # ----------------------------------------------------------------------

@@ -8,11 +8,8 @@ from ontologik import (
     LexiconError,
     PredicateSignature,
     SalientRelation,
-    analyze,
     load_lexicon,
     load_ontology,
-    parse_lf,
-    pretty,
 )
 
 from ontologik.fixtures import lexicon_path, ontology_path
@@ -48,17 +45,16 @@ def test_atom_signature_covers_relations(lex):
     assert lex.atom_signature("unheard_of") is None
 
 
-def test_a_declared_predicate_wins_over_a_relation_of_the_same_name(ont):
-    # load_lexicon rejects the clash; a Lexicon built through the API is unchecked
-    lex = Lexicon(
-        {"eats": PredicateSignature("eats", ("person",))},
-        (SalientRelation("eats", "person", "food", priority=0),),
-    )
-    assert lex.atom_signature("eats") == PredicateSignature("eats", ("person",))
-    typed = analyze(parse_lf("(E x)(eats(x))"), ont, lex)
-    assert pretty(typed.form) == "(E x :: person)(eats(x))"
-    with pytest.raises(LexiconError, match=r"'eats' expects 1 argument\(s\), got 2"):
-        analyze(parse_lf("(E x)(E y)(eats(x, y))"), ont, lex)
+def test_an_api_built_lexicon_rejects_a_predicate_and_a_relation_of_the_same_name(lex):
+    # as load_lexicon does: were the predicate to win, analysis would bridge through
+    # EATING and emit EATING(x, x2), an atom its own lexicon rejects
+    signatures = dict(lex.signatures, EATING=PredicateSignature("EATING", ("person",)))
+    with pytest.raises(LexiconError, match="^relation 'EATING' clashes with a predicate$") as caught:
+        Lexicon(signatures, lex.relations, lex.names)
+    assert caught.value.line is None
+    with pytest.raises(LexiconError, match="^relation 'eats' clashes with a predicate$"):
+        Lexicon(relations=[SalientRelation("eats", "person", "food", 0)],
+                signatures={"eats": PredicateSignature("eats", ("person",))})
 
 
 # ----------------------------------------------------------------------

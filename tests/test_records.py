@@ -118,6 +118,32 @@ def test_record_contract(cls, names, values, required):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+@pytest.mark.parametrize("cls, names, values, required", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_a_record_constructor_names_its_class_in_errors(cls, names, values, required):
+    # a generated __init__ as a hand-written one: named after the class, in its module
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    if required:
+        missing = f"^{cls.__name__}.__init__\\(\\) missing 1 required positional argument: '{names[required - 1]}'$"
+        with pytest.raises(TypeError, match=missing):
+            cls(*values[: required - 1])
+    with pytest.raises(TypeError, match=f"^{cls.__name__}.__init__\\(\\) got an unexpected keyword argument 'extra'$"):
+        cls(*values, extra=None)
+
+
+def test_every_record_of_the_package_is_under_contract():
+    from ontologik._value import Value
+
+    exec("from ontologik import *", {})  # loads every module of the package
+    found, stack = set(), [Value]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.split(".")[0] == "ontologik":
+                found.add(sub)
+    assert found == {r[0] for r in RECORDS}
+
+
 SUMMARY_HASHED = (Ontology, Lexicon)  # their fields are read-only mapping proxies
 UNHASHABLE = (DerivationTrace, AnalyzedForm)  # their fields are mutable
 
