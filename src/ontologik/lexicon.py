@@ -57,7 +57,7 @@ class Lexicon(Value):
     atom to the types its arguments expect: a declared predicate's, or the
     domain and range of the first relation of that name. A predicate and a
     relation sharing a name raise :class:`LexiconError`, as in
-    :func:`load_lexicon`, so no analysis emits an atom its lexicon rejects.
+    :func:`load_lexicon`, so no predicate shadows a relation analysis bridges.
     Relations are also kept in buckets by domain type and by range type, so
     a lookup reads only the relations near the types it is asked about.
     ``signatures``, ``names`` and ``arg_types`` are read-only, so a loaded
