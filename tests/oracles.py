@@ -4,9 +4,12 @@ Everything here recomputes expected results from first principles: ancestor
 chains walked as plain lists, resource texts read by a frozen copy of the
 original per-line loaders, LF texts read by a frozen copy of the original
 reader, forms canonicalized by a frozen copy of the original canonicalizer,
-adjective orders judged by a direct monotone simulation, the truth
-of a logical form found by trying every element of a small finite model. None of it calls the package's own comparison or
-rewriting logic, so agreement is evidence rather than tautology.
+forms typed by a frozen copy of the original analysis walk, adjective orders
+judged by a direct monotone simulation, the truth of a logical form found by
+trying every element of a small finite model. Apart from the analysis walk,
+which canonicalizes, folds and prints through the package because those
+steps have oracles of their own, none of it calls the package's own
+comparison or rewriting logic, so agreement is evidence rather than tautology.
 """
 from __future__ import annotations
 
@@ -15,9 +18,17 @@ import random
 import re
 from dataclasses import dataclass
 
-from ontologik.errors import CanonicalizationError, LexiconError, LFSyntaxError, NestingError, OntologyError
+from ontologik.errors import (
+    CanonicalizationError, LexiconError, LFSyntaxError, NestingError, OntologikError, OntologyError, TypeCheckError,
+)
 from ontologik.forms import read_prefix, with_prefix
-from ontologik.logform import MAX_NESTING, And, Atom, Form, Not, Implies, Quant, QuantKind, atoms, conj, pretty
+from ontologik.logform import (
+    MAX_NESTING, And, Atom, Form, Not, Implies, Quant, QuantKind, _print, atoms, canonicalize, conj, pretty,
+    sorted_conj,
+)
+from ontologik.unifier import (
+    AnalyzedForm, Coerced, DerivationTrace, Failed, TraceStep, Unified, fold_expectations, unify_types,
+)
 
 # ----------------------------------------------------------------------
 # subsumption oracles over a bare parent map {node: parent-or-None}
@@ -878,6 +889,272 @@ def canonical_outcome(canon, form: Form, ont, lex) -> tuple:
     except (CanonicalizationError, NestingError) as err:
         return (type(err).__name__, str(err))
     return ("ok", cf, pretty(cf))
+
+
+# ----------------------------------------------------------------------
+# analysis oracle: a frozen copy of the one-walk analysis
+# ----------------------------------------------------------------------
+#
+# The reference walks every atom through a call of its own, copies the
+# scope at every prefix, reads each prefix into a binder list and compares
+# it with the typed one. It canonicalizes, folds and prints through the
+# package, builds the package's own nodes and records, and raises the
+# package's own errors with their messages. Keep it as it is: it is the
+# behaviour analyze must reproduce, the defects of ROADMAP items 1 and 8
+# included, until those items change it by name.
+
+
+def reference_analyze(form: Form, ont, lex) -> AnalyzedForm:
+    """What ``analyze`` returned before its walk was rewritten."""
+    trace = DerivationTrace()
+    memo: dict = {}
+    cf = canonicalize(form, ont, lex, memo)
+    trace.add("canonicalize", None, _print(form, {}, 0), _print(cf, memo, 0))
+    typed, height, binders, const_slots = _ref_walk(cf, ont, lex, memo)
+    for var, outcome, steps, _ in binders:
+        if isinstance(outcome, Failed):
+            raise TypeCheckError(var, outcome.left, outcome.right)
+        trace.steps.extend(steps)
+    for const, expectation in const_slots:
+        declared = lex.names[const].declared_type
+        outcome = unify_types(ont, lex, declared, expectation)
+        trace.add("unify", const, f"({declared} • {expectation})", _ref_describe(outcome))
+        if not isinstance(outcome, Unified):
+            raise TypeCheckError(const, declared, expectation)
+    if height > MAX_NESTING:
+        raise NestingError()
+    glosses = [gloss for *_, gloss in binders if gloss is not None]
+    return AnalyzedForm(typed, trace, glosses, _print(typed, memo, 0))
+
+
+def _ref_describe(outcome) -> str:
+    if type(outcome) is Unified:
+        return outcome.result
+    if type(outcome) is Coerced:
+        result = outcome.result
+        return f"coerced: {result} via {outcome.relation.name}({result}, {outcome.relatum_type})"
+    return f"failed: {outcome.left} vs {outcome.right}"
+
+
+def _ref_walk(cf: Form, ont, lex, memo: dict) -> tuple[Form, int, list, list]:
+    binders: list = []
+    const_slots: list = []
+    folds: dict = {}
+    used: set[str] = set()
+
+    def fold(var, declared, expectations):
+        if not expectations:
+            return Unified(declared), [TraceStep("type", var, var, declared)]
+        key = (declared, *expectations)
+        hit = folds.get(key)
+        if hit is not None:
+            return hit[0], [TraceStep(s.op, var, s.detail, s.outcome) for s in hit[1]]
+        outcome, sub = fold_expectations(ont, lex, declared, expectations[::-1], subject=var)
+        hit = folds[key] = outcome, sub.steps
+        return hit
+
+    reach = [0]
+
+    def walk(f, scope, positive):
+        if isinstance(f, Atom):
+            types = lex.arg_types[f.pred]
+            if len(types) != len(f.args):
+                raise LexiconError(f"'{f.pred}' expects {len(types)} argument(s), got {len(f.args)}")
+            for expectation, arg in zip(types, f.args):
+                slots = scope.get(arg)
+                if slots is not None:
+                    slots[0].append(expectation)
+                    if positive and len(types) == 1:
+                        slots[1].append(f.pred)
+                elif arg in lex.names:
+                    const_slots.append((arg, expectation))
+                else:
+                    raise LexiconError(f"unknown constant '{arg}'")
+            return f
+        outer, reach[0] = reach[0], 0
+        if isinstance(f, Quant):
+            prefix, matrix = read_prefix(f)
+            scope, own, at = dict(scope), [], len(binders)
+            for _, var, declared in prefix:
+                if declared is None:
+                    declared = lex.names[var].declared_type if var in lex.names else ont.root
+                ont.require(declared)
+                scope[var] = slots = [], []
+                own.append((declared, *slots))
+            binders.extend([None] * len(own))
+            items = matrix.items if isinstance(matrix, And) else (matrix,)
+            walked = [walk(i, scope, positive) for i in items]
+            typed, bridges = [], []
+            for (kind, var, _), (declared, expectations, adjectives) in zip(prefix, own):
+                outcome, steps = fold(var, declared, expectations)
+                final = declared if isinstance(outcome, Failed) else outcome.result
+                typed.append((kind, var, final))
+                gloss = None
+                if isinstance(outcome, Coerced):
+                    if not used:
+                        used.update(_ref_names(cf))
+                    n = 2
+                    while f"{var}{n}" in used:
+                        n += 1
+                    used.add(fresh := f"{var}{n}")
+                    rel, relatum = outcome.relation.name, outcome.relatum_type
+                    typed.append((QuantKind.EXISTS, fresh, relatum))
+                    bridges.append(Atom(rel, (var, fresh)))
+                    gloss = f"some {' '.join([*adjectives, final])} {rel.lower()} the {relatum}"
+                binders[at] = var, outcome, steps, gloss
+                at += 1
+            height = reach[0] + (2 if len(items) + len(bridges) > 1 else 1)
+            if not bridges and all(w is i for w, i in zip(walked, items)):
+                f = f if typed == prefix else with_prefix(typed, matrix)
+            else:
+                f = with_prefix(typed, sorted_conj(walked + bridges, memo))
+        elif isinstance(f, And):
+            walked = [walk(i, scope, positive) for i in f.items]
+            height = reach[0] + 1
+            if not all(w is i for w, i in zip(walked, f.items)):
+                f = sorted_conj(walked, memo)
+        elif isinstance(f, Implies):
+            a, c = walk(f.antecedent, scope, not positive), walk(f.consequent, scope, positive)
+            height = reach[0] + 1
+            if a is not f.antecedent or c is not f.consequent:
+                f = Implies(a, c)
+        else:
+            inner = walk(f.item, scope, not positive)
+            height = reach[0] + 1
+            if inner is not f.item:
+                f = Not(inner)
+        reach[0] = height if height > outer else outer
+        return f
+
+    typed = walk(cf, {}, True)
+    return typed, reach[0], binders, const_slots
+
+
+def _ref_names(cf: Form) -> set[str]:
+    names, stack = set(), [cf]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            names.update(f.args)
+        elif isinstance(f, Quant):
+            names.add(f.var)
+            stack.append(f.body)
+        elif isinstance(f, And):
+            stack.extend(f.items)
+        elif isinstance(f, Not):
+            stack.append(f.item)
+        else:
+            stack += (f.antecedent, f.consequent)
+    return names
+
+
+def analysis_outcome(analyze, form: Form, ont, lex) -> tuple:
+    """``("ok", form, text, trace steps, glosses)`` for what ``analyze``
+    returns, or the class name and message of the error it raises."""
+    try:
+        got = analyze(form, ont, lex)
+    except OntologikError as err:
+        return (type(err).__name__, str(err))
+    return ("ok", got.form, got.text, tuple(got.trace.steps), tuple(got.missing_text))
+
+
+# bench/gen.py's binders: an adjective on a plain type, a person called loud
+# or articulate now and then, and a share of loud omelets, which bridge.
+_BENCH_TYPES = ("car", "ball", "raven", "beer", "omelet", "food", "animal", "artifact")
+_BENCH_ADJECTIVES = ("red", "black", "beautiful")
+
+
+def _bench_binders(rng: random.Random, names: list[str], bridge_share: float) -> list[tuple[str, str]]:
+    bridged = set(rng.sample(range(len(names)), round(bridge_share * len(names))))
+    out = []
+    for i in range(len(names)):
+        if i in bridged:
+            out.append(("omelet", "loud"))
+        elif rng.random() < 0.1:
+            out.append(("person", rng.choice(("loud", "articulate"))))
+        else:
+            out.append((rng.choice(_BENCH_TYPES), rng.choice(_BENCH_ADJECTIVES)))
+    return out
+
+
+def bench_prefix(rng: random.Random, count: int, bridge_share: float = 0.2) -> Form:
+    """``(E v0x)...(E vNx)(and ...)`` over one membership and one adjective
+    atom per binder, shuffled, as bench/gen.py's existential prefix."""
+    names = [f"v{i}x" for i in range(count)]
+    items = [Atom(p, (v,)) for v, pair in zip(names, _bench_binders(rng, names, bridge_share)) for p in pair]
+    rng.shuffle(items)
+    return with_prefix([(QuantKind.EXISTS, v, None) for v in names], And(tuple(items)))
+
+
+def bench_conjunction(rng: random.Random, count: int, bridge_share: float = 0.2) -> Form:
+    """``(and (E v0x)(and (T(v0x)) (adj(v0x))) ...)``, as bench/gen.py's wide conjunction."""
+    names = [f"v{i}x" for i in range(count)]
+    conjuncts = []
+    for v, pair in zip(names, _bench_binders(rng, names, bridge_share)):
+        atoms_ = [Atom(p, (v,)) for p in pair]
+        rng.shuffle(atoms_)
+        conjuncts.append(Quant(QuantKind.EXISTS, v, None, And(tuple(atoms_))))
+    return And(tuple(conjuncts))
+
+
+def nested_prefixes(outer: int = 1000, inner: int = 400) -> Form:
+    """An ``outer``-binder prefix of persons over a conjunction of ``inner``
+    one-binder prefixes, each a loud omelet that one outer person wants, so
+    each inner prefix is read and bridged under every outer binder. Names end
+    in ``x``, so no relatum's name is taken."""
+    conjuncts = tuple(
+        Quant(QuantKind.EXISTS, f"i{j}x", "omelet",
+              And((Atom("loud", (f"i{j}x",)), Atom("want", (f"o{j % outer}x", f"i{j}x")))))
+        for j in range(inner)
+    )
+    return with_prefix([(QuantKind.EXISTS, f"o{i}x", "person") for i in range(outer)], And(conjuncts))
+
+
+# ----------------------------------------------------------------------
+# small-scope enumeration
+# ----------------------------------------------------------------------
+
+# One bridge, a predicate on each side of it and one that fits both sides,
+# over the reference ontology.
+ENUM_LEXICON = "pred loud(person)\npred tasty(food)\npred red(physical)\nrel EATING(person, food)\n"
+_ENUM_RESTRICTIONS = (None, "food")
+
+
+def enumerate_forms(binders: int = 2, atoms: int = 2, connectives: int = 1) -> list[Form]:
+    """Every closed form over :data:`ENUM_LEXICON`'s vocabulary with at most
+    ``binders`` binders, at least one and at most ``atoms`` atoms, and at
+    most ``connectives`` of ``!``, ``->`` and ``and`` (a binary ``and``).
+
+    Binders come in every kind, unrestricted or restricted to ``person`` or
+    ``food``. A binder with ``n`` binders above it binds ``x<n>``, so
+    variables are named in binding order, no binder shadows another and no
+    two forms are alpha-variants."""
+    memo: dict[tuple[int, int, int, int], list[Form]] = {}
+
+    def exactly(n: int, b: int, a: int, c: int) -> list[Form]:
+        # forms over x0 .. x<n-1> with exactly b binders, a atoms and c connectives
+        key = (n, b, a, c)
+        if key in memo:
+            return memo[key]
+        out: list[Form] = []
+        bound = [f"x{i}" for i in range(n)]
+        if (b, a, c) == (0, 1, 0):
+            out += [Atom(p, (v,)) for p in ("loud", "tasty", "red") for v in bound]
+            out += [Atom("EATING", (u, v)) for u in bound for v in bound]
+        if b:
+            out += [Quant(kind, f"x{n}", r, body) for kind in QuantKind for r in _ENUM_RESTRICTIONS
+                    for body in exactly(n + 1, b - 1, a, c)]
+        if c:
+            out += [Not(body) for body in exactly(n, b, a, c - 1)]
+            for b1, a1, c1 in itertools.product(range(b + 1), range(1, a), range(c)):
+                for left in exactly(n, b1, a1, c1):
+                    for right in exactly(n, b - b1, a - a1, c - 1 - c1):
+                        out += (Implies(left, right), And((left, right)))
+        memo[key] = out
+        return out
+
+    return [f for b in range(binders + 1) for a in range(1, atoms + 1) for c in range(connectives + 1)
+            for f in exactly(0, b, a, c)]
 
 
 # ----------------------------------------------------------------------

@@ -38,14 +38,21 @@ from ontologik.fixtures import lexicon_path
 from ontologik.logform import MAX_NESTING
 
 from oracles import (
+    ENUM_LEXICON,
     Model,
+    analysis_outcome,
     ancestor_chain,
+    bench_conjunction,
+    bench_prefix,
+    enumerate_forms,
     holds,
+    nested_prefixes,
     oracle_fold,
     random_form,
     random_liftable_form,
     random_relations,
     random_tree,
+    reference_analyze,
     tree_source,
 )
 
@@ -687,6 +694,54 @@ def test_analyze_takes_an_api_built_1000_binder_prefix_of_loud_omelets(ont, lex)
     assert got.missing_text == ["some loud person eating the omelet"] * 1000
     assert sum(atom.pred == "EATING" for atom in atoms(got.form)) == 1000
     assert parse_lf(pretty(got.form)) == got.form
+
+
+# -- the analysis walk against its frozen reference ----------------------
+
+
+def test_analyze_matches_its_frozen_reference_on_api_built_forms(ont, lex):
+    # Built, not parsed, so binders may shadow one another: analyze returns
+    # the typed form, text, trace and glosses the original walk returned, or
+    # raises its class and message.
+    rng = random.Random(2101)
+    seen = Counter()
+    for k in range(20_000):
+        form = random_form(rng, max_depth=6) if k % 2 else random_liftable_form(rng, max_depth=rng.randint(1, 3))
+        expected = analysis_outcome(reference_analyze, form, ont, lex)
+        assert analysis_outcome(analyze, form, ont, lex) == expected, repr(form)
+        seen["bridged" if expected[0] == "ok" and expected[4] else expected[0]] += 1
+    assert sum(seen.values()) == 20_000
+    assert min(seen[k] for k in ("ok", "bridged", "TypeCheckError", "CanonicalizationError")) >= 500, seen
+
+
+def test_analyze_matches_its_frozen_reference_on_the_benchmark_shapes(ont, lex):
+    # bench/gen.py's largest shapes with a fifth of the binders bridged, and
+    # a 1,000-binder prefix over 400 one-binder prefixes, each bridged.
+    rng = random.Random(2102)
+    for form in (bench_prefix(rng, 300), bench_conjunction(rng, 400), nested_prefixes(1000, 400)):
+        expected = analysis_outcome(reference_analyze, form, ont, lex)
+        assert analysis_outcome(analyze, form, ont, lex) == expected
+        assert expected[0] == "ok" and expected[4]
+
+
+def test_analyze_matches_its_frozen_reference_on_every_small_form(ont):
+    # Small-scope enumeration (ROADMAP item 10): every form with at most two
+    # binders, two atoms and one connective, over a vocabulary with one
+    # bridge, so a coercible binder stands under every kind, ! and ->.
+    lex = load_lexicon(ENUM_LEXICON, ont)
+    forms = enumerate_forms(binders=2, atoms=2, connectives=1)
+    assert len(forms) == 15_816
+    seen = Counter()
+    for form in forms:
+        expected = analysis_outcome(reference_analyze, form, ont, lex)
+        assert analysis_outcome(analyze, form, ont, lex) == expected, repr(form)
+        if expected[0] == "ok" and expected[4]:
+            outer = form.kind if isinstance(form, Quant) else type(form).__name__
+            seen[outer] += 1
+        seen[expected[0]] += 1
+    assert seen["ok"] + seen["TypeCheckError"] == len(forms)
+    # a bridged binder under each kind, and under a negation or an implication
+    assert min(seen[k] for k in (*QuantKind, "Not", "Implies", "And")) >= 100, seen
 
 
 # -- ROADMAP item 1: a bridge must keep the quantifier's domain ----------
