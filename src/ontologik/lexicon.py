@@ -55,9 +55,9 @@ class Lexicon(Value):
 
     Built at construction, ``arg_types`` maps each name that may head an
     atom to the types its arguments expect: a declared predicate's, or the
-    domain and range of the first relation of that name. A predicate and a
-    relation sharing a name raise :class:`LexiconError`, as in
-    :func:`load_lexicon`, so no predicate shadows a relation analysis bridges.
+    domain and range of the relation of that name. A predicate and a relation
+    sharing a name, or two relations of one name, raise :class:`LexiconError`
+    as in :func:`load_lexicon`, so every bridge analysis builds fits its atom.
     Relations are also kept in buckets by domain type and by range type, so
     a lookup reads only the relations near the types it is asked about.
     ``signatures``, ``names`` and ``arg_types`` are read-only, so a loaded
@@ -88,7 +88,9 @@ class Lexicon(Value):
         for i, rel in enumerate(self.relations):
             if rel.name in signatures:
                 raise LexiconError(f"relation '{rel.name}' clashes with a predicate")
-            arg_types.setdefault(rel.name, (rel.domain_type, rel.range_type))
+            if rel.name in arg_types:
+                raise LexiconError(f"duplicate relation '{rel.name}'")
+            arg_types[rel.name] = rel.domain_type, rel.range_type
             by_domain.setdefault(rel.domain_type, []).append(i)
             by_range.setdefault(rel.range_type, []).append(i)
         arg_types.update({name: sig.arg_types for name, sig in signatures.items()})

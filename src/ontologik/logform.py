@@ -42,7 +42,7 @@ forms equal up to renaming compare equal. The node classes come from
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Set
+from collections.abc import Iterator
 
 from .errors import CanonicalizationError, LFSyntaxError, NestingError
 from .forms import And, Atom, Binder, Form, Implies, Not, Quant, QuantKind, read_prefix, with_prefix
@@ -125,7 +125,7 @@ class _Parser:
 
     # -- grammar ---------------------------------------------------------
 
-    def form(self, i: int, bound: Set[str], depth: int) -> tuple[Form, int]:
+    def form(self, i: int, bound: set[str], depth: int) -> tuple[Form, int]:
         tok = self.toks[i]
         if tok == "(":
             return self._parenthesized(i, bound, depth)
@@ -133,7 +133,7 @@ class _Parser:
             return self._atom(i, bound)
         raise LFSyntaxError(f"expected a form, got '{tok}'", self.at(i))
 
-    def _parenthesized(self, i: int, bound: Set[str], depth: int) -> tuple[Form, int]:
+    def _parenthesized(self, i: int, bound: set[str], depth: int) -> tuple[Form, int]:
         # Levels count as in _canon: a Not, and, -> or quantifier prefix at
         # ``depth`` needs depth < MAX_NESTING. Parentheses that only group
         # take a level too, so they cannot nest without bound, but they may
@@ -187,11 +187,11 @@ class _Parser:
             return True
         return head not in _PUNCT and second not in _PUNCT and toks[i + 3] in ("::", ")")
 
-    def _quantifiers(self, i: int, bound: Set[str], depth: int) -> tuple[Form, int]:
+    def _quantifiers(self, i: int, bound: set[str], depth: int) -> tuple[Form, int]:
         # A whole prefix in one loop, so binders cost no stack frames. The
         # caller has seen the first binder; before each further one the loop
         # makes the checks that form and _parenthesized would make.
-        toks, prefix, scope = self.toks, [], set(bound)
+        toks, prefix = self.toks, []
         while True:
             kind_at, kind_tok = i + 1, toks[i + 1]
             i += 2
@@ -203,7 +203,7 @@ class _Parser:
             var, vtype = toks[i], None
             if var in _PUNCT:
                 self.reject_ident(i, "a variable")
-            if var in scope:
+            if var in bound:
                 raise LFSyntaxError(f"'{var}' already bound in an enclosing scope", self.at(i))
             if toks[i + 1] == "::":
                 i, vtype = i + 2, toks[i + 2]
@@ -213,12 +213,14 @@ class _Parser:
                 self.reject(i + 1, ")")
             i += 2
             prefix.append((kind, var, vtype))
-            scope.add(var)
+            bound.add(var)
             if toks[i] != "(" or toks[i + 1] == "and" or not self._quantifier_ahead(i):
-                matrix, i = self.form(i, scope, depth)
+                matrix, i = self.form(i, bound, depth)
+                for _, var, _ in prefix:  # each was new to ``bound``, which is the parse's one set
+                    bound.remove(var)
                 return with_prefix(prefix, matrix), i
 
-    def _atom(self, i: int, bound: Set[str]) -> tuple[Form, int]:
+    def _atom(self, i: int, bound: set[str]) -> tuple[Form, int]:
         toks, pred, args = self.toks, self.toks[i], []
         if toks[i + 1] != "(":
             self.reject(i + 1, "(")
@@ -242,7 +244,7 @@ def parse_lf(source: str) -> Form:
     """Parse surface syntax into a :class:`Form`. Errors carry positions;
     text nested deeper than :data:`MAX_NESTING` raises :class:`NestingError`."""
     parser = _Parser(source)
-    form, i = parser.form(0, frozenset(), 0)
+    form, i = parser.form(0, set(), 0)
     if parser.toks[i] is not None:
         raise LFSyntaxError(f"trailing input '{parser.toks[i]}'", parser.at(i))
     return form

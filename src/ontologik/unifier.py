@@ -17,16 +17,18 @@ second guess. The fold depends only on the declared type and the
 expectations, so each distinct pair of them is folded once per analysis, and
 binders that share a pair repeat its derivation lines under their own name.
 
-Analysis is one post-order walk over the canonical form. At each quantifier
-prefix it walks the matrix, which records what the prefix's variables are
-expected to be (an atom's argument types are one read of
-``Lexicon.arg_types``), then folds each binder and builds the typed prefix
-with its bridges, naming relata as it goes (an inner prefix first). Trace
-lines are held back so that binders come in binding order, then constants in
-occurrence order; a read error raises where it is met, a failed fold only
-after the walk. A bridge deepens a matrix only after it is walked, so levels
-are counted bottom up. Texts are printed through the one printer of
-:mod:`ontologik.logform`, which records each level-0 text in the call's
+Analysis is one post-order walk over the canonical form, which reads the
+atoms of a conjunction in its loop, with no call per atom. A quantifier
+prefix binds its variables in the walk's one scope, walks its matrix, which
+records what they are expected to be (an atom's argument types are one read
+of ``Lexicon.arg_types``), and restores what they shadowed. Then it folds
+each binder, naming relata as it goes (an inner prefix first), and builds
+the typed prefix with its bridges only if a type changed or a bridge was
+added. Trace lines are held back so that binders come in binding order, then
+constants in occurrence order; a read error raises where it is met, a failed
+fold only after the walk. A bridge deepens a matrix only after it is walked,
+so levels are counted bottom up. Texts are printed through the one printer
+of :mod:`ontologik.logform`, which records each level-0 text in the call's
 memo, canonicalization's sort included; an unchanged subtree is the
 canonical node itself, so each conjunct is printed once. Outcomes, traces
 and results are immutable slotted classes.
@@ -34,7 +36,6 @@ and results are immutable slotted classes.
 from __future__ import annotations
 
 from itertools import chain
-from operator import is_
 
 from ._value import Value, setters
 from .errors import LexiconError, NestingError, TypeCheckError
@@ -50,7 +51,6 @@ from .logform import (
     QuantKind,
     _print,
     canonicalize,
-    read_prefix,
     sorted_conj,
     with_prefix,
 )
@@ -234,107 +234,117 @@ def _walk(cf: Form, ont: Ontology, lex: Lexicon, memo: dict) -> tuple[Form, int,
     # where it is met; a fold failure waits for analyze.
     binders: list = []
     const_slots: list[tuple[str, TypeName]] = []
+    # (outcome, trace steps), folded once per declared type and expectations:
+    # a later binder repeats the steps under its own name.
     folds: dict[tuple[TypeName, ...], tuple[UnificationOutcome, list[TraceStep]]] = {}
     used: set[str] = set()  # every name in ``cf``, read at the first bridge
+    scope: dict[str, tuple[list, list]] = {}
+    arg_types, names, root = lex.arg_types, lex.names, ont.root
 
-    def fold(var: str, declared: TypeName, expectations: list[TypeName]) -> tuple:
-        # (outcome, trace steps), folded once per declared type and
-        # expectations: a later binder repeats the steps under its own name.
-        if not expectations:
-            return Unified(declared), [TraceStep("type", var, var, declared)]
-        key = (declared, *expectations)
-        hit = folds.get(key)
-        if hit is not None:
-            return hit[0], [TraceStep(s.op, var, s.detail, s.outcome) for s in hit[1]]
-        outcome, sub = fold_expectations(ont, lex, declared, expectations[::-1], subject=var)
-        hit = folds[key] = outcome, sub.steps
-        return hit
+    # ``walk`` returns ``items`` typed (``items`` itself if none changed) and
+    # the greatest height among them in levels, counted as in _canon; an atom
+    # has none. ``scope`` maps a variable to the expectations and adjectives of
+    # its binder, or to None out of scope. ``positive`` is the polarity of
+    # ``items``: only a unary predicate asserted of a referent, not one denied
+    # of it, belongs in its gloss.
+    def walk(items: tuple | list, positive: bool) -> tuple:
+        out, changed, top = [], False, 0
+        for f in items:
+            if isinstance(f, Atom):
+                types = arg_types[f.pred]  # canonicalize has already vetted the predicate
+                if len(types) != len(f.args):
+                    raise LexiconError(f"'{f.pred}' expects {len(types)} argument(s), got {len(f.args)}")
+                for expectation, arg in zip(types, f.args):
+                    slots = scope.get(arg)
+                    if slots is not None:
+                        slots[0].append(expectation)
+                        if positive and len(types) == 1:
+                            slots[1].append(f.pred)
+                    elif arg in names:
+                        const_slots.append((arg, expectation))
+                    else:
+                        raise LexiconError(f"unknown constant '{arg}'")
+                out.append(f)
+                continue
+            t = f  # ``f`` typed
+            if isinstance(f, Quant):
+                matrix, own, at = f, [], len(binders)
+                while isinstance(matrix, Quant):
+                    var, declared = matrix.var, matrix.vtype
+                    if declared is None:
+                        declared = names[var].declared_type if var in names else root
+                    ont.require(declared)
+                    own.append((matrix, declared, scope.get(var), slots := ([], [])))
+                    scope[var] = slots
+                    matrix = matrix.body
+                binders.extend([None] * len(own))  # filled in below, so that they keep binding order
+                inner = matrix.items if isinstance(matrix, And) else (matrix,)
+                walked, height = walk(inner, positive)
+                for q, _, shadowed, _ in reversed(own):  # an API-built prefix may bind a name twice
+                    scope[q.var] = shadowed
+                # Each coerced binder gets a relatum binder right below it,
+                # named apart from every name in the form, and its bridge
+                # joins the matrix, next to the predications it explains.
+                typed, bridges, retyped = [], [], False
+                for q, declared, _, (expectations, adjectives) in own:
+                    var = q.var
+                    if not expectations:
+                        outcome, steps = Unified(declared), [TraceStep("type", var, var, declared)]
+                    elif (hit := folds.get(key := (declared, *expectations))) is None:
+                        outcome, sub = fold_expectations(ont, lex, declared, expectations[::-1], subject=var)
+                        outcome, steps = folds[key] = outcome, sub.steps
+                    elif len(hit[1]) == 1:
+                        outcome, (s,) = hit
+                        steps = [TraceStep(s.op, var, s.detail, s.outcome)]
+                    else:
+                        outcome, steps = hit[0], [TraceStep(s.op, var, s.detail, s.outcome) for s in hit[1]]
+                    final = declared if isinstance(outcome, Failed) else outcome.result
+                    typed.append((q.kind, var, final))
+                    retyped = retyped or final != q.vtype
+                    gloss = None
+                    if isinstance(outcome, Coerced):
+                        if not used:
+                            used.update(_names(cf))
+                        n = 2
+                        while f"{var}{n}" in used:
+                            n += 1
+                        used.add(fresh := f"{var}{n}")
+                        rel, relatum = outcome.relation.name, outcome.relatum_type
+                        typed.append((QuantKind.EXISTS, fresh, relatum))
+                        bridges.append(Atom(rel, (var, fresh)))
+                        gloss = f"some {' '.join([*adjectives, final])} {rel.lower()} the {relatum}"
+                    binders[at] = var, outcome, steps, gloss
+                    at += 1
+                # a bridge can turn the matrix into a conjunction, a level deeper
+                height += 2 if len(inner) + len(bridges) > 1 else 1
+                # sorting prints down to recorded texts only: past the cap, analyze raises
+                if bridges or walked is not inner:
+                    t = with_prefix(typed, sorted_conj([*walked, *bridges], memo))
+                elif retyped:
+                    t = with_prefix(typed, matrix)
+            elif isinstance(f, And):
+                walked, height = walk(f.items, positive)
+                height += 1
+                if walked is not f.items:
+                    t = sorted_conj(walked, memo)
+            elif isinstance(f, Implies):
+                (a,), left = walk((f.antecedent,), not positive)
+                (c,), height = walk((f.consequent,), positive)
+                height = (left if left > height else height) + 1
+                if a is not f.antecedent or c is not f.consequent:
+                    t = Implies(a, c)
+            else:  # a Not: canonicalize has vetted every node
+                (item,), height = walk((f.item,), not positive)
+                height += 1
+                if item is not f.item:
+                    t = Not(item)
+            top = height if height > top else top
+            changed = changed or t is not f
+            out.append(t)
+        return (out if changed else items), top
 
-    # ``scope`` maps a variable to the expectations and the adjectives of its
-    # binder. ``positive`` is the polarity of ``f``: only a unary predicate
-    # asserted of a referent, not one denied of it, belongs in its gloss.
-    # A walk returns the typed ``f`` and raises ``reach[0]`` to the typed
-    # height of ``f`` in levels, counted as in _canon; an atom has none.
-    reach = [0]
-
-    def walk(f: Form, scope: dict[str, tuple[list, list]], positive: bool) -> Form:
-        if isinstance(f, Atom):
-            types = lex.arg_types[f.pred]  # canonicalize has already vetted the predicate
-            if len(types) != len(f.args):
-                raise LexiconError(f"'{f.pred}' expects {len(types)} argument(s), got {len(f.args)}")
-            for expectation, arg in zip(types, f.args):
-                slots = scope.get(arg)
-                if slots is not None:
-                    slots[0].append(expectation)
-                    if positive and len(types) == 1:
-                        slots[1].append(f.pred)
-                elif arg in lex.names:
-                    const_slots.append((arg, expectation))
-                else:
-                    raise LexiconError(f"unknown constant '{arg}'")
-            return f
-        outer, reach[0] = reach[0], 0
-        if isinstance(f, Quant):
-            prefix, matrix = read_prefix(f)
-            scope, own, at = dict(scope), [], len(binders)
-            for _, var, declared in prefix:
-                if declared is None:
-                    declared = lex.names[var].declared_type if var in lex.names else ont.root
-                ont.require(declared)
-                scope[var] = slots = [], []
-                own.append((declared, *slots))
-            binders.extend([None] * len(own))  # filled in below, so that they keep binding order
-            items = matrix.items if isinstance(matrix, And) else (matrix,)
-            walked = [walk(i, scope, positive) for i in items]
-            # Each coerced binder gets a relatum binder right below it,
-            # named apart from every name in the form, and its bridge
-            # joins the matrix, next to the predications it explains.
-            typed, bridges = [], []
-            for (kind, var, _), (declared, expectations, adjectives) in zip(prefix, own):
-                outcome, steps = fold(var, declared, expectations)
-                final = declared if isinstance(outcome, Failed) else outcome.result
-                typed.append((kind, var, final))
-                gloss = None
-                if isinstance(outcome, Coerced):
-                    if not used:
-                        used.update(_names(cf))
-                    n = 2
-                    while f"{var}{n}" in used:
-                        n += 1
-                    used.add(fresh := f"{var}{n}")
-                    rel, relatum = outcome.relation.name, outcome.relatum_type
-                    typed.append((QuantKind.EXISTS, fresh, relatum))
-                    bridges.append(Atom(rel, (var, fresh)))
-                    gloss = f"some {' '.join([*adjectives, final])} {rel.lower()} the {relatum}"
-                binders[at] = var, outcome, steps, gloss
-                at += 1
-            # a bridge can turn the matrix into a conjunction, a level deeper
-            height = reach[0] + (2 if len(items) + len(bridges) > 1 else 1)
-            # sorting prints down to recorded texts only: past the cap, analyze raises
-            if not bridges and all(map(is_, walked, items)):
-                f = f if typed == prefix else with_prefix(typed, matrix)
-            else:
-                f = with_prefix(typed, sorted_conj(walked + bridges, memo))
-        elif isinstance(f, And):
-            walked = [walk(i, scope, positive) for i in f.items]
-            height = reach[0] + 1
-            if not all(map(is_, walked, f.items)):
-                f = sorted_conj(walked, memo)
-        elif isinstance(f, Implies):
-            a, c = walk(f.antecedent, scope, not positive), walk(f.consequent, scope, positive)
-            height = reach[0] + 1
-            if a is not f.antecedent or c is not f.consequent:
-                f = Implies(a, c)
-        else:  # a Not: canonicalize has vetted every node
-            inner = walk(f.item, scope, not positive)
-            height = reach[0] + 1
-            if inner is not f.item:
-                f = Not(inner)
-        reach[0] = height if height > outer else outer
-        return f
-
-    typed = walk(cf, {}, True)
-    return typed, reach[0], binders, const_slots
+    (typed,), height = walk((cf,), True)
+    return typed, height, binders, const_slots
 
 
 def _names(cf: Form) -> set[str]:

@@ -57,6 +57,15 @@ def test_an_api_built_lexicon_rejects_a_predicate_and_a_relation_of_the_same_nam
                 signatures={"eats": PredicateSignature("eats", ("person",))})
 
 
+def test_an_api_built_lexicon_rejects_two_relations_of_one_name(lex):
+    # as load_lexicon does: were the first to win, analysis could bridge through
+    # the second and emit EATING(x, x2) over a car, an atom its own lexicon rejects
+    relations = (*lex.relations, SalientRelation("EATING", "animal", "car", 1))
+    with pytest.raises(LexiconError, match="^duplicate relation 'EATING'$") as caught:
+        Lexicon(lex.signatures, relations, lex.names)
+    assert caught.value.line is None
+
+
 # ----------------------------------------------------------------------
 # coercion candidate search
 # ----------------------------------------------------------------------
