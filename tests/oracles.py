@@ -1091,17 +1091,17 @@ def bench_conjunction(rng: random.Random, count: int, bridge_share: float = 0.2)
     names = [f"v{i}x" for i in range(count)]
     conjuncts = []
     for v, pair in zip(names, _bench_binders(rng, names, bridge_share)):
-        atoms_ = [Atom(p, (v,)) for p in pair]
-        rng.shuffle(atoms_)
-        conjuncts.append(Quant(QuantKind.EXISTS, v, None, And(tuple(atoms_))))
+        both = [Atom(p, (v,)) for p in pair]
+        rng.shuffle(both)
+        conjuncts.append(Quant(QuantKind.EXISTS, v, None, And(tuple(both))))
     return And(tuple(conjuncts))
 
 
 def nested_prefixes(outer: int = 1000, inner: int = 400) -> Form:
     """An ``outer``-binder prefix of persons over a conjunction of ``inner``
     one-binder prefixes, each a loud omelet that one outer person wants, so
-    each inner prefix is read and bridged under every outer binder. Names end
-    in ``x``, so no relatum's name is taken."""
+    each inner prefix is read and bridged under the whole outer prefix. Names
+    end in ``x``, so no relatum's name is taken."""
     conjuncts = tuple(
         Quant(QuantKind.EXISTS, f"i{j}x", "omelet",
               And((Atom("loud", (f"i{j}x",)), Atom("want", (f"o{j % outer}x", f"i{j}x")))))
@@ -1125,10 +1125,10 @@ def enumerate_forms(binders: int = 2, atoms: int = 2, connectives: int = 1) -> l
     ``binders`` binders, at least one and at most ``atoms`` atoms, and at
     most ``connectives`` of ``!``, ``->`` and ``and`` (a binary ``and``).
 
-    Binders come in every kind, unrestricted or restricted to ``person`` or
-    ``food``. A binder with ``n`` binders above it binds ``x<n>``, so
-    variables are named in binding order, no binder shadows another and no
-    two forms are alpha-variants."""
+    Binders come in every kind, unrestricted or restricted to ``food``, the
+    type ``loud`` bridges from. A binder with ``n`` binders above it binds
+    ``x<n>``, so variables are named in binding order, no binder shadows
+    another and no two forms are alpha-variants."""
     memo: dict[tuple[int, int, int, int], list[Form]] = {}
 
     def exactly(n: int, b: int, a: int, c: int) -> list[Form]:
