@@ -1,9 +1,9 @@
 """Brute-force oracles and random generators backing the property tests.
 
 Everything here recomputes expected results from first principles: ancestor
-chains walked as plain lists, resource texts read by a frozen copy of the
-original per-line loaders, LF texts read by a frozen copy of the original
-reader, forms canonicalized by a frozen copy of the original canonicalizer,
+chains walked as plain lists, resource texts read by frozen copies of the
+original per-line loaders and of the pattern loaders that followed them, LF
+texts read by a frozen copy of the original reader, forms canonicalized by a frozen copy of the original canonicalizer,
 forms typed by a frozen copy of the original analysis walk, adjective orders
 judged by a direct monotone simulation, the truth of a logical form found by
 trying every element of a small finite model. Apart from the analysis walk,
@@ -22,6 +22,8 @@ from ontologik.errors import (
     CanonicalizationError, LexiconError, LFSyntaxError, NestingError, OntologikError, OntologyError, TypeCheckError,
 )
 from ontologik.forms import read_prefix, with_prefix
+from ontologik.lexicon import Lexicon, NameDecl, PredicateSignature, SalientRelation
+from ontologik.ontology import Ontology
 from ontologik.logform import (
     MAX_NESTING, And, Atom, Form, Not, Implies, Quant, QuantKind, _print, atoms, canonicalize, conj, pretty,
     sorted_conj,
@@ -262,6 +264,130 @@ def reference_declared_name(line: str) -> str | None:
     return m.group(1) if m else None
 
 
+# ----------------------------------------------------------------------
+# pattern loader oracle: a frozen copy of the one-pattern loaders
+# ----------------------------------------------------------------------
+#
+# The reference reads each line with one regular expression per resource,
+# which takes the whole declaration, comment included, or rejects the line,
+# and rejects a line the pattern does not take by splitting its fields. It
+# builds the package's own records and raises the package's own errors with
+# their messages and line numbers, so it rejects every name the loaders
+# reject. Keep it as it is: it is the behaviour the loaders must reproduce.
+
+_PAT_TYPE_DECL = re.compile(r"\s*type\s+([a-z_][a-z0-9_]*)(?:\s+isa\s+([a-z_][a-z0-9_]*))?\s*(?:#.*)?")
+_PAT_ID = r"([A-Za-z_]\w*)"
+_PAT_LEX_DECL = re.compile(
+    rf"\s*(?:pred\s+{_PAT_ID}\s*\(([^)#]*)\)|rel\s+{_PAT_ID}\s*\(\s*{_PAT_ID}\s*,\s*{_PAT_ID}\s*\)"
+    rf"|name\s+{_PAT_ID}\s*::\s*{_PAT_ID})\s*(?:#.*)?"
+)
+_PAT_KEYWORDS = (("pred", "predicate"), ("rel", "relation"), ("name", "name"))
+
+
+def pattern_load_ontology(source: str) -> Ontology:
+    """What ``load_ontology`` returned while it read lines with a pattern."""
+    parent: dict[str, str | None] = {}
+    root: str | None = None
+    lines = source.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        m = _PAT_TYPE_DECL.fullmatch(raw)
+        if m is None:
+            _pat_reject(raw, lineno)
+            continue
+        name, up = m.groups()
+        if up in parent and name not in parent:
+            parent[name] = up
+        elif up is not None and up not in parent:
+            raise OntologyError(f"unknown parent '{up}' for '{name}'", lineno)
+        elif name in parent:
+            if _ref_would_cycle(parent, name, up):
+                raise OntologyError(f"cycle: '{name}' already subsumes '{up}'", lineno)
+            if up not in (None, parent[name]):
+                raise OntologyError(
+                    f"multiple parents for '{name}': '{parent[name] or root}' and '{up}'", lineno
+                )
+            raise OntologyError(f"duplicate type '{name}'", lineno)
+        elif root is not None:
+            raise OntologyError(f"second root '{name}' (root '{root}' already declared)", lineno)
+        else:
+            parent[name], root = None, name
+    if root is None:
+        raise OntologyError("missing root: no parentless type declared", len(lines) or 1)
+    return Ontology(root=root, parent=parent)
+
+
+def _pat_reject(raw: str, lineno: int):
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return
+    fields = line.split()
+    if fields[0] != "type":
+        raise OntologyError(f"expected a 'type' declaration, got '{line}'", lineno)
+    if len(fields) == 2 or (len(fields) == 4 and fields[2] == "isa"):
+        bad = next(name for name in fields[1::2] if not _PAT_TYPE_DECL.fullmatch(f"type {name}"))
+        raise OntologyError(f"bad type name '{bad}': lowercase identifier required", lineno)
+    raise OntologyError(f"malformed declaration '{line}'", lineno)
+
+
+def pattern_load_lexicon(source: str, ont: Ontology) -> Lexicon:
+    """What ``load_lexicon`` returned while it read lines with a pattern."""
+    signatures: dict[str, PredicateSignature] = {}
+    relations: dict[str, SalientRelation] = {}
+    names: dict[str, NameDecl] = {}
+    types = ont.parent
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        m = _PAT_LEX_DECL.fullmatch(raw)
+        if m is None:
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                kind = next((kind for word, kind in _PAT_KEYWORDS if line.startswith(word)), None)
+                what = f"malformed {kind}" if kind else "unrecognized"
+                raise LexiconError(f"{what} declaration '{line}'", lineno)
+            continue
+        pred, args, rel, dom, rng, name, t = m.groups()
+        if pred is not None:
+            args = [a.strip() for a in args.split(",")]
+            if not all(args):
+                raise LexiconError(f"predicate '{pred}' needs at least one argument type", lineno)
+            if pred in types or pred == "and" or not pred.isascii():
+                raise _pat_misnamed("predicate", pred, types, lineno)
+            if pred in signatures:
+                raise LexiconError(f"duplicate predicate '{pred}'", lineno)
+            if pred in relations:
+                raise LexiconError(f"predicate '{pred}' clashes with a relation", lineno)
+            for a in args:
+                if a not in types:
+                    raise LexiconError(f"unknown type '{a}'", lineno)
+            signatures[pred] = PredicateSignature(pred, tuple(args))
+        elif rel is not None:
+            if rel in types or rel == "and" or not rel.isascii():
+                raise _pat_misnamed("relation", rel, types, lineno)
+            if rel in relations:
+                raise LexiconError(f"duplicate relation '{rel}'", lineno)
+            if rel in signatures:
+                raise LexiconError(f"relation '{rel}' clashes with a predicate", lineno)
+            if dom not in types or rng not in types:
+                raise LexiconError(f"unknown type '{rng if dom in types else dom}'", lineno)
+            relations[rel] = SalientRelation(rel, dom, rng, priority=len(relations))
+        elif not (name.isascii() and name[0].isupper()):
+            raise LexiconError(f"name '{name}' must be a capitalized ASCII identifier", lineno)
+        elif name in names:
+            raise LexiconError(f"duplicate name '{name}'", lineno)
+        elif t not in types:
+            raise LexiconError(f"unknown type '{t}'", lineno)
+        else:
+            names[name] = NameDecl(name, t)
+    return Lexicon(signatures, tuple(relations.values()), names)
+
+
+def _pat_misnamed(kind: str, name: str, types, lineno: int) -> LexiconError:
+    if not name.isascii():
+        return LexiconError(f"{kind} '{name}' must be an ASCII identifier", lineno)
+    if name in types:
+        return LexiconError(f"{kind} '{name}' clashes with an ontology type", lineno)
+    return LexiconError(f"{kind} 'and' is a reserved word of the LF syntax", lineno)
+
+
 def ontology_data(ont) -> OntologyData:
     """What :func:`reference_load_ontology` returns, read from an
     ``Ontology`` through its public queries."""
@@ -369,6 +495,39 @@ def corrupt(rng: random.Random, text: str, vocab: list[str]) -> str:
     if rng.random() < 0.7:
         return rng.choice(_LINE_ENDS).join(lines)
     return "".join(line + rng.choice(_LINE_ENDS) for line in lines)
+
+
+# Where a pattern's \s and \w and the str methods that look alike may part:
+# blanks str.split takes or str.splitlines breaks at, comment and
+# punctuation marks, and letters, digits and marks outside ASCII (a
+# combining accent, a superscript, an Arabic-Indic digit, a titlecase
+# letter, a capital whose lower case is two characters, the Kelvin sign,
+# a ligature).
+_SPLICES = (
+    " ", "\xa0", "\x1f", "\x0b", "#", "::", "(", ")", ",",
+    "\u00e9", "e\u0301", "\u00b2", "\u0660", "\u01c5", "\u0130", "\u212a", "\ufb01",
+)
+
+
+def splice(rng: random.Random, text: str) -> str:
+    """``text`` with one to three of its declarations edited one to three
+    times each: a piece of :data:`_SPLICES` put in at a random place or in
+    place of a character, or a character deleted."""
+    lines = text.split("\n")
+    declarations = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    for i in rng.sample(declarations, rng.randint(1, 3)):
+        line = lines[i]
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randint(0, len(line))
+            op = rng.random()
+            if op < 0.6:
+                line = line[:j] + rng.choice(_SPLICES) + line[j:]
+            elif op < 0.9:
+                line = line[:j] + rng.choice(_SPLICES) + line[j + 1 :]
+            else:
+                line = line[:j] + line[j + 1 :]
+        lines[i] = line
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

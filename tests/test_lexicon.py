@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 
 import pytest
 
@@ -21,11 +22,13 @@ from oracles import (
     misnamed,
     oracle_candidates,
     outcome,
+    pattern_load_lexicon,
     random_relations,
     random_tree,
     reference_declared_name,
     reference_load_lexicon,
     resource_vocabulary,
+    splice,
     tree_source,
 )
 
@@ -263,6 +266,25 @@ def test_renamed_declarations_match_the_frozen_reference(ont, lex):
         "predicate X is a reserved word of the LF syntax", "relation X is a reserved word of the LF syntax",
         "predicate X must be an ASCII identifier", "relation X must be an ASCII identifier",
         "name X must be a capitalized ASCII identifier",
+    }
+
+
+def test_load_matches_the_pattern_loader_on_spliced_declarations(ont):
+    # Blanks, marks and non-ASCII letters and digits spliced into the
+    # declarations, where a pattern's \s and \w and str methods may part.
+    text = lexicon_path().read_text()
+    rng = random.Random(2202)
+    reached = set()
+    for _ in range(20_000):
+        source = splice(rng, text)
+        want = outcome(lambda: lexicon_data(pattern_load_lexicon(source, ont)))
+        assert outcome(_loaded, source, ont) == want, repr(source)
+        reached.add(want[0] if want[0] == "ok" else re.sub("'[^']*'", "X", want[1].split(": ", 1)[1]))
+    assert reached == {
+        "ok", "unrecognized declaration X", "malformed predicate declaration X",
+        "malformed relation declaration X", "malformed name declaration X", "unknown type X",
+        "predicate X needs at least one argument type", "predicate X must be an ASCII identifier",
+        "relation X must be an ASCII identifier", "name X must be a capitalized ASCII identifier",
     }
 
 

@@ -13,10 +13,12 @@ from oracles import (
     oracle_compare,
     oracle_subsumes,
     outcome,
+    pattern_load_ontology,
     random_tree,
     reference_labels,
     reference_load_ontology,
     resource_vocabulary,
+    splice,
     tree_source,
 )
 
@@ -131,6 +133,22 @@ def test_redeclarations_match_the_frozen_reference():
                 assert outcome(_loaded, source) == want, repr(source)
                 reached.add(want[1].split(": ", 1)[1].split(" '")[0])
     assert reached == {"cycle:", "multiple parents for", "duplicate type"}
+
+
+def test_load_matches_the_pattern_loader_on_spliced_declarations():
+    # Blanks, marks and non-ASCII letters and digits spliced into the
+    # declarations, where a pattern's \s and \w and str methods may part.
+    text = ontology_path().read_text()
+    rng = random.Random(2201)
+    reached = set()
+    for _ in range(20_000):
+        source = splice(rng, text)
+        want = outcome(lambda: ontology_data(pattern_load_ontology(source)))
+        assert outcome(_loaded, source) == want, repr(source)
+        reached.add(want[0] if want[0] == "ok" else want[1].split(": ", 1)[1].split(" '")[0])
+    assert reached == {
+        "ok", "expected a", "malformed declaration", "bad type name", "second root", "unknown parent",
+    }
 
 
 def test_unknown_type_queries(ont):
