@@ -6,10 +6,18 @@ in both sorts at once. Salient relations are the bridges metonymic coercion
 may walk (who does what to what), and a coercion search compares only
 the far side of each relation it reads; proper names map constants to their
 declared types. All are immutable slotted classes.
+
+:func:`load_lexicon` reads a line with ``str`` methods, so loading imports no
+``re``. It strips the text before the first ``#`` of blanks (any character
+``str.isspace`` takes) and cuts it at the first ``(``, where one ``)`` must end
+it, or, on a line with no ``(``, at the first ``::``. What comes before must
+split at blanks into a keyword and a name, and a name starts with an ASCII
+letter or ``_`` and goes on with ``_`` and characters ``str.isalnum`` takes,
+in any script. A predicate, relation or proper name outside ASCII is then
+rejected with a message of its own.
 """
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -17,13 +25,8 @@ from ._value import Value, setters
 from .errors import LexiconError
 from .ontology import Ontology, SubsumptionVerdict, TypeName
 
-_ID = r"([A-Za-z_]\w*)"
-# A whole declaration line, comment included: a predicate's name and argument
-# list, a relation's name, domain and range, or a proper name and its type.
-_DECL_RE = re.compile(
-    rf"\s*(?:pred\s+{_ID}\s*\(([^)#]*)\)|rel\s+{_ID}\s*\(\s*{_ID}\s*,\s*{_ID}\s*\)"
-    rf"|name\s+{_ID}\s*::\s*{_ID})\s*(?:#.*)?"
-)
+# The characters a declared name may start with (see _is_name).
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _KEYWORDS = (("pred", "predicate"), ("rel", "relation"), ("name", "name"))
 
 
@@ -177,41 +180,53 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
     relations: dict[str, SalientRelation] = {}
     names: dict[str, NameDecl] = {}
     types = ont.parent
-    declaration = _DECL_RE.fullmatch
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        m = declaration(raw)
-        if m is None:  # blank, a comment or an error
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                kind = next((kind for word, kind in _KEYWORDS if line.startswith(word)), None)
-                what = f"malformed {kind}" if kind else "unrecognized"
-                raise LexiconError(f"{what} declaration '{line}'", lineno)
+        line = raw.partition("#")[0].strip()
+        if not line:  # blank or a comment
             continue
-        pred, args, rel, dom, rng, name, t = m.groups()
-        if pred is not None:
+        head, paren, args = line.partition("(")
+        if paren:  # "pred <name>(<args>)" or "rel <name>(<dom>, <rng>)", one ")" ending the line
+            args, close, after = args.partition(")")
+            ok = close and not after
+        else:  # "name <name> :: <type>"
+            head, ok, t = line.partition("::")
+            t = t.strip()
+        fields = head.split()
+        if not ok or len(fields) != 2:
+            raise _malformed(line, lineno)
+        word, name = fields
+        if not (name.isascii() and name.isidentifier() or _is_name(name)):
+            raise _malformed(line, lineno)
+        if word == "pred" and paren:
             args = [a.strip() for a in args.split(",")]
             if not all(args):
-                raise LexiconError(f"predicate '{pred}' needs at least one argument type", lineno)
-            if pred in types or pred == "and" or not pred.isascii():
-                raise _misnamed("predicate", pred, types, lineno)
-            if pred in signatures:
-                raise LexiconError(f"duplicate predicate '{pred}'", lineno)
-            if pred in relations:
-                raise LexiconError(f"predicate '{pred}' clashes with a relation", lineno)
+                raise LexiconError(f"predicate '{name}' needs at least one argument type", lineno)
+            if name in types or name == "and" or not name.isascii():
+                raise _misnamed("predicate", name, types, lineno)
+            if name in signatures:
+                raise LexiconError(f"duplicate predicate '{name}'", lineno)
+            if name in relations:
+                raise LexiconError(f"predicate '{name}' clashes with a relation", lineno)
             for a in args:
                 if a not in types:
                     raise LexiconError(f"unknown type '{a}'", lineno)
-            signatures[pred] = PredicateSignature(pred, tuple(args))
-        elif rel is not None:
-            if rel in types or rel == "and" or not rel.isascii():
-                raise _misnamed("relation", rel, types, lineno)
-            if rel in relations:
-                raise LexiconError(f"duplicate relation '{rel}'", lineno)
-            if rel in signatures:
-                raise LexiconError(f"relation '{rel}' clashes with a predicate", lineno)
+            signatures[name] = PredicateSignature(name, tuple(args))
+        elif word == "rel" and paren:
+            dom, comma, rng = args.partition(",")
+            dom, rng = dom.strip(), rng.strip()
+            if not (comma and (dom in types or _is_name(dom)) and (rng in types or _is_name(rng))):
+                raise _malformed(line, lineno)
+            if name in types or name == "and" or not name.isascii():
+                raise _misnamed("relation", name, types, lineno)
+            if name in relations:
+                raise LexiconError(f"duplicate relation '{name}'", lineno)
+            if name in signatures:
+                raise LexiconError(f"relation '{name}' clashes with a predicate", lineno)
             if dom not in types or rng not in types:
                 raise LexiconError(f"unknown type '{rng if dom in types else dom}'", lineno)
-            relations[rel] = SalientRelation(rel, dom, rng, priority=len(relations))
+            relations[name] = SalientRelation(name, dom, rng, priority=len(relations))
+        elif word != "name" or paren or t not in types and not _is_name(t):
+            raise _malformed(line, lineno)
         elif not (name.isascii() and name[0].isupper()):
             raise LexiconError(f"name '{name}' must be a capitalized ASCII identifier", lineno)
         elif name in names:
@@ -221,6 +236,18 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
         else:
             names[name] = NameDecl(name, t)
     return Lexicon(signatures, tuple(relations.values()), names)
+
+
+def _is_name(name: str) -> bool:
+    """Whether ``name`` may be declared: an ASCII letter or underscore, then
+    letters, digits or numerals of any script or underscores."""
+    return name[:1] in _NAME_START and name.replace("_", "a").isalnum()
+
+
+def _malformed(line: str, lineno: int) -> LexiconError:
+    """The error for a line that is no declaration, named by the keyword it starts with."""
+    kind = next((kind for word, kind in _KEYWORDS if line.startswith(word)), None)
+    return LexiconError(f"{f'malformed {kind}' if kind else 'unrecognized'} declaration '{line}'", lineno)
 
 
 def _misnamed(kind: str, name: str, types: Mapping[TypeName, object], lineno: int) -> LexiconError:

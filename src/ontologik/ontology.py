@@ -15,10 +15,14 @@ subtree, and its depth. A subtree is then one contiguous pre-order range, so
 comparison reads each name's label once; an unknown name raises
 :class:`UnknownTypeError` for the first in argument order. An ``Ontology``
 is an immutable slotted class.
+
+:func:`load_ontology` reads a line with ``str`` methods, so loading imports no
+``re``: the text before the first ``#``, split at blanks (any character
+``str.isspace`` takes), declares a type when its fields are ``type <name>`` or
+``type <name> isa <parent>`` and each name is a lowercase ASCII identifier.
 """
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from collections.abc import Mapping
 from enum import Enum, auto
@@ -29,9 +33,6 @@ from .errors import OntologyError, UnknownTypeError
 
 # Type names are plain lowercase identifiers.
 TypeName = str
-
-# A whole declaration line, comment included; the names it captures are valid.
-_DECL_RE = re.compile(r"\s*type\s+([a-z_][a-z0-9_]*)(?:\s+isa\s+([a-z_][a-z0-9_]*))?\s*(?:#.*)?")
 
 
 class SubsumptionVerdict(Enum):
@@ -187,16 +188,23 @@ def load_ontology(source: str) -> Ontology:
     parent: dict[TypeName, TypeName | None] = {}
     root: TypeName | None = None
     lines = source.splitlines()
-    declaration = _DECL_RE.fullmatch
     for lineno, raw in enumerate(lines, start=1):
-        m = declaration(raw)
-        if m is None:  # blank, a comment or an error
-            _reject(raw, lineno)
+        fields = raw.partition("#")[0].split()
+        if len(fields) == 4 and fields[2] == "isa":
+            name, up = fields[1], fields[3]
+        elif len(fields) == 2:
+            name, up = fields[1], None
+        else:  # blank, a comment or an error
+            if fields:
+                _reject(raw, fields, lineno)
             continue
-        name, up = m.groups()
+        # a type name is a lowercase ASCII identifier; a declared parent is one
+        if fields[0] != "type" or not (name.isidentifier() and name.isascii() and name.lower() == name):
+            _reject(raw, fields, lineno)
         if up in parent and name not in parent:
             parent[name] = up
         elif up is not None and up not in parent:
+            _reject(raw, fields, lineno)  # unless the parent is a name
             raise OntologyError(f"unknown parent '{up}' for '{name}'", lineno)
         elif name in parent:
             # Re-declaration. An edge back into the declared subtree would
@@ -217,19 +225,17 @@ def load_ontology(source: str) -> Ontology:
     return Ontology(root=root, parent=parent)
 
 
-def _reject(raw: str, lineno: int):
-    """Raise the error for a line the declaration pattern rejects, unless it
-    holds only whitespace or a comment."""
-    line = raw.split("#", 1)[0].strip()
-    if not line:
-        return
-    fields = line.split()
+def _reject(raw: str, fields: list[str], lineno: int):
+    """Raise the error for a line that declares no type, given the fields of
+    its text before any comment; return if it declares one."""
+    line = raw.partition("#")[0].strip()
     if fields[0] != "type":
         raise OntologyError(f"expected a 'type' declaration, got '{line}'", lineno)
     if len(fields) == 2 or (len(fields) == 4 and fields[2] == "isa"):
-        # a field holds no blank or "#", so it is a name if "type <field>" declares a root
-        bad = next(name for name in fields[1::2] if not _DECL_RE.fullmatch(f"type {name}"))
-        raise OntologyError(f"bad type name '{bad}': lowercase identifier required", lineno)
+        for name in fields[1::2]:
+            if not (name.isidentifier() and name.isascii() and name.lower() == name):
+                raise OntologyError(f"bad type name '{name}': lowercase identifier required", lineno)
+        return
     raise OntologyError(f"malformed declaration '{line}'", lineno)
 
 

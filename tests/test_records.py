@@ -197,27 +197,39 @@ def test_the_repr_of_a_long_prefix_takes_no_frame_per_binder():
 # Run in a fresh interpreter without site-packages, as the command line
 # starts: what the package imports is then all that is loaded. The star
 # import loads every module of the package.
+# The resource text comes on stdin and json is imported last, because json
+# imports re.
 HYGIENE_CHILD = """\
-import json, sys
+import sys
 heavy = ("dataclasses", "inspect", "ast", "typing", "importlib.resources", "tempfile", "shutil")
+ontology, lexicon = sys.stdin.read().split("\\0")
 import ontologik
 after_package = [m for m in heavy if m in sys.modules]
+ontologik.load_lexicon(lexicon, ontologik.load_ontology(ontology))
+after_load = [m for m in (*heavy, "re") if m in sys.modules]
 import ontologik.cli
 after_cli = [m for m in heavy if m in sys.modules]
 from ontologik import *
 modules = sorted(m for m in sys.modules if m.split(".")[0] == "ontologik")
-print(json.dumps([after_package, after_cli, [m for m in heavy if m in sys.modules], modules]))
+import json
+print(json.dumps([after_package, after_load, after_cli, [m for m in heavy if m in sys.modules], modules]))
 """
 
 
 def test_importing_the_package_loads_no_dataclasses_or_typing():
+    # nor does loading the shipped resources load re; the command line does,
+    # through argparse and pathlib
+    from ontologik.fixtures import lexicon_path, ontology_path
+
+    resources = ontology_path().read_text() + "\0" + lexicon_path().read_text()
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-S", "-c", HYGIENE_CHILD],
-        capture_output=True, text=True, env=env, check=True, timeout=60,
+        input=resources, capture_output=True, text=True, env=env, check=True, timeout=60,
     )
-    after_package, after_cli, after_star, modules = json.loads(done.stdout)
+    after_package, after_load, after_cli, after_star, modules = json.loads(done.stdout)
     assert after_package == []
+    assert after_load == []
     assert after_cli == []
     assert after_star == []
     assert {"ontologik." + module for module in SURFACE} <= set(modules)
