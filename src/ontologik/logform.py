@@ -510,13 +510,20 @@ def _key(form: Form, level: dict[str, int], bound: int, depth: int) -> str:
         return f"{form.pred!r}({', '.join(f'#{level[x]}' if x in level else repr(x) for x in form.args)})"
     depth = deeper(depth)
     if isinstance(form, Quant):
-        text, level = "", dict(level)
+        text, shadowed = "", []
         while isinstance(form, Quant):  # a whole prefix, without recursion
             if not isinstance(form.kind, QuantKind):
                 raise CanonicalizationError(f"not a form: {form!r}")
             text += f"({form.kind._value_})" if form.vtype is None else f"({form.kind._value_} :: {form.vtype!r})"
+            shadowed.append((form.var, level.get(form.var)))
             level[form.var], bound, form = bound, bound + 1, form.body
-        return f"{text}({_key(form, level, bound, depth)})"
+        text = f"{text}({_key(form, level, bound, depth)})"
+        for var, was in reversed(shadowed):  # an API-built prefix may bind a name twice
+            if was is None:
+                del level[var]
+            else:
+                level[var] = was
+        return text
     if isinstance(form, And) and form.items:
         return "(and " + " ".join(sorted([_key(i, level, bound, depth) for i in form.items])) + ")"
     if isinstance(form, Implies):
