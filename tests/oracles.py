@@ -1316,6 +1316,27 @@ def enumerate_forms(binders: int = 2, atoms: int = 2, connectives: int = 1) -> l
             for f in exactly(0, b, a, c)]
 
 
+def adjacent_swaps(form: Form) -> list[Form]:
+    """Every form that ``form`` becomes when two adjacent binders, both
+    ``E`` or both ``A``, trade places, wherever they stand. Such binders
+    commute: a restriction is a type name, so it mentions no variable."""
+    out: list[Form] = []
+    if isinstance(form, Quant):
+        inner = form.body
+        if isinstance(inner, Quant) and inner.kind is form.kind is not QuantKind.EXISTS_UNIQUE:
+            out.append(Quant(inner.kind, inner.var, inner.vtype, Quant(form.kind, form.var, form.vtype, inner.body)))
+        out += [Quant(form.kind, form.var, form.vtype, body) for body in adjacent_swaps(inner)]
+    elif isinstance(form, Not):
+        out += [Not(item) for item in adjacent_swaps(form.item)]
+    elif isinstance(form, Implies):
+        out += [Implies(a, form.consequent) for a in adjacent_swaps(form.antecedent)]
+        out += [Implies(form.antecedent, c) for c in adjacent_swaps(form.consequent)]
+    elif isinstance(form, And):
+        for i, item in enumerate(form.items):
+            out += [And((*form.items[:i], swapped, *form.items[i + 1 :])) for swapped in adjacent_swaps(item)]
+    return out
+
+
 # ----------------------------------------------------------------------
 # finite-model oracle: brute-force truth of a form
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ from ontologik.logform import MAX_NESTING
 from oracles import (
     ENUM_LEXICON,
     Model,
+    adjacent_swaps,
     analysis_outcome,
     ancestor_chain,
     bench_conjunction,
@@ -742,6 +743,56 @@ def test_analyze_matches_its_frozen_reference_on_every_small_form(ont):
     assert seen["ok"] + seen["TypeCheckError"] == len(forms)
     # a bridged binder under each kind, and under a negation or an implication
     assert min(seen[k] for k in (*QuantKind, "Not", "Implies", "And")) >= 100, seen
+
+
+def test_every_small_form_raises_only_an_ontologik_error(ont):
+    # ROADMAP item 6 on item 10's forms: any other exception fails the test.
+    lex = load_lexicon(ENUM_LEXICON, ont)
+    calls = (
+        pretty, atoms, lambda f: canonicalize(f, ont, lex), lambda f: analyze(f, ont, lex),
+        lambda f: alpha_equal(f, f),
+    )
+    for form in enumerate_forms(binders=2, atoms=2, connectives=1):
+        for call in calls:
+            try:
+                call(form)
+            except OntologikError:
+                pass
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="a typed form can gain a bridge when analysed again (ROADMAP item 8)"
+)
+def test_every_small_typed_form_is_a_fixed_point_of_analysis(ont):
+    # The shortest counterexample: (E x0)(EATING(x0, x0)) types to a form
+    # that gains (E x03 :: food) on a second pass.
+    lex = load_lexicon(ENUM_LEXICON, ont)
+    moved = []
+    for form in enumerate_forms(binders=2, atoms=2, connectives=1):
+        try:
+            got = analyze(form, ont, lex)
+        except TypeCheckError:
+            continue
+        again = analysis_outcome(analyze, got.form, ont, lex)
+        if again[0] != "ok" or again[2] != got.text or again[4]:
+            moved.append(pretty(form))
+    assert moved == [], (len(moved), min(moved, key=len))
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="alpha_equal keeps the order of binders that commute (ROADMAP item 11)"
+)
+def test_swapping_adjacent_binders_of_one_kind_keeps_small_forms_alpha_equal(ont):
+    # The shortest counterexample: (A x0)(A x1)(red(x0)) against its swap.
+    lex = load_lexicon(ENUM_LEXICON, ont)
+    swaps, apart = 0, []
+    for form in enumerate_forms(binders=2, atoms=2, connectives=1):
+        for swapped in adjacent_swaps(form):
+            swaps += 1
+            if not alpha_equal(canonicalize(form, ont, lex), canonicalize(swapped, ont, lex)):
+                apart.append(pretty(form))
+    assert swaps == 1840
+    assert apart == [], (len(apart), min(apart, key=len))
 
 
 # -- ROADMAP item 1: a bridge must keep the quantifier's domain ----------
