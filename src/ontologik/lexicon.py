@@ -239,7 +239,7 @@ def load_lexicon(source: str, ont: Ontology) -> Lexicon:
 
 
 def _is_name(name: str) -> bool:
-    """Whether ``name`` may be declared: an ASCII letter or underscore, then
+    """Whether ``name`` reads as one name: an ASCII letter or underscore, then
     letters, digits or numerals of any script or underscores."""
     return name[:1] in _NAME_START and name.replace("_", "a").isalnum()
 

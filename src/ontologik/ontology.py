@@ -204,7 +204,7 @@ def load_ontology(source: str) -> Ontology:
         if up in parent and name not in parent:
             parent[name] = up
         elif up is not None and up not in parent:
-            _reject(raw, fields, lineno)  # unless the parent is a name
+            _reject(raw, fields, lineno)  # a parent that is no type name is reported so
             raise OntologyError(f"unknown parent '{up}' for '{name}'", lineno)
         elif name in parent:
             # Re-declaration. An edge back into the declared subtree would
