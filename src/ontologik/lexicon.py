@@ -8,13 +8,10 @@ the far side of each relation it reads; proper names map constants to their
 declared types. All are immutable slotted classes.
 
 :func:`load_lexicon` reads a line with ``str`` methods, so loading imports no
-``re``. It strips the text before the first ``#`` of blanks (any character
-``str.isspace`` takes) and cuts it at the first ``(``, where one ``)`` must end
-it, or, on a line with no ``(``, at the first ``::``. What comes before must
-split at blanks into a keyword and a name, and a name starts with an ASCII
-letter or ``_`` and goes on with ``_`` and characters ``str.isalnum`` takes,
-in any script. A predicate, relation or proper name outside ASCII is then
-rejected with a message of its own.
+``re``: it cuts the text before the first ``#`` at the first ``(``, which one
+``)`` closes at the line's end, or else at ``::``, and what comes before must
+split at blanks (``str.isspace``) into a keyword and a name. A name is an ASCII
+letter or ``_`` and then ``_`` or characters ``str.isalnum`` takes, in any script.
 """
 from __future__ import annotations
 
