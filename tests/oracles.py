@@ -1337,6 +1337,29 @@ def adjacent_swaps(form: Form) -> list[Form]:
     return out
 
 
+def renamed_apart(form: Form, rng: random.Random, env: dict[str, str] | None = None,
+                  used: set[str] | None = None) -> Form:
+    """``form`` with each binder's variable renamed to a random ``v<n>`` that
+    no other binder takes (``used``); ``env`` maps each name in scope to its
+    new name, and a free name stays as it is."""
+    env = {} if env is None else env
+    used = set() if used is None else used
+    match form:
+        case Atom(pred, args):
+            return Atom(pred, tuple(env.get(arg, arg) for arg in args))
+        case And(items):
+            return And(tuple(renamed_apart(item, rng, env, used) for item in items))
+        case Not(item):
+            return Not(renamed_apart(item, rng, env, used))
+        case Implies(antecedent, consequent):
+            return Implies(renamed_apart(antecedent, rng, env, used), renamed_apart(consequent, rng, env, used))
+        case Quant(kind, var, vtype, body):
+            while (fresh := f"v{rng.randrange(1_000_000)}") in used:
+                pass
+            used.add(fresh)
+            return Quant(kind, fresh, vtype, renamed_apart(body, rng, {**env, var: fresh}, used))
+
+
 # ----------------------------------------------------------------------
 # finite-model oracle: brute-force truth of a form
 # ----------------------------------------------------------------------

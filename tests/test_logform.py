@@ -36,6 +36,7 @@ from oracles import (
     random_model,
     reference_canonicalize,
     reference_parse_lf,
+    renamed_apart,
 )
 
 K = QuantKind
@@ -824,25 +825,6 @@ def test_alpha_equal_forms_of_different_shapes_differ():
             assert alpha_equal(a, b) is (a is b)
 
 
-def _renamed_apart(form, rng, env, used):
-    # ``form`` with each binder's variable renamed to a random v<n> that no
-    # other binder takes; ``env`` maps each name in scope to its new name
-    match form:
-        case Atom(pred, args):
-            return Atom(pred, tuple(env.get(arg, arg) for arg in args))
-        case And(items):
-            return And(tuple(_renamed_apart(item, rng, env, used) for item in items))
-        case Not(item):
-            return Not(_renamed_apart(item, rng, env, used))
-        case Implies(antecedent, consequent):
-            return Implies(_renamed_apart(antecedent, rng, env, used), _renamed_apart(consequent, rng, env, used))
-        case Quant(kind, var, vtype, body):
-            while (fresh := f"v{rng.randrange(1_000_000)}") in used:
-                pass
-            used.add(fresh)
-            return Quant(kind, fresh, vtype, _renamed_apart(body, rng, {**env, var: fresh}, used))
-
-
 def test_alpha_equal_on_random_forms_is_reflexive(ont, lex):
     # and blind to bound names, also after canonicalization, which sorts
     # conjuncts by printed text, bound names included
@@ -850,12 +832,12 @@ def test_alpha_equal_on_random_forms_is_reflexive(ont, lex):
     for _ in range(100):
         form = random_form(rng, max_depth=5)
         assert alpha_equal(form, form)
-        assert alpha_equal(form, _renamed_apart(form, rng, {}, set()))
+        assert alpha_equal(form, renamed_apart(form, rng))
     k = canonical = 0
     while canonical < 10_000:
         k += 1
         form = random_form(rng, max_depth=6) if k % 2 else random_liftable_form(rng)
-        renamed = _renamed_apart(form, rng, {}, set())
+        renamed = renamed_apart(form, rng)
         try:
             cf = canonicalize(form, ont, lex)
         except CanonicalizationError:
@@ -905,11 +887,11 @@ def _variant(form, rng):
     nodes = _nodes(form)
     roll = rng.randrange(7)
     if roll == 0:
-        return _renamed_apart(form, rng, {}, set())
+        return renamed_apart(form, rng)
     if roll == 1:
         return _shuffled(form, rng)
     if roll == 2 and (pairs := [n for n in nodes if isinstance(n, Quant) and isinstance(n.body, Quant)]):
-        return _renamed_apart(_edited(form, rng.choice(pairs), _swap_binders), rng, {}, set())
+        return renamed_apart(_edited(form, rng.choice(pairs), _swap_binders), rng)
     if roll == 3 and (binary := [n for n in nodes if isinstance(n, Atom) and len(n.args) == 2]):
         return _shuffled(_edited(form, rng.choice(binary), lambda a: Atom(a.pred, a.args[::-1])), rng)
     if roll == 4 and (implications := [n for n in nodes if isinstance(n, Implies)]):

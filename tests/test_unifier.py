@@ -9,6 +9,7 @@ from ontologik import (
     Coerced,
     Failed,
     Implies,
+    LFSyntaxError,
     Lexicon,
     LexiconError,
     NestingError,
@@ -54,6 +55,7 @@ from oracles import (
     random_relations,
     random_tree,
     reference_analyze,
+    renamed_apart,
     tree_source,
 )
 
@@ -725,22 +727,28 @@ def test_analyze_matches_its_frozen_reference_on_the_benchmark_shapes(ont, lex):
         assert expected[0] == "ok" and expected[4]
 
 
-def test_analyze_matches_its_frozen_reference_on_every_small_form(ont):
+@pytest.fixture(scope="module")
+def small_forms(ont):
     # Small-scope enumeration (ROADMAP item 10): every form with at most two
     # binders, two atoms and one connective, over a vocabulary with one
-    # bridge, so a coercible binder stands under every kind, ! and ->.
+    # bridge, so a coercible binder stands under every kind, ! and ->. Each
+    # comes with analysis_outcome(analyze, ...), which the tests below share.
     lex = load_lexicon(ENUM_LEXICON, ont)
-    forms = enumerate_forms(binders=2, atoms=2, connectives=1)
-    assert len(forms) == 15_816
+    return lex, [(form, analysis_outcome(analyze, form, ont, lex)) for form in enumerate_forms(2, 2, 1)]
+
+
+def test_analyze_matches_its_frozen_reference_on_every_small_form(ont, small_forms):
+    lex, analysed = small_forms
+    assert len(analysed) == 15_816
     seen = Counter()
-    for form in forms:
+    for form, got in analysed:
         expected = analysis_outcome(reference_analyze, form, ont, lex)
-        assert analysis_outcome(analyze, form, ont, lex) == expected, repr(form)
+        assert got == expected, repr(form)
         if expected[0] == "ok" and expected[4]:
             outer = form.kind if isinstance(form, Quant) else type(form).__name__
             seen[outer] += 1
         seen[expected[0]] += 1
-    assert seen["ok"] + seen["TypeCheckError"] == len(forms)
+    assert seen["ok"] + seen["TypeCheckError"] == len(analysed)
     # a bridged binder under each kind, and under a negation or an implication
     assert min(seen[k] for k in (*QuantKind, "Not", "Implies", "And")) >= 100, seen
 
@@ -763,18 +771,16 @@ def test_every_small_form_raises_only_an_ontologik_error(ont):
 @pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="a typed form can gain a bridge when analysed again (ROADMAP item 8)"
 )
-def test_every_small_typed_form_is_a_fixed_point_of_analysis(ont):
+def test_every_small_typed_form_is_a_fixed_point_of_analysis(ont, small_forms):
     # The shortest counterexample: (E x0)(EATING(x0, x0)) types to a form
     # that gains (E x03 :: food) on a second pass.
-    lex = load_lexicon(ENUM_LEXICON, ont)
+    lex, analysed = small_forms
     moved = []
-    for form in enumerate_forms(binders=2, atoms=2, connectives=1):
-        try:
-            got = analyze(form, ont, lex)
-        except TypeCheckError:
+    for form, got in analysed:
+        if got[0] != "ok":
             continue
-        again = analysis_outcome(analyze, got.form, ont, lex)
-        if again[0] != "ok" or again[2] != got.text or again[4]:
+        again = analysis_outcome(analyze, got[1], ont, lex)
+        if again[0] != "ok" or again[2] != got[2] or again[4]:
             moved.append(pretty(form))
     assert moved == [], (len(moved), min(moved, key=len))
 
@@ -793,6 +799,48 @@ def test_swapping_adjacent_binders_of_one_kind_keeps_small_forms_alpha_equal(ont
                 apart.append(pretty(form))
     assert swaps == 1840
     assert apart == [], (len(apart), min(apart, key=len))
+
+
+def test_every_small_canonical_and_typed_form_parses_back_from_its_text(ont, small_forms):
+    # ROADMAP item 12 on item 10's forms, where no binder shadows another:
+    # parse_lf reads back what pretty prints, for each canonical form and
+    # each typed form.
+    lex, analysed = small_forms
+    typed = 0
+    for form, got in analysed:
+        cf = canonicalize(form, ont, lex)
+        assert parse_lf(pretty(cf)) == cf, repr(form)
+        if got[0] == "ok":
+            assert parse_lf(got[2]) == got[1], repr(form)
+            typed += 1
+    assert typed == 11_325
+
+
+@pytest.mark.xfail(
+    strict=True, raises=LFSyntaxError, reason="a typed form whose binder shadows another does not parse back (ROADMAP item 12)"
+)
+def test_a_typed_form_with_a_shadowing_binder_parses_back_from_its_text(ont, lex):
+    # README's API-built case: it types to (A v0 :: entity)(E v0 :: beer)(black(v0)),
+    # which parse_lf rejects at position 19.
+    form = Quant(QuantKind.FORALL, "v0", "entity", Quant(QuantKind.EXISTS, "v0", "beer", Atom("black", ("v0",))))
+    got = analyze(form, ont, lex)
+    assert parse_lf(got.text) == got.form
+
+
+def test_renaming_small_forms_apart_keeps_their_analysis(ont, small_forms):
+    # ROADMAP item 9's renaming case on item 10's forms: with every bound
+    # variable renamed apart, a form fails with the same error class, or
+    # types to a form alpha_equal to the original's, with as many glosses.
+    lex, analysed = small_forms
+    rng = random.Random(2301)
+    typed = 0
+    for form, want in analysed:
+        got = analysis_outcome(analyze, renamed_apart(form, rng), ont, lex)
+        assert got[0] == want[0], (repr(form), got)
+        if want[0] == "ok":
+            assert alpha_equal(got[1], want[1]) and len(got[4]) == len(want[4]), repr(form)
+            typed += 1
+    assert typed == 11_325
 
 
 # -- ROADMAP item 1: a bridge must keep the quantifier's domain ----------
