@@ -15,7 +15,6 @@ letter or ``_`` and then ``_`` or characters ``str.isalnum`` takes, in any scrip
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from types import MappingProxyType
 
 from ._value import Value, setters
@@ -75,8 +74,8 @@ class Lexicon(Value):
     __slots__ = (*__match_args__, "arg_types", "_by_domain", "_by_range")
 
     def __init__(
-        self, signatures: Mapping[str, PredicateSignature] | None = None,
-        relations: tuple[SalientRelation, ...] = (), names: Mapping[str, NameDecl] | None = None,
+        self, signatures: dict[str, PredicateSignature] | None = None,
+        relations: tuple[SalientRelation, ...] = (), names: dict[str, NameDecl] | None = None,
     ):
         signatures = dict(signatures or {})
         _lex_signatures(self, MappingProxyType(signatures))
@@ -247,7 +246,7 @@ def _malformed(line: str, lineno: int) -> LexiconError:
     return LexiconError(f"{f'malformed {kind}' if kind else 'unrecognized'} declaration '{line}'", lineno)
 
 
-def _misnamed(kind: str, name: str, types: Mapping[TypeName, object], lineno: int) -> LexiconError:
+def _misnamed(kind: str, name: str, types: MappingProxyType[TypeName, object], lineno: int) -> LexiconError:
     """The error for a predicate or relation name that no LF text can use."""
     if not name.isascii():
         return LexiconError(f"{kind} '{name}' must be an ASCII identifier", lineno)

@@ -23,9 +23,6 @@ is an immutable slotted class.
 """
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Mapping
-from enum import Enum, auto
 from types import MappingProxyType
 
 from ._value import Value, setters
@@ -35,13 +32,30 @@ from .errors import OntologyError, UnknownTypeError
 TypeName = str
 
 
-class SubsumptionVerdict(Enum):
-    """Outcome of comparing two types under subsumption."""
+class SubsumptionVerdict:
+    """Outcome of comparing two types under subsumption: one of the four
+    members, each made once at import. A member is immutable, compares and
+    hashes by identity and pickles to itself; no ``Enum`` stands behind it."""
 
-    EQUAL = auto()
-    FIRST_SUBSUMES_SECOND = auto()
-    SECOND_SUBSUMES_FIRST = auto()
-    INCOMPARABLE = auto()
+    __slots__ = ("name",)
+    __setattr__ = __delattr__ = Value.__setattr__
+    # the members, one per annotated name, made below
+    EQUAL: SubsumptionVerdict
+    FIRST_SUBSUMES_SECOND: SubsumptionVerdict
+    SECOND_SUBSUMES_FIRST: SubsumptionVerdict
+    INCOMPARABLE: SubsumptionVerdict
+
+    def __repr__(self):
+        return f"SubsumptionVerdict.{self.name}"
+
+    __reduce__ = __repr__  # pickle and copy look the member up by this qualified name
+
+
+[_verdict_name] = setters(SubsumptionVerdict)
+for _name in SubsumptionVerdict.__annotations__:
+    _verdict_name(_verdict := object.__new__(SubsumptionVerdict), _name)
+    setattr(SubsumptionVerdict, _name, _verdict)
+del _name, _verdict
 
 
 class Ontology(Value):
@@ -57,16 +71,16 @@ class Ontology(Value):
     # _pre maps a name to its pre-order number; _order, _last and _depth are indexed by it.
     __slots__ = (*__match_args__, "_pre", "_order", "_last", "_depth")
 
-    def __init__(self, root: TypeName, parent: Mapping[TypeName, TypeName | None]):
+    def __init__(self, root: TypeName, parent: dict[TypeName, TypeName | None]):
         parent = dict(parent)
         _ont_root(self, root)
         _ont_parent(self, MappingProxyType(parent))
         if parent.get(root, root) is not None:
             raise OntologyError(f"root '{root}' is not a parentless type")
-        children: defaultdict[TypeName, list[TypeName]] = defaultdict(list)  # only parents get a list
+        children: dict[TypeName, list[TypeName]] = {}  # only parents get a list
         for name, up in parent.items():
             if up in parent:
-                children[up].append(name)
+                children.setdefault(up, []).append(name)
             elif up is not None:
                 raise OntologyError(f"unknown parent '{up}' for '{name}'")
             elif name != root:

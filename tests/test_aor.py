@@ -5,6 +5,7 @@ import pytest
 from ontologik import (
     Accepted,
     LexiconError,
+    SubsumptionVerdict,
     TypeFailure,
     UnknownTypeError,
     Violation,
@@ -59,6 +60,22 @@ def test_violation_reports_the_outermost_offender(ont, lex):
     # outer red cannot come back down; index 0 is the outer red
     verdict = check_order(ont, lex, ["red", "beautiful", "red"], "car")
     assert verdict == Violation(at_index=0, expected="physical", running="entity")
+
+
+@pytest.mark.parametrize(
+    "adjective, noun, verdict, outcome",
+    [
+        ("red", "physical", SubsumptionVerdict.EQUAL, Accepted(("physical", "physical"))),
+        ("red", "car", SubsumptionVerdict.FIRST_SUBSUMES_SECOND, Accepted(("car", "physical"))),
+        ("red", "entity", SubsumptionVerdict.SECOND_SUBSUMES_FIRST,
+         Violation(at_index=0, expected="physical", running="entity")),
+        ("loud", "omelet", SubsumptionVerdict.INCOMPARABLE, Accepted(("omelet", "person"), coercions=((0, "EATING"),))),
+        ("loud", "car", SubsumptionVerdict.INCOMPARABLE, TypeFailure(at_index=0)),
+    ],
+)
+def test_each_subsumption_verdict_takes_its_branch(ont, lex, adjective, noun, verdict, outcome):
+    assert ont.compare(lex.signatures[adjective].arg_types[0], noun) is verdict
+    assert check_order(ont, lex, [adjective], noun) == outcome
 
 
 def test_unknown_adjective_and_noun_are_loud_errors(ont, lex):

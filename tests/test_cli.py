@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ontologik.cli import Reporter, cmd_unify, main
-from ontologik.fixtures import FIXTURES_ENV, lexicon_path, ontology_path
+from ontologik.fixtures import FIXTURES_ENV, lexicon_path, load_reference, ontology_path
 
 
 def run(capsys, *argv):
@@ -416,6 +416,8 @@ def test_fixture_directory_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(FIXTURES_ENV, str(tmp_path))
     assert ontology_path() == tmp_path / "reference.ont"
     assert lexicon_path() == tmp_path / "reference.lex"
+    ont, lex = load_reference()
+    assert ont.root == "thing" and list(lex.signatures) == ["fancy"]
     code, out, _ = run(capsys, "unify", "widget", "thing")
     assert code == 0
     assert out.strip() == "Unified widget"

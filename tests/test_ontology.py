@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 
@@ -293,9 +294,28 @@ def test_subsumes_reflexive_and_ancestral(ont):
         ("beer", "food", V.INCOMPARABLE),
         ("entity", "raven", V.FIRST_SUBSUMES_SECOND),
     ],
+    ids=str,  # each id names its member: SubsumptionVerdict.EQUAL and so on
 )
 def test_compare_examples(ont, first, second, verdict):
     assert ont.compare(first, second) is verdict
+
+
+def test_a_verdict_is_one_of_four_members_that_keep_their_identity():
+    members = [V.EQUAL, V.FIRST_SUBSUMES_SECOND, V.SECOND_SUBSUMES_FIRST, V.INCOMPARABLE]
+    assert [m.name for m in members] == ["EQUAL", "FIRST_SUBSUMES_SECOND", "SECOND_SUBSUMES_FIRST", "INCOMPARABLE"]
+    assert repr(V.EQUAL) == "SubsumptionVerdict.EQUAL"
+    assert len(set(members)) == 4
+    assert V.EQUAL == V.EQUAL and V.EQUAL != V.INCOMPARABLE
+    for member in members:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+        with pytest.raises(AttributeError):
+            member.name = "EQUAL"
+        with pytest.raises(AttributeError):
+            del member.name
+    # by identity, through object's own comparison and hash
+    assert V.__eq__ is object.__eq__ and V.__hash__ is object.__hash__
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +327,15 @@ def _pairs(rng, nodes, cap=300):
     if len(nodes) * len(nodes) <= cap:
         return [(a, b) for a in nodes for b in nodes]
     return [(rng.choice(nodes), rng.choice(nodes)) for _ in range(cap)]
+
+
+# the member compare returns for each answer of oracle_compare
+ORACLE_VERDICT = {
+    "equal": V.EQUAL,
+    "first": V.FIRST_SUBSUMES_SECOND,
+    "second": V.SECOND_SUBSUMES_FIRST,
+    "incomparable": V.INCOMPARABLE,
+}
 
 
 def test_subsumption_matches_oracle_on_random_trees():
@@ -321,12 +350,7 @@ def test_subsumption_matches_oracle_on_random_trees():
             want = oracle_compare(parent, a, b)
             for ont in (loaded, reversed_ont):
                 assert ont.subsumes(a, b) == oracle_subsumes(parent, a, b)
-                assert (ont.compare(a, b), want) in {
-                    (V.EQUAL, "equal"),
-                    (V.FIRST_SUBSUMES_SECOND, "first"),
-                    (V.SECOND_SUBSUMES_FIRST, "second"),
-                    (V.INCOMPARABLE, "incomparable"),
-                }
+                assert ont.compare(a, b) is ORACLE_VERDICT[want]
 
 
 def test_partial_order_axioms_on_random_trees():

@@ -206,7 +206,7 @@ ontology, lexicon = sys.stdin.read().split("\\0")
 import ontologik
 after_package = [m for m in heavy if m in sys.modules]
 ontologik.load_lexicon(lexicon, ontologik.load_ontology(ontology))
-after_load = [m for m in (*heavy, "re") if m in sys.modules]
+after_load = [m for m in (*heavy, "re", "enum", "functools", "collections") if m in sys.modules]
 import ontologik.cli
 after_cli = [m for m in heavy if m in sys.modules]
 from ontologik import *
@@ -217,8 +217,8 @@ print(json.dumps([after_package, after_load, after_cli, [m for m in heavy if m i
 
 
 def test_importing_the_package_loads_no_dataclasses_or_typing():
-    # nor does loading the shipped resources load re; the command line does,
-    # through argparse and pathlib
+    # nor does loading the shipped resources load re, enum, functools or
+    # collections; the command line loads re, through argparse and pathlib
     from ontologik.fixtures import lexicon_path, ontology_path
 
     resources = ontology_path().read_text() + "\0" + lexicon_path().read_text()
@@ -233,6 +233,28 @@ def test_importing_the_package_loads_no_dataclasses_or_typing():
     assert after_cli == []
     assert after_star == []
     assert {"ontologik." + module for module in SURFACE} <= set(modules)
+
+
+FIXTURES_CHILD = """\
+import sys
+from ontologik.fixtures import load_reference
+ont, lex = load_reference()
+print(len(ont), len(lex.signatures), *[m for m in ("pathlib", "re", "enum", "collections") if m in sys.modules])
+"""
+
+
+def test_loading_the_reference_fixtures_loads_no_pathlib_or_re():
+    # load_reference finds the shipped files by os.path; only the path
+    # functions import pathlib, which imports re
+    from ontologik.fixtures import FIXTURES_ENV, load_reference
+
+    env = {key: value for key, value in os.environ.items() if key != FIXTURES_ENV}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", FIXTURES_CHILD], capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    ont, lex = load_reference()
+    assert done.stdout.split() == [str(len(ont)), str(len(lex.signatures))]
 
 
 # ----------------------------------------------------------------------
