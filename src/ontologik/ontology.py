@@ -39,21 +39,21 @@ class SubsumptionVerdict:
 
     __slots__ = ("name",)
     __setattr__ = __delattr__ = Value.__setattr__
-    # the members, one per annotated name, made below
     EQUAL: SubsumptionVerdict
     FIRST_SUBSUMES_SECOND: SubsumptionVerdict
     SECOND_SUBSUMES_FIRST: SubsumptionVerdict
     INCOMPARABLE: SubsumptionVerdict
 
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("SubsumptionVerdict has only its four members")
+
     def __repr__(self):
         return f"SubsumptionVerdict.{self.name}"
-
     __reduce__ = __repr__  # pickle and copy look the member up by this qualified name
 
 
-[_verdict_name] = setters(SubsumptionVerdict)
-for _name in SubsumptionVerdict.__annotations__:
-    _verdict_name(_verdict := object.__new__(SubsumptionVerdict), _name)
+for _name in SubsumptionVerdict.__annotations__:  # the annotated names are the members
+    object.__setattr__(_verdict := object.__new__(SubsumptionVerdict), "name", _name)
     setattr(SubsumptionVerdict, _name, _verdict)
 del _name, _verdict
 

@@ -306,6 +306,9 @@ def test_a_verdict_is_one_of_four_members_that_keep_their_identity():
     assert repr(V.EQUAL) == "SubsumptionVerdict.EQUAL"
     assert len(set(members)) == 4
     assert V.EQUAL == V.EQUAL and V.EQUAL != V.INCOMPARABLE
+    for args in ((), ("EQUAL",), (1,)):
+        with pytest.raises(TypeError, match="has only its four members"):
+            V(*args)
     for member in members:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(member, protocol)) is member
