@@ -31,8 +31,8 @@ is read, and every later read finds the module bound in the package.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from . import fixtures
 from .errors import LexiconError, OntologikError, OntologyError, TypeCheckError
@@ -145,19 +145,12 @@ def _attempt(command: str, compute, failure: str = "parse_error"):
 # ----------------------------------------------------------------------
 
 
-def _read(path: Path, error: type[OntologikError]) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise error(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
-
-
 def _load_session(args: argparse.Namespace) -> tuple[Ontology, Lexicon]:
-    ontology_path = Path(getattr(args, "ontology", None) or fixtures.ontology_path())
-    lexicon_path = Path(getattr(args, "lexicon", None) or fixtures.lexicon_path())
-    ont = load_ontology(_read(ontology_path, OntologyError))
-    lex = load_lexicon(_read(lexicon_path, LexiconError), ont)
-    return ont, lex
+    where = fixtures._fixture_dir()
+    ontology_path = getattr(args, "ontology", None) or os.path.join(where, fixtures.ONTOLOGY_FILE)
+    lexicon_path = getattr(args, "lexicon", None) or os.path.join(where, fixtures.LEXICON_FILE)
+    ont = load_ontology(fixtures._read(ontology_path, OntologyError))
+    return ont, load_lexicon(fixtures._read(lexicon_path, LexiconError), ont)
 
 
 def _read_form(text: str, ont: Ontology, lex: Lexicon):

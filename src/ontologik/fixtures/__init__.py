@@ -3,12 +3,15 @@
 The CLI and the test suite load these by default. Setting the environment
 variable ``ONTOLOGIK_FIXTURES`` to a directory containing ``reference.ont``
 and ``reference.lex`` redirects every default lookup there. The paths are
-``pathlib.Path``s; :func:`load_reference` imports no ``pathlib`` (nor its ``re``).
+``pathlib.Path``s. :func:`load_reference` and the CLI find the files with
+``os.path`` and read them as UTF-8 through :func:`_read`, so neither imports
+``pathlib`` (nor its ``re``).
 """
 from __future__ import annotations
 
 import os
 
+from ..errors import LexiconError, OntologikError, OntologyError
 from ..lexicon import Lexicon, load_lexicon
 from ..ontology import Ontology, load_ontology
 
@@ -35,11 +38,14 @@ def lexicon_path() -> Path:
     return fixture_dir() / LEXICON_FILE
 
 
-def _read(name: str) -> str:
-    with open(os.path.join(_fixture_dir(), name)) as file:  # the default encoding, as Path.read_text
-        return file.read()
+def _read(path: str, error: type[OntologikError]) -> str:
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
 
 
 def load_reference() -> tuple[Ontology, Lexicon]:
-    ont = load_ontology(_read(ONTOLOGY_FILE))
-    return ont, load_lexicon(_read(LEXICON_FILE), ont)
+    ont = load_ontology(_read(os.path.join(_fixture_dir(), ONTOLOGY_FILE), OntologyError))
+    return ont, load_lexicon(_read(os.path.join(_fixture_dir(), LEXICON_FILE), LexiconError), ont)

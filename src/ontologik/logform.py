@@ -11,9 +11,10 @@ The tokens are ``::``, ``->``, each of ``( ) ! ,`` and ASCII identifiers
 (a letter or ``_``, then letters, digits and ``_``). Whitespace separates
 tokens and is otherwise ignored, so ``E!`` may also be written ``E !``; the
 first character that starts no token is the error. ``str.split`` cuts the
-text once each punctuation token is spaced out; it and regular expressions
-agree on what is whitespace, so if every other piece is an ASCII identifier
-these are the tokens, and else a regular expression finds the stray character.
+text once each punctuation token is spaced out. If every other piece is an
+ASCII identifier, these are the tokens; else the first piece that is not
+holds the stray character, first or after a leading identifier. Only
+whitespace lies between pieces, so an offset seeks each from the end of the last.
 
 Quantifier kinds are ``E`` (exists), ``E!`` (exists unique) and ``A`` (all);
 an optional ``:: type`` after the bound variable restricts it. Atom arguments
@@ -41,7 +42,6 @@ forms equal up to renaming compare equal. The node classes come from
 """
 from __future__ import annotations
 
-import re
 from collections.abc import Iterator
 
 from .errors import CanonicalizationError, LFSyntaxError, NestingError
@@ -88,32 +88,30 @@ def conj(items: list[Form] | tuple[Form, ...]) -> Form:
 # parsing
 # ----------------------------------------------------------------------
 
-# _TOKEN_RE takes a stray character with the rest of the text, so only its
-# last match can be one; it is run only to find an error's offset. Every
-# token that is not punctuation is an identifier; None ends the input.
-_TOKEN_RE = re.compile(r"::|->|[()!,]|[A-Za-z_][A-Za-z0-9_]*|\S.*", re.DOTALL)
+# Every token that is not punctuation is an identifier; None ends the input.
 _PUNCT = frozenset(("::", "->", "(", ")", "!", ",", None))
+_WORD = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 _QUANT_KINDS = {"E": QuantKind.EXISTS, "E!": QuantKind.EXISTS_UNIQUE, "A": QuantKind.FORALL}
 
 
 class _Parser:
     # Each method takes the index of its first token and returns what it read
-    # with the index after it. Offsets are found again only for an error: a
-    # match object per token would add about a third to the parse.
+    # with the index after it. Offsets are found only for an error.
     def __init__(self, source: str):
         toks = source.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace("!", " ! ")
         toks = toks.replace("::", " :: ").replace("->", " -> ").split()
-        # str.split cuts at what \s matches, so pieces that are all punctuation or ASCII
-        # identifiers are _TOKEN_RE's tokens; any other piece holds a stray character
-        if not all(tok.isascii() and tok.isidentifier() for tok in set(toks) - _PUNCT):
-            at = len(source) - len(_TOKEN_RE.findall(source)[-1])
-            raise LFSyntaxError(f"unexpected character '{source[at]}'", at)
         # three end sentinels let the parser look three tokens ahead without a bounds check
         self.source, self.toks = source, toks + [None] * 3
+        if stray := [tok for tok in set(toks) - _PUNCT if not (tok.isascii() and tok.isidentifier())]:
+            i = min(map(toks.index, stray))  # the first piece that is no token
+            at = self.at(i) + (0 if toks[i][0].isdigit() else len(toks[i]) - len(toks[i].lstrip(_WORD)))
+            raise LFSyntaxError(f"unexpected character '{source[at]}'", at)
 
     def at(self, i: int) -> int:
-        offs = [m.start() for m in _TOKEN_RE.finditer(self.source)]
-        return offs[i] if i < len(offs) else len(self.source)
+        end = 0
+        for tok in self.toks[:i]:  # only whitespace lies between two pieces
+            end = self.source.find(tok, end) + len(tok)
+        return len(self.source) - len(self.source[end:].lstrip())
 
     def reject(self, i: int, expected: str):
         if self.toks[i] is None:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ontologik.cli import Reporter, cmd_unify, main
+from ontologik.errors import LexiconError, OntologyError
 from ontologik.fixtures import FIXTURES_ENV, lexicon_path, load_reference, ontology_path
 
 
@@ -467,6 +468,23 @@ def test_non_utf8_resource_file_exits_3(capsys, tmp_path):
     assert record["status"] == "load_error"
     assert record["detail"]["error"] == "OntologyError"
     assert str(bad) in record["detail"]["message"]
+
+
+@pytest.mark.parametrize("name, error", [("reference.ont", OntologyError), ("reference.lex", LexiconError)])
+def test_load_reference_names_a_non_utf8_resource_file_as_the_cli_does(capsys, tmp_path, monkeypatch, name, error):
+    for shipped in (ontology_path(), lexicon_path()):
+        (tmp_path / shipped.name).write_bytes(shipped.read_bytes())
+    bad = tmp_path / name
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    monkeypatch.setenv(FIXTURES_ENV, str(tmp_path))
+    with pytest.raises(error) as caught:
+        load_reference()
+    assert type(caught.value) is error
+    assert caught.value.line is None
+    assert str(caught.value).startswith(f"{bad}: not UTF-8 text")
+    code, _, err = run(capsys, "unify", "beer", "entity")
+    assert code == 3
+    assert err == f"error: {caught.value}\n"
 
 
 # ----------------------------------------------------------------------

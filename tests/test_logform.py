@@ -144,6 +144,12 @@ def case(source, message, position, label):
         case("(E x)(loud(x)->)-", "unexpected character '-'", 16, "unexpected character"),
         case("(9x)", "unexpected character '9'", 1, "unexpected character"),
         case("(E x)(loud(x9, 9x))", "unexpected character '9'", 15, "unexpected character"),
+        # one stray character per rule of the reader's offsets, each position from reference_parse_lf
+        case("(E x)(lo:ud(x))", "unexpected character ':'", 8, "unexpected character"),
+        case("(E 1x)(loud(x))", "unexpected character '1'", 3, "unexpected character"),
+        case("(E x :::person)(loud(x))", "unexpected character ':'", 7, "unexpected character"),
+        case("(E x)(loud(x) -red(x))", "unexpected character '-'", 14, "unexpected character"),
+        case("(E x)(loud(x9é))", "unexpected character 'é'", 13, "unexpected character"),
         case("(E x)(loud(x)) ->", "trailing input '->'", 15, "trailing input"),
         case("(E x)(loud(x)) ::::", "trailing input '::'", 15, "trailing input"),
         case("", "expected a form, got 'None'", 0, "expected a form"),

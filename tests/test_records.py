@@ -207,18 +207,25 @@ import ontologik
 after_package = [m for m in heavy if m in sys.modules]
 ontologik.load_lexicon(lexicon, ontologik.load_ontology(ontology))
 after_load = [m for m in (*heavy, "re", "enum", "functools", "collections") if m in sys.modules]
+ontologik.parse_lf("(E x :: person)(loud(x))")
+try:
+    ontologik.parse_lf("(E x)(loud(x)) @")
+except ontologik.LFSyntaxError:
+    pass
+after_parse = [m for m in (*heavy, "re") if m in sys.modules]
 import ontologik.cli
-after_cli = [m for m in heavy if m in sys.modules]
+after_cli = [m for m in (*heavy, "pathlib") if m in sys.modules]
 from ontologik import *
 modules = sorted(m for m in sys.modules if m.split(".")[0] == "ontologik")
 import json
-print(json.dumps([after_package, after_load, after_cli, [m for m in heavy if m in sys.modules], modules]))
+print(json.dumps([after_package, after_load, after_parse, after_cli, [m for m in heavy if m in sys.modules], modules]))
 """
 
 
 def test_importing_the_package_loads_no_dataclasses_or_typing():
     # nor does loading the shipped resources load re, enum, functools or
-    # collections; the command line loads re, through argparse and pathlib
+    # collections, nor parsing LF text, good or bad, load re; the command
+    # line loads re, through argparse, and no pathlib
     from ontologik.fixtures import lexicon_path, ontology_path
 
     resources = ontology_path().read_text() + "\0" + lexicon_path().read_text()
@@ -227,9 +234,10 @@ def test_importing_the_package_loads_no_dataclasses_or_typing():
         [sys.executable, "-S", "-c", HYGIENE_CHILD],
         input=resources, capture_output=True, text=True, env=env, check=True, timeout=60,
     )
-    after_package, after_load, after_cli, after_star, modules = json.loads(done.stdout)
+    after_package, after_load, after_parse, after_cli, after_star, modules = json.loads(done.stdout)
     assert after_package == []
     assert after_load == []
+    assert after_parse == []
     assert after_cli == []
     assert after_star == []
     assert {"ontologik." + module for module in SURFACE} <= set(modules)
