@@ -90,7 +90,7 @@ def conj(items: list[Form] | tuple[Form, ...]) -> Form:
 
 # Every token that is not punctuation is an identifier; None ends the input.
 _PUNCT = frozenset(("::", "->", "(", ")", "!", ",", None))
-_WORD = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
+_IDENT_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 _QUANT_KINDS = {"E": QuantKind.EXISTS, "E!": QuantKind.EXISTS_UNIQUE, "A": QuantKind.FORALL}
 
 
@@ -103,8 +103,8 @@ class _Parser:
         # three end sentinels let the parser look three tokens ahead without a bounds check
         self.source, self.toks = source, toks + [None] * 3
         if stray := [tok for tok in set(toks) - _PUNCT if not (tok.isascii() and tok.isidentifier())]:
-            i = min(map(toks.index, stray))  # the first piece that is no token
-            at = self.at(i) + (0 if toks[i][0].isdigit() else len(toks[i]) - len(toks[i].lstrip(_WORD)))
+            i, tok = min((toks.index(tok), tok) for tok in stray)  # the first piece that is no token
+            at = self.at(i) + (0 if tok[0].isdigit() else len(tok) - len(tok.lstrip(_IDENT_CHARS)))
             raise LFSyntaxError(f"unexpected character '{source[at]}'", at)
 
     def at(self, i: int) -> int:
