@@ -13,8 +13,10 @@ the first time one of its names (or the module itself) is read from the
 package; its names are then kept here, so later reads are plain attribute
 lookups and each name is the defining module's own object. Loading both
 resources, ``load_lexicon(source, load_ontology(text))``, imports only
-``ontology``, ``lexicon``, ``errors`` and ``_value``, and from the stdlib
-``types`` and ``__future__`` alone; the LF engine (``logform``, ``unifier``),
+``ontology``, ``lexicon``, ``errors`` and ``_value``, and nothing from the
+stdlib: so those modules evaluate their annotations, with no ``__future__``
+import, and ``_value`` takes ``MappingProxyType`` from ``type.__dict__``, not
+from ``types``. The LF engine (``logform``, ``unifier``),
 the sentence reader (``nlparser``), ``aor`` and ``confirm`` load when first
 used. ``from ontologik import *`` imports every module.
 """

@@ -4,6 +4,8 @@ dataclasses, with their ``__match_args__`` (by default their ``__slots__``) as f
 a record gets one that takes its slots in order, by position or by keyword, unless it writes
 its own with :func:`setters` for derived fields or defaults."""
 
+MappingProxyType = type(type.__dict__)  # as the stdlib's types module gets it, without importing it
+
 
 def setters(*classes) -> list:
     """Each slot's own ``__set__``, class by class: a store with no lookup of the name."""

@@ -3,7 +3,6 @@
 Every error message names what failed and, where a source text is involved,
 the line or character position it failed at.
 """
-from __future__ import annotations
 
 
 class OntologikError(Exception):

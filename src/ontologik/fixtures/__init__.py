@@ -7,8 +7,6 @@ and ``reference.lex`` redirects every default lookup there. The paths are
 ``os.path`` and read them as UTF-8 through :func:`_read`, so neither imports
 ``pathlib`` (nor its ``re``).
 """
-from __future__ import annotations
-
 import os
 
 from ..errors import LexiconError, OntologikError, OntologyError
@@ -25,16 +23,16 @@ def _fixture_dir() -> str:
     return os.environ.get(FIXTURES_ENV) or os.path.dirname(__file__)
 
 
-def fixture_dir() -> Path:
+def fixture_dir() -> "Path":
     from pathlib import Path
     return Path(_fixture_dir())
 
 
-def ontology_path() -> Path:
+def ontology_path() -> "Path":
     return fixture_dir() / ONTOLOGY_FILE
 
 
-def lexicon_path() -> Path:
+def lexicon_path() -> "Path":
     return fixture_dir() / LEXICON_FILE
 
 

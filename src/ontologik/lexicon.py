@@ -13,11 +13,7 @@ declared types. All are immutable slotted classes.
 split at blanks (``str.isspace``) into a keyword and a name. A name is an ASCII
 letter or ``_`` and then ``_`` or characters ``str.isalnum`` takes, in any script.
 """
-from __future__ import annotations
-
-from types import MappingProxyType
-
-from ._value import Value, setters
+from ._value import MappingProxyType, Value, setters
 from .errors import LexiconError
 from .ontology import Ontology, SubsumptionVerdict, TypeName
 

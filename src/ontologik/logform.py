@@ -114,11 +114,11 @@ class _Parser:
         return len(self.source) - len(self.source[end:].lstrip())
 
     def reject(self, i: int, expected: str):
-        if self.toks[i] is None:
-            raise LFSyntaxError(f"unexpected end of input, expected '{expected}'", self.at(i))
-        raise LFSyntaxError(f"expected '{expected}', got '{self.toks[i]}'", self.at(i))
+        self.reject_ident(i, f"'{expected}'")
 
     def reject_ident(self, i: int, what: str):
+        if self.toks[i] is None:
+            raise LFSyntaxError(f"unexpected end of input, expected {what}", self.at(i))
         raise LFSyntaxError(f"expected {what}, got '{self.toks[i]}'", self.at(i))
 
     # -- grammar ---------------------------------------------------------
@@ -129,7 +129,7 @@ class _Parser:
             return self._parenthesized(i, bound, depth)
         if tok not in _PUNCT:
             return self._atom(i, bound)
-        raise LFSyntaxError(f"expected a form, got '{tok}'", self.at(i))
+        self.reject_ident(i, "a form")
 
     def _parenthesized(self, i: int, bound: set[str], depth: int) -> tuple[Form, int]:
         # Levels count as in _canon: a Not, and, -> or quantifier prefix at

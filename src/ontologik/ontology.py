@@ -21,11 +21,7 @@ is an immutable slotted class.
 ``str.isspace`` takes), declares a type when its fields are ``type <name>`` or
 ``type <name> isa <parent>`` and each name is a lowercase ASCII identifier.
 """
-from __future__ import annotations
-
-from types import MappingProxyType
-
-from ._value import Value, setters
+from ._value import MappingProxyType, Value, setters
 from .errors import OntologyError, UnknownTypeError
 
 # Type names are plain lowercase identifiers.
@@ -39,10 +35,10 @@ class SubsumptionVerdict:
 
     __slots__ = ("name",)
     __setattr__ = __delattr__ = Value.__setattr__
-    EQUAL: SubsumptionVerdict
-    FIRST_SUBSUMES_SECOND: SubsumptionVerdict
-    SECOND_SUBSUMES_FIRST: SubsumptionVerdict
-    INCOMPARABLE: SubsumptionVerdict
+    EQUAL: "SubsumptionVerdict"
+    FIRST_SUBSUMES_SECOND: "SubsumptionVerdict"
+    SECOND_SUBSUMES_FIRST: "SubsumptionVerdict"
+    INCOMPARABLE: "SubsumptionVerdict"
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("SubsumptionVerdict has only its four members")

@@ -775,11 +775,11 @@ class _RefParser:
         return offs[i] if i < len(offs) else len(self.source)
 
     def reject(self, i: int, expected: str):
-        if self.toks[i] is None:
-            raise LFSyntaxError(f"unexpected end of input, expected '{expected}'", self.at(i))
-        raise LFSyntaxError(f"expected '{expected}', got '{self.toks[i]}'", self.at(i))
+        self.reject_ident(i, f"'{expected}'")
 
     def reject_ident(self, i: int, what: str):
+        if self.toks[i] is None:
+            raise LFSyntaxError(f"unexpected end of input, expected {what}", self.at(i))
         raise LFSyntaxError(f"expected {what}, got '{self.toks[i]}'", self.at(i))
 
     def form(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
@@ -788,7 +788,7 @@ class _RefParser:
             return self._parenthesized(i, bound, depth)
         if tok not in _REF_PUNCT:
             return self._atom(i, bound)
-        raise LFSyntaxError(f"expected a form, got '{tok}'", self.at(i))
+        self.reject_ident(i, "a form")
 
     def _parenthesized(self, i: int, bound: frozenset[str], depth: int) -> tuple[Form, int]:
         if depth > MAX_NESTING:

@@ -487,6 +487,21 @@ def test_load_reference_names_a_non_utf8_resource_file_as_the_cli_does(capsys, t
     assert err == f"error: {caught.value}\n"
 
 
+@pytest.mark.parametrize("directory, error", [(False, FileNotFoundError), (True, IsADirectoryError)])
+def test_load_reference_raises_the_os_error_of_an_unreadable_resource_file(capsys, tmp_path, monkeypatch, directory, error):
+    # an empty fixture directory, or one whose reference.ont is a directory
+    if directory:
+        (tmp_path / "reference.ont").mkdir()
+    monkeypatch.setenv(FIXTURES_ENV, str(tmp_path))
+    with pytest.raises(error):
+        load_reference()
+    code, out, _ = run(capsys, "--format", "structured", "unify", "beer", "entity")
+    assert code == 3
+    [record] = records(out)
+    assert record["status"] == "load_error"
+    assert record["detail"]["error"] == error.__name__
+
+
 # ----------------------------------------------------------------------
 # deep input
 # ----------------------------------------------------------------------

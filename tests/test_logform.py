@@ -119,12 +119,13 @@ def case(source, message, position, label):
         case("(E x)(loud(x)) extra(x)", "trailing input 'extra'", 15, "trailing input"),
         case("(E x)(loud(x)) )", "trailing input ')'", 15, "trailing input"),
         case("(E x)(loud(x)", "unexpected end of input, expected ')'", 13, "unexpected end of input"),
-        case("(E x)(loud(x, ", "expected a term, got 'None'", 14, "expected a term"),
+        case("(E x)(loud(x, ", "unexpected end of input, expected a term", 14, "expected a term"),
         case("(E x)(want(x, , x))", "expected a term, got ','", 14, "expected a term"),
-        case("(E x)(", "expected a form, got 'None'", 6, "expected a form"),
-        case("(E x)", "expected a form, got 'None'", 5, "expected a form"),
-        case("(E x) ", "expected a form, got 'None'", 6, "expected a form"),
-        case("(E x ::", "expected a type name, got 'None'", 7, "expected a type name"),
+        case("(E x)(", "unexpected end of input, expected a form", 6, "expected a form"),
+        case("(E x)", "unexpected end of input, expected a form", 5, "expected a form"),
+        case("(E x) ", "unexpected end of input, expected a form", 6, "expected a form"),
+        case("(E x ::", "unexpected end of input, expected a type name", 7, "expected a type name"),
+        case("(E !", "unexpected end of input, expected a variable", 4, "expected a variable"),
         case("(E x)(E", "unexpected end of input, expected '('", 7, "unexpected end of input"),
         case("loud", "unexpected end of input, expected '('", 4, "unexpected end of input"),
         case("(and (loud(Julie))", "unterminated conjunction", 18, "unterminated conjunction"),
@@ -152,8 +153,8 @@ def case(source, message, position, label):
         case("(E x)(loud(x9é))", "unexpected character 'é'", 13, "unexpected character"),
         case("(E x)(loud(x)) ->", "trailing input '->'", 15, "trailing input"),
         case("(E x)(loud(x)) ::::", "trailing input '::'", 15, "trailing input"),
-        case("", "expected a form, got 'None'", 0, "expected a form"),
-        case("   ", "expected a form, got 'None'", 3, "expected a form"),
+        case("", "unexpected end of input, expected a form", 0, "expected a form"),
+        case("   ", "unexpected end of input, expected a form", 3, "expected a form"),
         case("(E x :: )(loud(x))", "expected a type name, got ')'", 8, "expected a type name"),
         case("(E x :: person loud(x))", "expected ')', got 'loud'", 15, "expected ')'"),
         case("(E x)(loud(x) -> )", "expected a form, got ')'", 17, "expected a form"),

@@ -203,10 +203,10 @@ HYGIENE_CHILD = """\
 import sys
 heavy = ("dataclasses", "inspect", "ast", "typing", "importlib.resources", "tempfile", "shutil")
 ontology, lexicon = sys.stdin.read().split("\\0")
+before = set(sys.modules)
 import ontologik
-after_package = [m for m in heavy if m in sys.modules]
 ontologik.load_lexicon(lexicon, ontologik.load_ontology(ontology))
-after_load = [m for m in (*heavy, "re", "enum", "functools", "collections") if m in sys.modules]
+after_load = sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "ontologik")
 ontologik.parse_lf("(E x :: person)(loud(x))")
 try:
     ontologik.parse_lf("(E x)(loud(x)) @")
@@ -218,14 +218,14 @@ after_cli = [m for m in (*heavy, "pathlib") if m in sys.modules]
 from ontologik import *
 modules = sorted(m for m in sys.modules if m.split(".")[0] == "ontologik")
 import json
-print(json.dumps([after_package, after_load, after_parse, after_cli, [m for m in heavy if m in sys.modules], modules]))
+print(json.dumps([after_load, after_parse, after_cli, [m for m in heavy if m in sys.modules], modules]))
 """
 
 
 def test_importing_the_package_loads_no_dataclasses_or_typing():
-    # nor does loading the shipped resources load re, enum, functools or
-    # collections, nor parsing LF text, good or bad, load re; the command
-    # line loads re, through argparse, and no pathlib
+    # importing the package and loading the shipped resources load nothing
+    # but the package's own modules, nor does parsing LF text, good or bad,
+    # load re; the command line loads re, through argparse, and no pathlib
     from ontologik.fixtures import lexicon_path, ontology_path
 
     resources = ontology_path().read_text() + "\0" + lexicon_path().read_text()
@@ -234,8 +234,7 @@ def test_importing_the_package_loads_no_dataclasses_or_typing():
         [sys.executable, "-S", "-c", HYGIENE_CHILD],
         input=resources, capture_output=True, text=True, env=env, check=True, timeout=60,
     )
-    after_package, after_load, after_parse, after_cli, after_star, modules = json.loads(done.stdout)
-    assert after_package == []
+    after_load, after_parse, after_cli, after_star, modules = json.loads(done.stdout)
     assert after_load == []
     assert after_parse == []
     assert after_cli == []
@@ -245,15 +244,18 @@ def test_importing_the_package_loads_no_dataclasses_or_typing():
 
 FIXTURES_CHILD = """\
 import sys
+import os
+before = set(sys.modules)
 from ontologik.fixtures import load_reference
 ont, lex = load_reference()
-print(len(ont), len(lex.signatures), *[m for m in ("pathlib", "re", "enum", "collections") if m in sys.modules])
+print(len(ont), len(lex.signatures), *sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "ontologik"))
 """
 
 
 def test_loading_the_reference_fixtures_loads_no_pathlib_or_re():
-    # load_reference finds the shipped files by os.path; only the path
-    # functions import pathlib, which imports re
+    # after os, load_reference loads nothing but the package's own modules:
+    # it finds the shipped files by os.path, and only the path functions
+    # import pathlib, which imports re
     from ontologik.fixtures import FIXTURES_ENV, load_reference
 
     env = {key: value for key, value in os.environ.items() if key != FIXTURES_ENV}
